@@ -54,6 +54,8 @@ class ExperimentConfig:
             gamma_grid = tuple(float(g) for g in obj["gamma_grid"])
         except KeyError as exc:
             raise ModelSpecError(f"experiment config missing field {exc}") from exc
+        if not all(math.isfinite(g) for g in gamma_grid):
+            raise ModelSpecError("gamma_grid values must be finite")
         if not gamma_grid or any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
             raise ModelSpecError("gamma_grid must be non-empty and strictly increasing")
         estimators = tuple(obj.get("estimators", ()))

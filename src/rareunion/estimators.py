@@ -1,59 +1,61 @@
 """The estimator family for union probabilities and tail functionals.
 
-Monte Carlo estimators are built from per-replicate values: the estimate
-is their mean, the reported ``sample_std`` their per-replicate standard
-deviation and ``stderr = sample_std / sqrt(replicates)``.  For the
-partition-based estimators one "replicate" is a full sweep that draws one
-conditional sample per index cell; the total sampling effort is then
-``cells * replicates``, mirroring how the per-cell budget is allocated.
+Every estimator is one construction: an exact inclusion-exclusion head
+plus weighted terms, each sampled under a conditional law of the model.
+A law is its weight and the events it conditions on: ``()`` is the model
+itself, ``(i,)`` the law given ``A_i``, ``(i, j)`` the law given both.
+Each estimator is described once, as an ``_Estimator`` record of head,
+laws, per-law value function and allocation:
 
-Degeneration means a sample variance of exactly zero: every drawn value
-was identical, and the estimator collapses to its deterministic part.
-That is detected by exact min/max comparison and never approximated, so a
-degenerated first-order estimator is bit-identical to the Bonferroni
-upper bound.
+* *mixture* (``cmc``, ``alpha_n``, ``alpha1_is``, ``alpha2_is``): each
+  replicate picks law k with probability ``w_k / sum(w)`` (the
+  conditioning mixture of Adler, Blanchet & Liu 2012) and takes the whole
+  replicate value ``head + sum(w) z_k`` from the value function.  Crude
+  Monte Carlo and ``alpha_n`` are the single unconditional law, which
+  needs no pick.  ``alpha_n`` amounts to unit-weight control variates
+  built from the exceedance count; optimized weights are not implemented.
+* *stratified* (``beta_n``, ``beta1_alpha``, ``beta2_alpha``): one
+  replicate is a sweep drawing once from each of the L laws, one per
+  partition cell, with value ``head + w_0 z_0 + w_1 z_1 + ...``; each law
+  gets ``ceil(replicates / L)`` draws.
 
-The partially deterministic estimators ``alpha_n`` are equivalent to
-attaching unit-weight control variates built from the exceedance count to
-crude Monte Carlo; an optimized control-variate weight is intentionally
-not implemented.
+One chunked runner samples the record, and ``exhaustive_estimator_mean``
+reads the same record on a finite pattern model, summing each law's
+values against its conditional pmf ``pmf 1{events} / weight``.  Laws of
+weight zero are never drawn; a record with nothing to sample returns its
+head.  The estimate is the mean of the replicate values, ``sample_std``
+their standard deviation and ``stderr = sample_std / sqrt(replicates)``.
+Degeneration means a sample variance of exactly zero, detected by exact
+min/max comparison, so a degenerated first-order estimator is
+bit-identical to the Bonferroni upper bound.
 
-Replicates are processed in fixed-size chunks with one derived substream
-per chunk, and chunk statistics are merged in chunk order, so results are
-bit-reproducible for a given (model, gamma, replicates, seed) regardless
-of scheduling.
+Replicates run in fixed-size chunks, each on a derived substream:
+``(seed, chunk)`` for a mixture, ``(seed, k + 1, chunk)`` for law k of a
+stratified estimator.  Chunk statistics merge in chunk order, so results
+are bit-reproducible for a given (model, gamma, replicates, seed).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import events as ev
 from ._rng import derive_generator, iter_chunks
-from .errors import CapabilityError
+from .errors import CapabilityError, ModelSpecError
 from .models import DependenceModel, FinitePatternModel
 
 __all__ = [
-    "EstimateResult",
-    "BonferroniBounds",
-    "Payoff",
-    "bonferroni_bounds",
-    "estimate_cmc",
-    "estimate_alpha_n",
-    "estimate_alpha_1_is",
-    "estimate_alpha_2_is",
-    "estimate_beta_n",
-    "estimate_beta_dagger_alpha",
-    "ESTIMATOR_NAMES",
-    "run_estimator",
-    "exhaustive_estimator_mean",
-    "exhaustive_residual_second_moment",
-    "exhaustive_variance_components",
+    "EstimateResult", "BonferroniBounds", "Payoff", "bonferroni_bounds", "estimate_cmc",
+    "estimate_alpha_n", "estimate_alpha_1_is", "estimate_alpha_2_is", "estimate_beta_n",
+    "estimate_beta_dagger_alpha", "ESTIMATOR_NAMES", "run_estimator", "exhaustive_estimator_mean",
+    "exhaustive_residual_second_moment", "exhaustive_variance_components",
 ]
 
 
@@ -68,15 +70,7 @@ class EstimateResult:
     wall_ms: float
 
     def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "sample_std": self.sample_std,
-            "stderr": self.stderr,
-            "replicates": self.replicates,
-            "degenerate": self.degenerate,
-            "seed": self.seed,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
 
 class BonferroniBounds(NamedTuple):
@@ -129,17 +123,11 @@ class _Stats:
     """Streaming mean/variance/min/max merged in fixed chunk order."""
 
     def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.vmin = math.inf
-        self.vmax = -math.inf
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+        self.vmin, self.vmax = math.inf, -math.inf
 
     def update(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
         nb = values.size
-        if nb == 0:
-            return
         mb = float(values.mean())
         m2b = float(((values - mb) ** 2).sum())
         if self.n == 0:
@@ -153,238 +141,239 @@ class _Stats:
         self.vmin = min(self.vmin, float(values.min()))
         self.vmax = max(self.vmax, float(values.max()))
 
-    @property
-    def degenerate(self) -> bool:
-        return self.n > 0 and self.vmin == self.vmax
-
     def result(self, seed: int, t0: float) -> EstimateResult:
-        if self.n == 0:
-            raise ValueError("no replicate values accumulated")
-        if self.degenerate:
-            estimate = self.vmin
-            std = 0.0
-        else:
-            estimate = self.mean
-            std = math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else 0.0
-        stderr = std / math.sqrt(self.n) if self.n > 0 else 0.0
-        return EstimateResult(
-            estimate=estimate,
-            sample_std=std,
-            stderr=stderr,
-            replicates=self.n,
-            degenerate=self.degenerate,
-            seed=int(seed),
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
+        if self.vmin == self.vmax:  # degenerate: the exact common value, no spread
+            return _result(self.vmin, 0.0, self.n, True, seed, t0)
+        return _result(self.mean, math.sqrt(self.m2 / (self.n - 1)), self.n, False, seed, t0)
 
 
-def _deterministic_result(value: float, replicates: int, seed: int, t0: float) -> EstimateResult:
-    return EstimateResult(
-        estimate=float(value),
-        sample_std=0.0,
-        stderr=0.0,
-        replicates=int(replicates),
-        degenerate=True,
-        seed=int(seed),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
+def _result(estimate: float, std: float, replicates: int, degenerate: bool, seed: int, t0: float):
+    stderr = std / math.sqrt(replicates) if replicates else 0.0
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    return EstimateResult(float(estimate), std, stderr, replicates, degenerate, int(seed), wall_ms)
 
 
-def _check_replicates(replicates: int) -> int:
-    replicates = int(replicates)
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    return replicates
+class _Layers:
+    """The inclusion-exclusion layers of one (model, gamma), each computed on first use."""
 
+    def __init__(self, model: DependenceModel, gamma: float):
+        self.model = model
+        self.gamma = gamma
+        self.d = model.d
 
-def _marginals(model: DependenceModel, gamma: float) -> np.ndarray:
-    if not model.capabilities.marginal_prob:
-        raise CapabilityError(f"{type(model).__name__} cannot compute marginal probabilities")
-    return np.array([model.marginal_survival(i, gamma) for i in range(model.d)])
+    @cached_property
+    def margs(self) -> np.ndarray:
+        """``P(A_i)`` for i = 0..d-1."""
+        if not self.model.capabilities.marginal_prob:
+            raise CapabilityError(f"{type(self.model).__name__} cannot compute marginal probabilities")
+        return np.array([self.model.marginal_survival(i, self.gamma) for i in range(self.d)])
 
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """``P(A_i A_j)`` for i < j in lexicographic order, the order of the pair cells."""
+        if not self.model.capabilities.pair_prob:
+            raise CapabilityError(f"{type(self.model).__name__} cannot compute pairwise probabilities")
+        pairs = itertools.combinations(range(self.d), 2)
+        return np.array([self.model.pair_survival(i, j, self.gamma) for i, j in pairs])
 
-def _pair_values(model: DependenceModel, gamma: float):
-    if not model.capabilities.pair_prob:
-        raise CapabilityError(f"{type(model).__name__} cannot compute pairwise probabilities")
-    pairs = [(i, j) for i in range(model.d) for j in range(i + 1, model.d)]
-    vals = np.array([model.pair_survival(i, j, gamma) for i, j in pairs])
-    return pairs, vals
+    @cached_property
+    def abar(self) -> float:
+        return float(np.sum(self.margs))
+
+    @cached_property
+    def q(self) -> float:
+        return float(np.sum(self.pairs))
 
 
 def bonferroni_bounds(model: DependenceModel, gamma: float) -> BonferroniBounds:
     """First two inclusion-exclusion truncations: the upper bound
     ``sum_i P(A_i)`` and the lower bound with pairwise terms subtracted."""
-    margs = _marginals(model, gamma)
-    upper = float(np.sum(margs))
-    _, pair_vals = _pair_values(model, gamma)
-    second = upper - float(np.sum(pair_vals))
-    return BonferroniBounds(upper=upper, second=second)
-
-
-def _run_chunks(values_for_chunk, replicates: int, seed: int) -> _Stats:
-    stats = _Stats()
-    for chunk, count in iter_chunks(replicates):
-        rng = derive_generator(seed, chunk)
-        stats.update(values_for_chunk(rng, count))
-    return stats
-
-
-def _run_composite(det: float, terms, sweeps: int, seed: int) -> _Stats:
-    """Sweep values ``det + sum_k w_k z_k`` with one substream per (term, chunk)."""
-    stats = _Stats()
-    for chunk, count in iter_chunks(sweeps):
-        v = np.full(count, det, dtype=float)
-        for k, (weight, zfn) in enumerate(terms):
-            rng = derive_generator(seed, k + 1, chunk)
-            v = v + weight * zfn(rng, count)
-        stats.update(v)
-    return stats
+    layers = _Layers(model, gamma)
+    return BonferroniBounds(upper=layers.abar, second=layers.abar - layers.q)
 
 
 # ---------------------------------------------------------------------------
-# Crude and partially deterministic estimators
+# One record per estimator
+
+
+class _Estimator(NamedTuple):
+    head: float
+    laws: list  # (weight, events) per conditional law
+    value: Callable  # value(k, x, patterns) for draws x from law k
+    mixture: bool
+
+
+_UNCONDITIONAL = [(1.0, ())]
+
+
+def _crude(lay: _Layers) -> _Estimator:
+    return _Estimator(0.0, _UNCONDITIONAL, lambda k, x, p: (p.sum(axis=1) >= 1).astype(float), True)
+
+
+def _alpha_n(n: int):
+    def build(lay: _Layers) -> _Estimator:
+        head = lay.abar if n == 1 else lay.abar - lay.q
+        table = ev.residual_term_table(lay.d, n)
+        return _Estimator(head, _UNCONDITIONAL, lambda k, x, p: head + table[p.sum(axis=1)], True)
+
+    return build
+
+
+def _alpha1_is(lay: _Layers) -> _Estimator:
+    abar = lay.abar
+    laws = [(w, (i,)) for i, w in enumerate(lay.margs)]
+    return _Estimator(abar, laws, lambda k, x, p: abar / p.sum(axis=1), True)
+
+
+def _alpha2_is(lay: _Layers) -> _Estimator:
+    abar, q = lay.abar, lay.q
+    laws = list(zip(lay.pairs, itertools.combinations(range(lay.d), 2)))
+    return _Estimator(abar, laws, lambda k, x, p: abar - 2.0 * q / p.sum(axis=1), True)
+
+
+def _partition(lay: _Layers, n: int, head: float, z: Callable, first: int = 0) -> _Estimator:
+    """The order-n partition cells from ``first`` on, each a law weighted by
+    its exact probability ``P(B_I)``, with value ``z(cell, x, patterns)``."""
+    cells = ev.partition_cells(lay.d, n) if n <= lay.d else []
+    weights = lay.margs if n == 1 else lay.pairs
+    laws = [(weights[k], cell.events) for k, cell in enumerate(cells)][first:]
+    cells = cells[first:]
+    return _Estimator(head, laws, lambda k, x, p: z(cells[k], x, p), False)
+
+
+def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0):
+    return lambda lay: _partition(lay, n, head(lay), lambda c, x, p: payoff.values(x, p) * c.blocked_clear(p))
+
+
+def _beta1_alpha(lay: _Layers) -> _Estimator:
+    return _partition(lay, 1, float(lay.margs[0]), lambda c, x, p: c.blocked_clear(p).astype(float), first=1)
+
+
+_ESTIMATORS = {
+    "cmc": _crude,
+    "alpha1": _alpha_n(1),
+    "alpha2": _alpha_n(2),
+    "alpha1_is": _alpha1_is,
+    "alpha2_is": _alpha2_is,
+    "beta1_alpha": _beta1_alpha,
+    "beta2_alpha": _beta_n(2, Payoff.residual_alternating(1), head=lambda lay: lay.abar),
+}
+
+ESTIMATOR_NAMES = tuple(_ESTIMATORS) + ("bonferroni",)
+
+
+def _lookup(name: str):
+    if name not in _ESTIMATORS:
+        raise ModelSpecError(f"unknown estimator {name!r}; valid names: {ESTIMATOR_NAMES}")
+    return _ESTIMATORS[name]
+
+
+def _check_order(n: int) -> int:
+    if n not in (1, 2):
+        raise ModelSpecError("only the first- and second-order variants are implemented")
+    return n
+
+
+# ---------------------------------------------------------------------------
+# The chunked runner
+
+
+def _check_capabilities(model: DependenceModel, laws) -> None:
+    """The model must sample every conditioning-set size the laws use."""
+    needs = {1: ("conditional_single", "one event"), 2: ("conditional_pair", "event pairs")}
+    for size in sorted({len(events) for _, events in laws} - {0}):
+        flag, what = needs[size]
+        if not getattr(model.capabilities, flag):
+            raise CapabilityError(f"{type(model).__name__} cannot sample conditioned on {what}")
+
+
+def _sampler(model: DependenceModel, gamma: float, events: tuple):
+    if not events:
+        return model.sample
+    if len(events) == 1:
+        return model.conditional_given_exceedance(events[0], gamma).draw
+    return model.conditional_given_pair_exceedance(*events, gamma).draw
+
+
+def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
+    """Monte Carlo over the record ``build`` describes for (model, gamma)."""
+    replicates = int(replicates)
+    if replicates < 1:
+        raise ModelSpecError("replicates must be at least 1")
+    if not math.isfinite(gamma):
+        raise ModelSpecError(f"the threshold gamma must be finite, got {gamma}")
+    t0 = time.perf_counter()
+    est = build(_Layers(model, gamma))
+    _check_capabilities(model, est.laws)
+    if est.mixture:
+        weights = np.array([w for w, _ in est.laws])
+        total = float(np.sum(weights))
+        if total == 0.0 and est.head == 0.0:
+            raise ModelSpecError("the mixture is undefined when its head and every weight are zero")
+        sweeps = replicates
+    else:
+        total = len(est.laws)
+        sweeps = -(-replicates // max(total, 1))
+    if total == 0:  # nothing to sample: the head is exact
+        return _result(est.head, 0.0, 0, True, seed, t0)
+    draws = [_sampler(model, gamma, events) if w > 0.0 else None for w, events in est.laws]
+
+    def values(k, rng, count):
+        x = draws[k](rng, count)
+        return est.value(k, x, model.exceedance_patterns(x, gamma))
+
+    stats = _Stats()
+    for chunk, count in iter_chunks(sweeps):
+        if not est.mixture:
+            v = np.full(count, est.head, dtype=float)
+            for k, (weight, _) in enumerate(est.laws):
+                if draws[k] is not None:
+                    v = v + weight * values(k, derive_generator(seed, k + 1, chunk), count)
+        elif len(draws) == 1:
+            v = values(0, derive_generator(seed, chunk), count)
+        else:
+            rng = derive_generator(seed, chunk)
+            v = np.empty(count)
+            picks = rng.choice(len(draws), size=count, p=weights / total)
+            for k in range(len(draws)):
+                sel = np.where(picks == k)[0]
+                if sel.size:
+                    v[sel] = values(k, rng, sel.size)
+        stats.update(v)
+    return stats.result(seed, t0)
+
+
+# ---------------------------------------------------------------------------
+# Public estimators
 
 
 def estimate_cmc(model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
     """Crude Monte Carlo: mean of the union indicator ``1{E >= 1}``."""
-    replicates = _check_replicates(replicates)
-    t0 = time.perf_counter()
-
-    def chunk_values(rng, count):
-        x = model.sample(rng, count)
-        counts = model.exceedance_patterns(x, gamma).sum(axis=1)
-        return (counts >= 1).astype(float)
-
-    return _run_chunks(chunk_values, replicates, seed).result(seed, t0)
+    return _run(_crude, model, gamma, replicates, seed)
 
 
 def estimate_alpha_n(model: DependenceModel, gamma: float, n: int, replicates: int, seed: int) -> EstimateResult:
-    """Deterministic inclusion-exclusion head of depth n plus the sampled
-    alternating remainder.
-
-    ``n=1`` computes the marginal sum exactly and estimates the rest;
-    ``n=2`` also computes the pairwise layer.  The remainder vanishes
-    unless a replicate has more than n exceedances, so deep in the tail
-    the estimator degenerates to the corresponding Bonferroni bound.
-    """
-    replicates = _check_replicates(replicates)
-    if n not in (1, 2):
-        raise ValueError("only the first- and second-order variants are implemented")
-    t0 = time.perf_counter()
-    bounds = bonferroni_bounds(model, gamma)
-    det = bounds.upper if n == 1 else bounds.second
-    table = ev.residual_term_table(model.d, n)
-
-    def chunk_values(rng, count):
-        x = model.sample(rng, count)
-        counts = model.exceedance_patterns(x, gamma).sum(axis=1)
-        return det + table[counts]
-
-    return _run_chunks(chunk_values, replicates, seed).result(seed, t0)
-
-
-# ---------------------------------------------------------------------------
-# Importance sampling through conditioning mixtures
-
-
-def _grouped_mixture_values(rng, count, handles, probs, value_fn):
-    """Draw mixture components, then sample each group's conditional law.
-
-    Groups are processed in index order with the same chunk stream, so the
-    draw is reproducible.  ``value_fn(k, x)`` maps component index and
-    conditional samples to per-replicate values.
-    """
-    out = np.empty(count)
-    picks = rng.choice(len(handles), size=count, p=probs)
-    for k, handle in enumerate(handles):
-        sel = np.where(picks == k)[0]
-        if sel.size == 0:
-            continue
-        x = handle.draw(rng, sel.size)
-        out[sel] = value_fn(k, x)
-    return out
+    """Exact inclusion-exclusion head of depth n (1: marginals, 2: also
+    pairs) plus the sampled alternating remainder.  The remainder vanishes
+    unless a replicate has more than n exceedances, so deep in the tail the
+    estimator degenerates to the matching Bonferroni bound."""
+    return _run(_alpha_n(_check_order(n)), model, gamma, replicates, seed)
 
 
 def estimate_alpha_1_is(model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
-    """First-order conditioning-mixture importance sampler.
-
-    Picks an event with probability proportional to its marginal
-    probability, samples the law given that event, and averages
-    ``abar / E`` where ``abar`` is the marginal sum.  The union event has
-    probability one under the mixture, so no replicate is wasted.
-    """
-    replicates = _check_replicates(replicates)
-    if not model.capabilities.conditional_single:
-        raise CapabilityError(f"{type(model).__name__} cannot sample conditioned on one event")
-    t0 = time.perf_counter()
-    margs = _marginals(model, gamma)
-    abar = float(np.sum(margs))
-    if abar <= 0.0:
-        raise ValueError("the mixture is undefined when every marginal probability is zero")
-    probs = margs / abar
-    handles = [model.conditional_given_exceedance(i, gamma) for i in range(model.d)]
-
-    def chunk_values(rng, count):
-        def value(_, x):
-            counts = model.exceedance_patterns(x, gamma).sum(axis=1)
-            return abar / counts
-
-        return _grouped_mixture_values(rng, count, handles, probs, value)
-
-    return _run_chunks(chunk_values, replicates, seed).result(seed, t0)
+    """First-order conditioning mixture: event i is picked with probability
+    ``P(A_i) / abar``, with ``abar`` the marginal sum, and the replicate
+    value is ``abar / E``.  The union has probability one under the
+    mixture, so no replicate is wasted."""
+    return _run(_alpha1_is, model, gamma, replicates, seed)
 
 
 def estimate_alpha_2_is(model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
-    """Second-order conditioning-mixture importance sampler.
-
-    Picks an event pair proportionally to its joint probability, samples
-    given both events, and averages ``abar - 2 q / E`` with ``q`` the sum
-    of the pairwise probabilities.  When ``q`` is exactly zero there is
-    nothing to sample: the value is the marginal sum, flagged degenerate.
-    """
-    replicates = _check_replicates(replicates)
-    if not model.capabilities.conditional_pair:
-        raise CapabilityError(f"{type(model).__name__} cannot sample conditioned on event pairs")
-    t0 = time.perf_counter()
-    margs = _marginals(model, gamma)
-    abar = float(np.sum(margs))
-    pairs, pair_vals = _pair_values(model, gamma)
-    q = float(np.sum(pair_vals))
-    if q == 0.0:
-        return _deterministic_result(abar, 0, seed, t0)
-    probs = pair_vals / q
-    handles = [model.conditional_given_pair_exceedance(i, j, gamma) for i, j in pairs]
-
-    def chunk_values(rng, count):
-        def value(_, x):
-            counts = model.exceedance_patterns(x, gamma).sum(axis=1)
-            return abar - 2.0 * q / counts
-
-        return _grouped_mixture_values(rng, count, handles, probs, value)
-
-    return _run_chunks(chunk_values, replicates, seed).result(seed, t0)
-
-
-# ---------------------------------------------------------------------------
-# Partition estimators
-
-
-def _cell_handles(model: DependenceModel, gamma: float, n: int):
-    """Cells of the order-n partition with their probabilities and samplers."""
-    cells = ev.partition_cells(model.d, n)
-    if n == 1:
-        if not model.capabilities.conditional_single:
-            raise CapabilityError(f"{type(model).__name__} cannot sample conditioned on one event")
-        weights = [model.marginal_survival(c.events[0], gamma) for c in cells]
-        handles = [model.conditional_given_exceedance(c.events[0], gamma) for c in cells]
-    elif n == 2:
-        if not model.capabilities.conditional_pair:
-            raise CapabilityError(f"{type(model).__name__} cannot sample conditioned on event pairs")
-        weights = [model.pair_survival(*c.events, gamma) for c in cells]
-        handles = [model.conditional_given_pair_exceedance(*c.events, gamma) for c in cells]
-    else:
-        raise ValueError("partition estimation is implemented for cell sizes 1 and 2")
-    return cells, weights, handles
+    """Second-order conditioning mixture: pair (i, j) is picked with
+    probability ``P(A_i A_j) / q``, with ``q`` the pairwise sum, and the
+    value is ``abar - 2 q / E``.  When ``q`` is exactly zero there is
+    nothing to sample: the value is the marginal sum, flagged degenerate."""
+    return _run(_alpha2_is, model, gamma, replicates, seed)
 
 
 def estimate_beta_n(
@@ -395,28 +384,11 @@ def estimate_beta_n(
     replicates: int,
     seed: int,
 ) -> EstimateResult:
-    """Partition estimator of ``E[Y 1{E >= n}]``.
-
-    Decomposes ``{E >= n}`` into the disjoint cells indexed by n-subsets,
-    samples each cell's conditional law, and recombines with the exact
-    cell probabilities.  Each of the ``C(d, n)`` cells receives
-    ``ceil(replicates / C(d, n))`` draws.
-    """
-    replicates = _check_replicates(replicates)
-    t0 = time.perf_counter()
-    cells, weights, handles = _cell_handles(model, gamma, n)
-    sweeps = -(-replicates // len(cells))
-
-    def term(cell, handle):
-        def zfn(rng, count):
-            x = handle.draw(rng, count)
-            patterns = model.exceedance_patterns(x, gamma)
-            return payoff.values(x, patterns) * cell.blocked_clear(patterns)
-
-        return zfn
-
-    terms = [(w, term(c, h)) for c, w, h in zip(cells, weights, handles)]
-    return _run_composite(0.0, terms, sweeps, seed).result(seed, t0)
+    """Partition estimator of ``E[Y 1{E >= n}]``: each disjoint cell
+    ``B_I C_I`` of ``{E >= n}``, indexed by an n-subset I, contributes
+    ``P(B_I) E[Y 1{C_I} | B_I]``.  Each of the ``C(d, n)`` cells receives
+    ``ceil(replicates / C(d, n))`` draws."""
+    return _run(_beta_n(_check_order(n), payoff), model, gamma, replicates, seed)
 
 
 def estimate_beta_dagger_alpha(
@@ -426,103 +398,43 @@ def estimate_beta_dagger_alpha(
 
     ``n=1``: the first cell's conditional expectation is identically one,
     so its contribution is the exact ``P(A_1)`` and only the remaining
-    ``d - 1`` cells are sampled (each with ``ceil(replicates / (d-1))``
-    draws).  ``n=2``: the marginal layer is exact and the pair cells
-    estimate the alternating remainder with payoff ``1 - E``; the cell
-    constraint indicator keeps the partition cells disjoint, which is what
-    makes the estimator unbiased beyond two dimensions.
+    ``d - 1`` cells are sampled.  ``n=2``: the marginal layer is exact and
+    the pair cells estimate the alternating remainder with payoff
+    ``1 - E``; the cell constraint indicator keeps the partition cells
+    disjoint, which is what makes the estimator unbiased beyond two
+    dimensions.
     """
-    replicates = _check_replicates(replicates)
-    if n not in (1, 2):
-        raise ValueError("only the first- and second-order variants are implemented")
-    t0 = time.perf_counter()
-    if n == 1:
-        margs = _marginals(model, gamma)
-        if not model.capabilities.conditional_single:
-            raise CapabilityError(f"{type(model).__name__} cannot sample conditioned on one event")
-        det = float(margs[0])
-        if model.d == 1:
-            return _deterministic_result(det, 0, seed, t0)
-        cells = ev.partition_cells(model.d, 1)[1:]
-        sweeps = -(-replicates // (model.d - 1))
-
-        def term(cell):
-            i = cell.events[0]
-            handle = model.conditional_given_exceedance(i, gamma)
-
-            def zfn(rng, count):
-                x = handle.draw(rng, count)
-                patterns = model.exceedance_patterns(x, gamma)
-                return cell.blocked_clear(patterns).astype(float)
-
-            return zfn
-
-        terms = [(float(margs[c.events[0]]), term(c)) for c in cells]
-        return _run_composite(det, terms, sweeps, seed).result(seed, t0)
-
-    bounds = bonferroni_bounds(model, gamma)
-    cells, weights, handles = _cell_handles(model, gamma, 2)
-    sweeps = -(-replicates // len(cells))
-    payoff = Payoff.residual_alternating(1)  # 1 - E
-
-    def term(cell, handle):
-        def zfn(rng, count):
-            x = handle.draw(rng, count)
-            patterns = model.exceedance_patterns(x, gamma)
-            return payoff.values(x, patterns) * cell.blocked_clear(patterns)
-
-        return zfn
-
-    terms = [(w, term(c, h)) for c, w, h in zip(cells, weights, handles)]
-    return _run_composite(bounds.upper, terms, sweeps, seed).result(seed, t0)
-
-
-# ---------------------------------------------------------------------------
-# Registry used by the command line harness
-
-ESTIMATOR_NAMES = (
-    "cmc",
-    "alpha1",
-    "alpha2",
-    "alpha1_is",
-    "alpha2_is",
-    "beta1_alpha",
-    "beta2_alpha",
-    "bonferroni",
-)
+    return _run(_ESTIMATORS[f"beta{_check_order(n)}_alpha"], model, gamma, replicates, seed)
 
 
 def run_estimator(name: str, model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
     """Run a Monte Carlo estimator by its registry name."""
-    if name == "cmc":
-        return estimate_cmc(model, gamma, replicates, seed)
-    if name == "alpha1":
-        return estimate_alpha_n(model, gamma, 1, replicates, seed)
-    if name == "alpha2":
-        return estimate_alpha_n(model, gamma, 2, replicates, seed)
-    if name == "alpha1_is":
-        return estimate_alpha_1_is(model, gamma, replicates, seed)
-    if name == "alpha2_is":
-        return estimate_alpha_2_is(model, gamma, replicates, seed)
-    if name == "beta1_alpha":
-        return estimate_beta_dagger_alpha(model, gamma, 1, replicates, seed)
-    if name == "beta2_alpha":
-        return estimate_beta_dagger_alpha(model, gamma, 2, replicates, seed)
-    raise ValueError(f"unknown estimator {name!r}; valid names: {ESTIMATOR_NAMES}")
+    return _run(_lookup(name), model, gamma, replicates, seed)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive expectations over finite pattern models
 #
-# Every estimator above has a closed-form expectation on a finite pattern
-# distribution, obtained by enumerating the patterns.  These are the
-# oracles behind the unbiasedness and variance-inequality test suites.
+# These are the oracles behind the unbiasedness and variance-inequality
+# test suites; their ground truth is events.brute_force_union and
+# events.brute_force_tail_expectation.
 
 
 def _finite(model) -> FinitePatternModel:
     if not isinstance(model, FinitePatternModel):
         raise TypeError("exhaustive expectations require a finite pattern model")
     return model
+
+
+def _exact_laws(model: FinitePatternModel, est: _Estimator):
+    """``(weight, conditional pmf, values)`` of every law of positive weight,
+    the conditional pmf being ``pmf 1{events} / weight`` on its support."""
+    patterns = model.patterns
+    x = patterns.astype(float)
+    for k, (weight, events) in enumerate(est.laws):
+        if weight > 0.0:
+            mask = patterns[:, list(events)].all(axis=1)
+            yield weight, model.pmf[mask] / weight, est.value(k, x[mask], patterns[mask])
 
 
 def exhaustive_estimator_mean(
@@ -532,89 +444,27 @@ def exhaustive_estimator_mean(
     n: Optional[int] = None,
     payoff: Optional[Payoff] = None,
 ) -> float:
-    """Exact expectation of an estimator under a finite pattern model."""
+    """Exact expectation of an estimator under a finite pattern model.
+
+    Reads the record the Monte Carlo runner samples.  A mixture averages
+    its law means with weights ``w_k / sum(w)``; a stratified estimator
+    adds ``w_k`` times each law mean to its head.
+    """
     model = _finite(model)
-    pmf = model.pmf
-    patterns = model.patterns
-    counts = patterns.sum(axis=1)
-    d = model.d
-
-    if name == "cmc":
-        return float(pmf[counts >= 1].sum())
-
-    if name in ("alpha1", "alpha2"):
-        order = 1 if name == "alpha1" else 2
-        bounds = bonferroni_bounds(model, 0.0)
-        det = bounds.upper if order == 1 else bounds.second
-        table = ev.residual_term_table(d, order)
-        return det + float((pmf * table[counts]).sum())
-
-    if name == "alpha1_is":
-        margs = np.array([model.marginal_survival(i) for i in range(d)])
-        abar = float(margs.sum())
-        total = 0.0
-        for i in range(d):
-            mask = patterns[:, i]
-            cond = pmf[mask] / margs[i]
-            total += (margs[i] / abar) * float((cond * (abar / counts[mask])).sum())
-        return total
-
-    if name == "alpha2_is":
-        margs = np.array([model.marginal_survival(i) for i in range(d)])
-        abar = float(margs.sum())
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        pvals = np.array([model.pair_survival(i, j) for i, j in pairs])
-        q = float(pvals.sum())
-        if q == 0.0:
-            return abar
-        total = 0.0
-        for (i, j), pv in zip(pairs, pvals):
-            mask = patterns[:, i] & patterns[:, j]
-            cond = pmf[mask] / pv
-            total += (pv / q) * float((cond * (abar - 2.0 * q / counts[mask])).sum())
-        return total
-
     if name == "beta_n":
         if n is None or payoff is None:
-            raise ValueError("beta_n needs both n and payoff")
-        cells = ev.partition_cells(d, n)
-        y = payoff.values(patterns.astype(float), patterns)
-        total = 0.0
-        for cell in cells:
-            req = cell.required_mask(patterns)
-            z = y * cell.blocked_clear(patterns)
-            total += float((pmf[req] * z[req]).sum())  # P(B_I) E[z | B_I]
-        return total
-
-    if name == "beta1_alpha":
-        margs = np.array([model.marginal_survival(i) for i in range(d)])
-        total = float(margs[0])
-        for cell in ev.partition_cells(d, 1)[1:]:
-            i = cell.events[0]
-            mask = patterns[:, i]
-            if margs[i] == 0.0:
-                continue
-            cond = pmf[mask] / margs[i]
-            z = cell.blocked_clear(patterns)[mask].astype(float)
-            total += margs[i] * float((cond * z).sum())
-        return total
-
-    if name == "beta2_alpha":
-        bounds = bonferroni_bounds(model, 0.0)
-        total = bounds.upper
-        y = ev.payoff_alternating_table(d, 1)[counts]  # 1 - E
-        for cell in ev.partition_cells(d, 2):
-            i, j = cell.events
-            pv = model.pair_survival(i, j)
-            if pv == 0.0:
-                continue
-            mask = patterns[:, i] & patterns[:, j]
-            cond = pmf[mask] / pv
-            z = (y * cell.blocked_clear(patterns))[mask]
-            total += pv * float((cond * z).sum())
-        return total
-
-    raise ValueError(f"unknown estimator {name!r}")
+            raise ModelSpecError("beta_n needs both n and payoff")
+        build = _beta_n(_check_order(n), payoff)
+    else:
+        build = _lookup(name)
+    est = build(_Layers(model, 0.0))
+    scale = float(np.sum([w for w, _ in est.laws])) if est.mixture else 1.0
+    if scale == 0.0:
+        return est.head
+    total = 0.0 if est.mixture else est.head
+    for weight, cond, z in _exact_laws(model, est):
+        total += weight / scale * float((cond * z).sum())
+    return total
 
 
 def exhaustive_residual_second_moment(model: FinitePatternModel, n: int = 1) -> float:
@@ -633,27 +483,13 @@ def exhaustive_variance_components(model: FinitePatternModel, n: int, payoff: Pa
     ``sum_I P(B_I)^2 Var(Y 1{C_I} | B_I)``, the crude sweep variance
     ``sum_I Var(Y 1{B_I C_I})`` and ``max_I P(B_I)``.
     """
-    model = _finite(model)
-    pmf = model.pmf
-    patterns = model.patterns
-    y = payoff.values(patterns.astype(float), patterns)
-    conditional = 0.0
-    crude = 0.0
-    max_cell = 0.0
-    for cell in ev.partition_cells(model.d, n):
-        req = cell.required_mask(patterns)
-        w = float(pmf[req].sum())
+    est = _beta_n(_check_order(n), payoff)(_Layers(_finite(model), 0.0))
+    conditional = crude = max_cell = 0.0
+    for w, cond, z in _exact_laws(model, est):
+        m, m2 = float((cond * z).sum()), float((cond * z * z).sum())
+        conditional += w * w * (m2 - m * m)
+        crude += w * m2 - (w * m) ** 2  # E[(Y 1{B_I C_I})^2] - E[Y 1{B_I C_I}]^2
         max_cell = max(max_cell, w)
-        z = y * cell.blocked_clear(patterns)
-        zb = z * req  # Y 1{B_I C_I}
-        m_unc = float((pmf * zb).sum())
-        v_unc = float((pmf * zb * zb).sum()) - m_unc * m_unc
-        crude += v_unc
-        if w > 0.0:
-            cond = pmf[req] / w
-            m_c = float((cond * z[req]).sum())
-            v_c = float((cond * z[req] * z[req]).sum()) - m_c * m_c
-            conditional += w * w * v_c
     return {
         "conditional_sweep_var": conditional,
         "crude_sweep_var": crude,

@@ -14,6 +14,7 @@ significant bit: index ``k`` has bit ``i`` set iff ``(k >> (d-1-i)) & 1``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,19 +181,13 @@ def partition_cells(d: int, m: int, permutation: Optional[Sequence[int]] = None)
     perm = _check_permutation(d, permutation)
     rank = {event: pos for pos, event in enumerate(perm)}
     cells = []
-    for combo in _combinations_lex(d, m):
+    for combo in itertools.combinations(range(d), m):
         max_rank = max(rank[e] for e in combo)
         blocked = tuple(
             e for e in perm if rank[e] < max_rank and e not in combo
         )
         cells.append(PartitionCell(events=combo, blocked=tuple(sorted(blocked))))
     return cells
-
-
-def _combinations_lex(d: int, m: int):
-    import itertools
-
-    return itertools.combinations(range(d), m)
 
 
 def cell_for_pattern(pattern, m: int, permutation: Optional[Sequence[int]] = None) -> Optional[PartitionCell]:

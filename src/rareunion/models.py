@@ -326,7 +326,7 @@ class LaplaceModel(DependenceModel):
     def conditional_given_exceedance(self, i: int, gamma: float):
         i = self._check_index(i)
         if gamma <= 0.0:
-            raise ValueError("the Laplace conditional sampler requires gamma > 0")
+            raise ModelSpecError("the Laplace conditional sampler requires gamma > 0")
         return _LaplaceTail(self._d, i, float(gamma))
 
 

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import ModelSpecError
+
 __all__ = [
     "shifted_exponential_rate",
     "sample_truncated_std_normal",
@@ -221,7 +223,7 @@ def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size=None)
     inverse Gaussian.  Requires a positive threshold.
     """
     if gamma <= 0.0:
-        raise ValueError("the conditional exceedance sampler needs gamma > 0")
+        raise ModelSpecError("the conditional exceedance sampler needs gamma > 0")
     if not 0 <= i < d:
         raise ValueError(f"index {i} out of range for dimension {d}")
     n = 1 if size is None else int(size)

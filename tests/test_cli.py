@@ -18,7 +18,7 @@ from rareunion.errors import ModelSpecError
 NORMAL4 = '{"type":"normal","d":4,"rho":0.75}'
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     import os
 
     full_env = dict(os.environ)
@@ -29,6 +29,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -67,6 +68,13 @@ class TestConfig:
                     "estimators": ["zeta"],
                 }
             )
+
+    def test_non_finite_gamma_grid_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ModelSpecError):
+                ExperimentConfig.from_dict(
+                    {"model": {"type": "laplace", "d": 2}, "gamma_grid": [1.0, bad]}
+                )
 
     def test_defaults(self):
         cfg = ExperimentConfig.from_dict(
@@ -309,3 +317,21 @@ class TestCommandLine:
             "--gamma", "0.9",
         )
         assert proc.returncode == 1
+
+    def test_non_finite_gamma_exits_two(self):
+        # a non-finite threshold once hung the truncated-normal sampler
+        proc = run_cli(
+            "estimate", "--model", NORMAL4, "--estimator", "beta1_alpha", "--gamma", "nan",
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    def test_invalid_laplace_threshold_exits_two_without_traceback(self):
+        proc = run_cli(
+            "estimate", "--model", '{"type":"laplace","d":4}', "--estimator", "alpha1_is",
+            "--gamma", "-1", timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

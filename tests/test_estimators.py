@@ -6,6 +6,7 @@ import pytest
 
 from rareunion import (
     CapabilityError,
+    ModelSpecError,
     ArchimedeanModel,
     FinitePatternModel,
     LaplaceModel,
@@ -190,12 +191,16 @@ class TestCapabilities:
 
     def test_invalid_inputs(self):
         m = NormalModel.equicorrelated(2, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelSpecError):
             estimate_alpha_n(m, 1.0, 3, 100, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelSpecError):
+            estimate_beta_n(m, 1.0, 3, Payoff.constant_one(), 100, 1)
+        with pytest.raises(ModelSpecError):
             estimate_cmc(m, 1.0, 0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelSpecError):
             run_estimator("nope", m, 1.0, 10, 1)
+        with pytest.raises(ModelSpecError):
+            exhaustive_estimator_mean("nope", random_finite(1, 2))
 
 
 class TestAgainstOracle:
@@ -244,3 +249,56 @@ class TestBonferroni:
             "seed",
             "wall_ms",
         }
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ALL_UNION_ESTIMATORS)
+    def test_non_finite_threshold_rejected(self, name, gamma):
+        m = NormalModel.equicorrelated(4, 0.75)
+        with pytest.raises(ModelSpecError):
+            run_estimator(name, m, gamma, 100, 1)
+
+    def test_mixture_with_nothing_to_weigh(self):
+        # every marginal probability underflows to zero
+        with pytest.raises(ModelSpecError):
+            estimate_alpha_1_is(NormalModel.equicorrelated(4, 0.75), 40.0, 100, 1)
+
+    def test_laplace_conditional_needs_positive_threshold(self):
+        with pytest.raises(ModelSpecError):
+            estimate_alpha_1_is(LaplaceModel(4), -1.0, 100, 1)
+
+
+class CountingFinite(FinitePatternModel):
+    """Finite model that counts its pairwise probability calls."""
+
+    pair_calls = 0
+
+    def pair_survival(self, i, j, gamma=0.0):
+        self.pair_calls += 1
+        return super().pair_survival(i, j, gamma)
+
+
+class TestLayersAndLaws:
+    def test_heads_compute_only_the_layers_they_use(self):
+        pmf = random_finite(9, 4).pmf
+        for name, calls in (("alpha1", 0), ("alpha1_is", 0), ("beta1_alpha", 0), ("beta2_alpha", 6)):
+            model = CountingFinite(pmf)
+            run_estimator(name, model, 0.0, 50, 1)
+            assert model.pair_calls == calls, name
+
+    def test_zero_weight_laws_are_skipped(self):
+        # only single-bit patterns have mass, so every pair cell has weight zero
+        pmf = np.array([0.4, 0.2, 0.3, 0.0, 0.1, 0.0, 0.0, 0.0])
+        model = FinitePatternModel(pmf)
+        r = estimate_beta_dagger_alpha(model, 0.0, 2, 90, 1)
+        assert r.degenerate and r.replicates == 30
+        assert r.estimate == bonferroni_bounds(model, 0.0).upper
+
+    def test_order_beyond_dimension_is_exact(self):
+        m = NormalModel.equicorrelated(1, 0.0)
+        r = estimate_beta_dagger_alpha(m, 1.0, 2, 100, 1)
+        assert r.degenerate and r.replicates == 0
+        assert r.estimate == m.marginal_survival(0, 1.0)
+        r = estimate_beta_n(m, 1.0, 2, Payoff.constant_one(), 100, 1)
+        assert r.estimate == 0.0 and r.replicates == 0

@@ -172,7 +172,7 @@ class TestLaplaceModel:
             m.conditional_given_pair_exceedance(0, 1, 6.0)
 
     def test_conditional_needs_positive_gamma(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelSpecError):
             LaplaceModel(4).conditional_given_exceedance(0, -1.0)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import invgauss, kstest
 
-from rareunion import NormalModel
+from rareunion import ModelSpecError, NormalModel
 from rareunion.samplers import (
     _laplace_sqrt_ig_pdf,
     gibbs_bivariate_truncated,
@@ -214,7 +214,7 @@ class TestLaplaceConditional:
         assert abs(emp - p) < 4 * se
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelSpecError):
             laplace_conditional_exceedance(3, 0, 0.0, rng_for("bad"))
 
 
