@@ -41,6 +41,7 @@ from .samplers import (
     sample_conditional_mvn_pair,
     sample_inverse_gaussian,
     sample_truncated_std_normal,
+    sample_truncated_std_normal_pair,
 )
 from .estimators import (
     ESTIMATOR_NAMES,

@@ -699,7 +699,7 @@ def empirical_efficiency_ratio(model: DependenceModel, gamma_grid) -> RatioDiagn
     if model.d < 2:
         raise ValueError("the ratio diagnostic needs at least two events")
     rows = []
-    for gamma in gamma_grid:
+    for gamma in map(model.check_threshold, gamma_grid):
         margs = [model.marginal_survival(i, gamma) for i in range(model.d)]
         pair_max = max(
             model.pair_survival(i, j, gamma)
@@ -709,7 +709,7 @@ def empirical_efficiency_ratio(model: DependenceModel, gamma_grid) -> RatioDiagn
         marg_max = max(margs)
         rows.append(
             RatioRow(
-                gamma=float(gamma),
+                gamma=gamma,
                 ratio_strict=pair_max / marg_max**2,
                 ratio_relaxed=pair_max / marg_max**1.9,
             )

@@ -188,7 +188,7 @@ class _Layers:
 def bonferroni_bounds(model: DependenceModel, gamma: float) -> BonferroniBounds:
     """First two inclusion-exclusion truncations: the upper bound
     ``sum_i P(A_i)`` and the lower bound with pairwise terms subtracted."""
-    layers = _Layers(model, gamma)
+    layers = _Layers(model, model.check_threshold(gamma))
     return BonferroniBounds(upper=layers.abar, second=layers.abar - layers.q)
 
 
@@ -300,8 +300,7 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
     replicates = int(replicates)
     if replicates < 1:
         raise ModelSpecError("replicates must be at least 1")
-    if not math.isfinite(gamma):
-        raise ModelSpecError(f"the threshold gamma must be finite, got {gamma}")
+    gamma = model.check_threshold(gamma)
     t0 = time.perf_counter()
     est = build(_Layers(model, gamma))
     _check_capabilities(model, est.laws)

@@ -78,6 +78,13 @@ class DependenceModel(abc.ABC):
     def conditional_given_pair_exceedance(self, i: int, j: int, gamma: float):
         raise CapabilityError(f"{type(self).__name__} cannot sample conditioned on event pairs")
 
+    def check_threshold(self, gamma: float) -> float:
+        """The threshold as a float; raises ModelSpecError outside the model's domain."""
+        gamma = float(gamma)
+        if not math.isfinite(gamma):
+            raise ModelSpecError(f"the threshold gamma must be finite, got {gamma}")
+        return gamma
+
     def _check_index(self, i: int) -> int:
         i = int(i)
         if not 0 <= i < self.d:
@@ -197,11 +204,11 @@ class NormalModel(DependenceModel):
 
     def conditional_given_exceedance(self, i: int, gamma: float):
         i = self._check_index(i)
-        return _NormalSingleTail(self, i, float(gamma))
+        return _NormalSingleTail(self, i, self.check_threshold(gamma))
 
-    def conditional_given_pair_exceedance(self, i: int, j: int, gamma: float, burnin: int = 100):
+    def conditional_given_pair_exceedance(self, i: int, j: int, gamma: float):
         i, j = self._check_pair(i, j)
-        return _NormalPairTail(self, i, j, float(gamma), int(burnin))
+        return _NormalPairTail(self, i, j, self.check_threshold(gamma))
 
 
 class _NormalSingleTail:
@@ -237,17 +244,20 @@ class _NormalSingleTail:
 class _NormalPairTail:
     """Draws from the Gaussian law given ``min(X_i, X_j) > gamma``.
 
-    The constrained pair comes from an independently restarted Gibbs chain;
-    the remaining coordinates are exact Gaussian conditionals given the
-    pair.
+    The constrained pair is an exact minimax-tilted accept-reject draw,
+    whose tilt is computed once here; the remaining coordinates are exact
+    Gaussian conditionals given the pair.
     """
 
-    def __init__(self, model: NormalModel, i: int, j: int, gamma: float, burnin: int):
+    def __init__(self, model: NormalModel, i: int, j: int, gamma: float):
         self.model = model
         self.i = i
         self.j = j
         self.gamma = gamma
-        self.burnin = burnin
+        self._ti = (gamma - model.mu[i]) / model._sd[i]
+        self._tj = (gamma - model.mu[j]) / model._sd[j]
+        self._rho = model.correlation(i, j)
+        self._tilt = samplers._pair_tilt(self._ti, self._tj, self._rho)
         self._cond = (
             samplers.GaussianConditional(model.mu, model.sigma, (i, j))
             if model.d > 2
@@ -256,13 +266,15 @@ class _NormalPairTail:
 
     def draw(self, rng, size=None) -> np.ndarray:
         n = 1 if size is None else int(size)
-        model = self.model
-        xi, xj = samplers.gibbs_bivariate_truncated(
-            model, self.i, self.j, self.gamma, self.burnin, rng, size=n
+        model, i, j = self.model, self.i, self.j
+        zi, zj = samplers.sample_truncated_std_normal_pair(
+            self._ti, self._tj, self._rho, rng, size=n, tilt=self._tilt
         )
+        xi = model.mu[i] + model._sd[i] * zi
+        xj = model.mu[j] + model._sd[j] * zj
         out = np.empty((n, model.d))
-        out[:, self.i] = xi
-        out[:, self.j] = xj
+        out[:, i] = xi
+        out[:, j] = xj
         if self._cond is not None:
             out[:, list(self._cond.rest)] = self._cond.draw(
                 np.column_stack([xi, xj]), rng
@@ -538,10 +550,12 @@ class ArchimedeanModel(DependenceModel):
     def capabilities(self) -> Capabilities:
         return Capabilities(True, True, False, False)
 
-    def _check_threshold(self, u: float) -> float:
+    def check_threshold(self, u: float) -> float:
         u = float(u)
         if not 0.0 < u < 1.0:
-            raise ValueError("Archimedean thresholds live on the uniform scale (0, 1)")
+            raise ModelSpecError(
+                f"Archimedean thresholds live on the uniform scale (0, 1), got {u}"
+            )
         return u
 
     def sample(self, rng, size=None) -> np.ndarray:
@@ -558,16 +572,16 @@ class ArchimedeanModel(DependenceModel):
 
     def diagonal(self, u: float) -> float:
         """Copula diagonal ``C(u, u)``."""
-        u = self._check_threshold(u)
+        u = self.check_threshold(u)
         return float(self._gen.psi_inv(2.0 * self._gen.psi(u)))
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         self._check_index(i)
-        return 1.0 - self._check_threshold(gamma)
+        return 1.0 - self.check_threshold(gamma)
 
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
         self._check_pair(i, j)
-        u = self._check_threshold(gamma)
+        u = self.check_threshold(gamma)
         return 1.0 - 2.0 * u + self.diagonal(u)
 
 

@@ -187,11 +187,13 @@ def oracle_for_model(model, gamma: float, qmc_points: int = 1 << 20):
     Equicorrelated normals with non-negative correlation use the
     one-factor integral, general normals (including autoregressive paths,
     which are Gaussian) the QMC route, the Laplace model its factor
-    integral, and finite pattern models exhaustive summation.
+    integral, and finite pattern models exhaustive summation.  A general
+    normal beyond the QMC route's dimension raises its ModelSpecError.
     """
     from . import events as ev
     from .models import AR1Model, FinitePatternModel, LaplaceModel, NormalModel
 
+    gamma = model.check_threshold(gamma)
     if isinstance(model, FinitePatternModel):
         return ev.brute_force_union(model)
     if isinstance(model, LaplaceModel):
@@ -204,6 +206,5 @@ def oracle_for_model(model, gamma: float, qmc_points: int = 1 << 20):
         rho = model.equicorrelation
         if rho is not None and rho >= 0.0:
             return oracle_union_normal_equicorr(model.d, rho, gamma)
-        if model.d <= 8:
-            return oracle_union_normal_qmc(model, gamma, points=qmc_points).value
+        return oracle_union_normal_qmc(model, gamma, points=qmc_points).value
     return None

@@ -12,12 +12,13 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, erfcx, log_ndtr, ndtri
 
 from .errors import QuadratureError
 
 SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
+SQRT2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # beyond this the standard normal density underflows to zero anyway
 _NORMAL_CUTOFF = 37.0
@@ -33,6 +34,19 @@ def norm_sf(x):
     """P(Z > x) for standard normal Z, accurate deep into both tails."""
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(x / SQRT2)
+    return float(out) if out.ndim == 0 else out
+
+
+def norm_logsf(x):
+    """log P(Z > x), finite for every finite x."""
+    out = log_ndtr(-np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def norm_hazard(x):
+    """Hazard ``phi(x) / P(Z > x)``, through the scaled complementary error
+    function so that deep in the right tail it is not zero over zero."""
+    out = SQRT2_OVER_PI / erfcx(np.asarray(x, dtype=float) / SQRT2)
     return float(out) if out.ndim == 0 else out
 
 

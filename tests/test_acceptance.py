@@ -135,7 +135,7 @@ def test_criterion_04_monte_carlo_consistency_paper_scale():
     with criterion(
         4, "paper-scale consistency: 4 s.e. agreement and per-replicate spreads within x1.25"
     ):
-        _run_consistency(1_000_000, check_std=True, budget_s=600.0, label="paper-scale")
+        _run_consistency(1_000_000, check_std=True, budget_s=120.0, label="paper-scale")
 
 
 def test_criterion_05_degeneration_to_deterministic_bounds():

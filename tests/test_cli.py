@@ -335,3 +335,31 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_archimedean_threshold_outside_unit_interval_exits_two(self):
+        proc = run_cli(
+            "estimate", "--model", '{"type":"archimedean","family":"clayton","theta":2.0,"d":3}',
+            "--estimator", "alpha1", "--gamma", "1.5", timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_oracle_non_finite_gamma_exits_two(self):
+        proc = run_cli("oracle", "--model", NORMAL4, "--gamma", "nan", timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    def test_ratio_non_finite_gamma_exits_two(self):
+        proc = run_cli(
+            "ratio", "--model", '{"type":"normal","d":2,"rho":0.75}', "--gammas", "1,nan",
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    def test_oracle_beyond_qmc_dimension_exits_two(self):
+        model = json.dumps({"type": "normal", "sigma": np.eye(9).tolist()})
+        proc = run_cli("oracle", "--model", model, "--gamma", "3", timeout=120)
+        assert proc.returncode == 2
+        assert "QMC oracle supports d <= 8" in proc.stderr

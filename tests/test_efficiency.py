@@ -306,6 +306,11 @@ class TestEmpiricalRatio:
         diag = empirical_efficiency_ratio(m, [4.0, 6.0, 8.0, 10.0])
         assert diag.strict_trend == "increasing"
 
+    def test_non_finite_threshold_rejected(self):
+        # a nan row once passed through and read as a "constant" trend
+        with pytest.raises(ModelSpecError):
+            empirical_efficiency_ratio(NormalModel.equicorrelated(2, 0.75), [1.0, math.nan])
+
     def test_json_shape(self):
         m = NormalModel.equicorrelated(2, 0.5)
         obj = empirical_efficiency_ratio(m, [1.0, 2.0]).to_json()

@@ -259,6 +259,11 @@ class TestInputBoundary:
         with pytest.raises(ModelSpecError):
             run_estimator(name, m, gamma, 100, 1)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_bonferroni_bounds_reject_non_finite_threshold(self, gamma):
+        with pytest.raises(ModelSpecError):
+            bonferroni_bounds(NormalModel.equicorrelated(4, 0.75), gamma)
+
     def test_mixture_with_nothing_to_weigh(self):
         # every marginal probability underflows to zero
         with pytest.raises(ModelSpecError):

@@ -3,6 +3,9 @@
 The table was recorded before the estimators were redescribed as one
 record each, read by one chunked runner; it pins ``float.hex`` of
 ``(estimate, sample_std)`` plus ``replicates`` and ``degenerate``.  The
+four ``alpha2_is``/``beta2_alpha`` rows on the normal model were
+recorded again when the exact tilted pair sampler replaced the Gibbs
+chain, which changed both their law and their random stream.  The
 values also pin numpy's Philox streams under ``SeedSequence`` spawn keys
 and the substream keys ``(seed, chunk)`` and ``(seed, k + 1, chunk)``: a
 numpy release that changes the streams changes them too.
@@ -50,12 +53,12 @@ GOLDEN = {
     ('alpha2', 'normal', 2000, 2024): ('0x1.3526929c3fc71p-3', '0x1.2f01b9a24b420p-4', 2000, False),
     ('alpha1_is', 'normal', 2000, 11): ('0x1.36c149d5257c6p-3', '0x1.c5e9f4b0b470dp-5', 2000, False),
     ('alpha1_is', 'normal', 2000, 2024): ('0x1.3c05cc327aaf3p-3', '0x1.c7317fa6eb685p-5', 2000, False),
-    ('alpha2_is', 'normal', 2000, 11): ('0x1.39edca0d5a6bfp-3', '0x1.291b39058b265p-7', 2000, False),
-    ('alpha2_is', 'normal', 2000, 2024): ('0x1.3ab2b93b65935p-3', '0x1.2aa6c6d1351c9p-7', 2000, False),
+    ('alpha2_is', 'normal', 2000, 11): ('0x1.3a4ddad2a48bap-3', '0x1.29ecb45fc7362p-7', 2000, False),
+    ('alpha2_is', 'normal', 2000, 2024): ('0x1.3acf8b102f033p-3', '0x1.2ad599b9941f2p-7', 2000, False),
     ('beta1_alpha', 'normal', 2000, 11): ('0x1.3c0e8ddff7e9cp-3', '0x1.6b2afbb8b856dp-5', 1000, False),
     ('beta1_alpha', 'normal', 2000, 2024): ('0x1.3839d1f92e506p-3', '0x1.6d0d4a8ffae11p-5', 1000, False),
-    ('beta2_alpha', 'normal', 2000, 11): ('0x1.3bd56d1834125p-3', '0x1.0008c46e0d2a6p-6', 667, False),
-    ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3c00a24f8c4b8p-3', '0x1.054bd9e029be9p-6', 667, False),
+    ('beta2_alpha', 'normal', 2000, 11): ('0x1.39955236466cap-3', '0x1.09578d6738a8dp-6', 667, False),
+    ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3a98918257c40p-3', '0x1.023914a779356p-6', 667, False),
     ('cmc', 'laplace', 2000, 11): ('0x1.45a1cac083127p-3', '0x1.768bc4103c8a1p-2', 2000, False),
     ('cmc', 'laplace', 2000, 2024): ('0x1.4bc6a7ef9db23p-3', '0x1.79635340a13bcp-2', 2000, False),
     ('alpha1', 'laplace', 2000, 11): ('0x1.3c06d0d9f256dp-3', '0x1.5bf1b5f826433p-3', 2000, False),

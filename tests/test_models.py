@@ -121,6 +121,15 @@ class TestNormalModel:
         stat = kstest(x[:, 0], "norm").statistic
         assert stat < 1.358 / math.sqrt(10_000)  # 5% critical value
 
+    def test_conditional_handles_reject_non_finite_threshold(self):
+        # a non-finite threshold would send the truncated-normal rejection loop spinning
+        m = NormalModel.equicorrelated(3, 0.5)
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ModelSpecError):
+                m.conditional_given_exceedance(0, gamma)
+            with pytest.raises(ModelSpecError):
+                m.conditional_given_pair_exceedance(0, 1, gamma)
+
     def test_conditional_pair_hard_constraint(self):
         m = NormalModel.equicorrelated(4, 0.75)
         handle = m.conditional_given_pair_exceedance(1, 3, 4.0)
@@ -213,7 +222,7 @@ class TestArchimedeanModel:
 
     def test_threshold_range_enforced(self):
         m = ArchimedeanModel("frank", 2.0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelSpecError):
             m.marginal_survival(0, 1.5)
 
 

@@ -131,6 +131,15 @@ class TestOracleDispatch:
         r = estimate_cmc(m, 1.5, 200_000, 31)
         assert abs(r.estimate - v) < 4 * r.stderr
 
+    def test_non_finite_threshold_rejected(self):
+        for model in (NormalModel.equicorrelated(4, 0.75), LaplaceModel(4)):
+            with pytest.raises(ModelSpecError):
+                oracle_for_model(model, math.nan)
+
+    def test_normal_beyond_qmc_dimension_raises(self):
+        with pytest.raises(ModelSpecError, match="d <= 8"):
+            oracle_for_model(NormalModel(np.eye(9)), 3.0)
+
     def test_archimedean_has_no_oracle(self):
         from rareunion import ArchimedeanModel
 

@@ -7,6 +7,7 @@ from scipy.stats import invgauss, kstest
 from rareunion import ModelSpecError, NormalModel
 from rareunion.samplers import (
     _laplace_sqrt_ig_pdf,
+    _pair_tilt,
     gibbs_bivariate_truncated,
     laplace_conditional_exceedance,
     rejection_pair_exceedance_oracle,
@@ -14,10 +15,11 @@ from rareunion.samplers import (
     sample_conditional_mvn_pair,
     sample_inverse_gaussian,
     sample_truncated_std_normal,
+    sample_truncated_std_normal_pair,
     shifted_exponential_rate,
 )
 from rareunion._rng import derive_generator
-from rareunion.special import norm_pdf, norm_sf
+from rareunion.special import bivariate_normal_orthant, integrate, norm_pdf, norm_sf
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,6 +143,94 @@ class TestGibbs:
         m = NormalModel.equicorrelated(2, 0.5)
         with pytest.raises(ValueError):
             gibbs_bivariate_truncated(m, 0, 1, 1.0, 0, rng_for("x"))
+
+
+def scaled_pair_model(rho):
+    """d=3 normal with unequal means and variances, so the pair's
+    standardized thresholds differ at a common gamma."""
+    sd = np.array([1.5, 0.8, 1.0])
+    corr = np.array([[1.0, rho, 0.2], [rho, 1.0, 0.1], [0.2, 0.1, 1.0]])
+    return NormalModel(corr * np.outer(sd, sd), mu=[0.6, 0.9, 0.0])
+
+
+class TestExactPair:
+    def test_constraint_always_satisfied(self):
+        for rho in (-0.6, 0.3, 0.75):
+            x = scaled_pair_model(rho).conditional_given_pair_exceedance(0, 1, 2.0).draw(
+                rng_for(f"pair-c-{rho}"), 20_000
+            )
+            assert x.shape == (20_000, 3)
+            assert (np.minimum(x[:, 0], x[:, 1]) > 2.0).all()
+        zi, zj = sample_truncated_std_normal_pair(3.0, -1.0, 0.9, rng_for("pair-c-std"), 20_000)
+        assert (zi > 3.0).all() and (zj > -1.0).all()
+
+    def test_independent_case_matches_truncated_marginals(self):
+        zi, zj = sample_truncated_std_normal_pair(1.0, 2.0, 0.0, rng_for("pair-ind"), 100_000)
+        for arr, t in ((zi, 1.0), (zj, 2.0)):
+            se = arr.std(ddof=1) / math.sqrt(arr.size)
+            assert abs(arr.mean() - mills_mean(t)) < 4 * se
+
+    @pytest.mark.parametrize("rho", [-0.6, 0.3, 0.75])
+    def test_against_rejection_oracle(self, rho):
+        m = scaled_pair_model(rho)
+        x = m.conditional_given_pair_exceedance(0, 1, 2.0).draw(rng_for(f"pair-vs-{rho}"), 50_000)
+        raw = int(5_000 / m.pair_survival(0, 1, 2.0))
+        ri, rj = rejection_pair_exceedance_oracle(m, 0, 1, 2.0, rng_for(f"pair-rej-{rho}"), raw=raw)
+        assert ri.size > 4_000
+        for drawn, ref in ((x[:, 0], ri), (x[:, 1], rj)):
+            se = math.sqrt(drawn.var(ddof=1) / drawn.size + ref.var(ddof=1) / ref.size)
+            assert abs(drawn.mean() - ref.mean()) < 4 * se
+
+    def test_deep_tail_mean_matches_quadrature(self):
+        # min > 8 at rho = 0.75 has probability ~1e-17: far beyond rejection
+        gamma, rho = 8.0, 0.75
+        s = math.sqrt(1.0 - rho * rho)
+        m = NormalModel.equicorrelated(2, rho)
+        x = m.conditional_given_pair_exceedance(0, 1, gamma).draw(rng_for("pair-deep"), 100_000)
+        first_moment = integrate(lambda z: z * norm_pdf(z) * norm_sf((gamma - rho * z) / s), gamma, 40.0)
+        target = first_moment / bivariate_normal_orthant(gamma, gamma, rho)
+        for k in (0, 1):
+            se = x[:, k].std(ddof=1) / math.sqrt(x.shape[0])
+            assert abs(x[:, k].mean() - target) < 4 * se
+
+    def test_extreme_settings_finish_in_time(self):
+        # a rejection loop whose acceptance collapsed would never return
+        import threading
+
+        done = []
+
+        def run():
+            for rho in (-0.9, 0.99):
+                for ti in (-1.0, 8.0):
+                    for tj in (-1.0, 8.0):
+                        zi, zj = sample_truncated_std_normal_pair(ti, tj, rho, rng_for("pair-x"), 65_536)
+                        done.append(bool((zi > ti).all() and (zj > tj).all()))
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=30.0)
+        assert not worker.is_alive(), "pair sampler did not finish within 30 s"
+        assert done == [True] * 8
+
+    def test_tilt_is_a_valid_bound(self):
+        # acceptance probability P(A_i A_j) exp(-psi_star) lies in (0.8, 1]
+        for rho in (-0.9, -0.5, 0.3, 0.75, 0.99):
+            for ti, tj in ((-1.0, -1.0), (2.0, 2.0), (8.0, 8.0), (2.0, 4.0), (-1.0, 8.0)):
+                _, psi_star = _pair_tilt(ti, tj, rho)
+                acc = math.exp(math.log(bivariate_normal_orthant(ti, tj, rho)) - psi_star)
+                assert 0.8 < acc <= 1.0 + 1e-9, (rho, ti, tj, acc)
+
+    def test_invalid_arguments(self):
+        for ti, rho in ((math.nan, 0.5), (math.inf, 0.5), (1.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError):
+                sample_truncated_std_normal_pair(ti, 1.0, rho, rng_for("pair-bad"), 10)
+
+    def test_scalar_form_and_stream_determinism(self):
+        a = sample_truncated_std_normal_pair(2.0, 1.0, 0.5, derive_generator(7, 0), 1000)
+        b = sample_truncated_std_normal_pair(2.0, 1.0, 0.5, derive_generator(7, 0), 1000)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        zi, zj = sample_truncated_std_normal_pair(2.0, 1.0, 0.5, rng_for("pair-scalar"))
+        assert isinstance(zi, float) and zi > 2.0 and zj > 1.0
 
 
 class TestInverseGaussian:
