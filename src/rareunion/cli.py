@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ._rng import stable_cell_seed
+from ._workers import worker_count
 from .errors import CapabilityError, ModelSpecError, RareUnionError
 from .estimators import ESTIMATOR_NAMES, bonferroni_bounds, run_estimator
 from .efficiency import classify_archimedean, classify_model, empirical_efficiency_ratio
@@ -142,19 +142,6 @@ class TableRow:
         )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("RARE_UNION_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ModelSpecError("RARE_UNION_THREADS must be an integer") from exc
-        if n >= 1:
-            return n
-        raise ModelSpecError("RARE_UNION_THREADS must be at least 1")
-    return os.cpu_count() or 1
-
-
 def _oracle_values(config: ExperimentConfig, model) -> dict:
     if config.oracle == "none":
         return {}
@@ -233,7 +220,7 @@ def run_experiment(config: ExperimentConfig) -> list:
                 TableRow("oracle", gamma, value, 0.0, 0.0, 0.0, False, 0, 0, 0.0)
             )
     if cells:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             results = list(
                 pool.map(
                     lambda cell: _run_cell(config, model, cell[0], cell[1], oracles.get(cell[1])),

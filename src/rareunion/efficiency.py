@@ -697,7 +697,7 @@ def empirical_efficiency_ratio(model: DependenceModel, gamma_grid) -> RatioDiagn
     if not (caps.marginal_prob and caps.pair_prob):
         raise CapabilityError("the ratio diagnostic needs marginal and pairwise probabilities")
     if model.d < 2:
-        raise ValueError("the ratio diagnostic needs at least two events")
+        raise ModelSpecError("the ratio diagnostic needs at least two events")
     rows = []
     for gamma in map(model.check_threshold, gamma_grid):
         margs = [model.marginal_survival(i, gamma) for i in range(model.d)]

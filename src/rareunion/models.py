@@ -337,9 +337,10 @@ class LaplaceModel(DependenceModel):
 
     def conditional_given_exceedance(self, i: int, gamma: float):
         i = self._check_index(i)
+        gamma = self.check_threshold(gamma)
         if gamma <= 0.0:
             raise ModelSpecError("the Laplace conditional sampler requires gamma > 0")
-        return _LaplaceTail(self._d, i, float(gamma))
+        return _LaplaceTail(self._d, i, gamma)
 
 
 class _LaplaceTail:

@@ -77,6 +77,8 @@ def _trunc_std_normal_batch(gammas: np.ndarray, rng) -> np.ndarray:
 
 def sample_truncated_std_normal(gamma: float, rng, size=None):
     """Draw from N(0,1) conditioned on being greater than ``gamma``."""
+    if not math.isfinite(gamma):
+        raise ModelSpecError(f"the truncation point must be finite, got {gamma}")
     if size is None:
         return float(_trunc_std_normal_batch(np.array([gamma]), rng)[0])
     return _trunc_std_normal_batch(np.full(int(size), float(gamma)), rng)
@@ -307,8 +309,10 @@ def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size=None)
     product ``sqrt(R) Y_i``: that coordinate is the square root of an
     inverse Gaussian.  Requires a positive threshold.
     """
-    if gamma <= 0.0:
-        raise ModelSpecError("the conditional exceedance sampler needs gamma > 0")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ModelSpecError(
+            f"the conditional exceedance sampler needs a finite gamma > 0, got {gamma}"
+        )
     if not 0 <= i < d:
         raise ValueError(f"index {i} out of range for dimension {d}")
     n = 1 if size is None else int(size)

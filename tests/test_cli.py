@@ -363,3 +363,23 @@ class TestCommandLine:
         proc = run_cli("oracle", "--model", model, "--gamma", "3", timeout=120)
         assert proc.returncode == 2
         assert "QMC oracle supports d <= 8" in proc.stderr
+
+    def test_ratio_single_event_exits_two(self):
+        proc = run_cli(
+            "ratio", "--model", '{"type":"normal","d":1,"rho":0}', "--gammas", "1,2",
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_oracle_invalid_thread_count_exits_two(self):
+        lags = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
+        model = json.dumps({"type": "normal", "sigma": (0.5 ** lags).tolist()})
+        proc = run_cli(
+            "oracle", "--model", model, "--gamma", "2",
+            env={"RARE_UNION_THREADS": "0"}, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

@@ -184,6 +184,11 @@ class TestLaplaceModel:
         with pytest.raises(ModelSpecError):
             LaplaceModel(4).conditional_given_exceedance(0, -1.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_conditional_needs_finite_gamma(self, gamma):
+        with pytest.raises(ModelSpecError):
+            LaplaceModel(4).conditional_given_exceedance(0, gamma)
+
 
 class TestArchimedeanModel:
     def test_uniform_threshold_marginal(self):

@@ -13,6 +13,7 @@ from rareunion import (
     oracle_union_normal_qmc,
 )
 from rareunion.models import FinitePatternModel, LaplaceModel
+from rareunion.oracles import _genz_cell, _sobol_engine
 from rareunion.special import norm_sf
 
 # Frozen benchmark values for the equicorrelated normal (d=4, rho=0.75)
@@ -95,10 +96,64 @@ class TestQmcOracle:
         assert a.value == b.value
         assert a.error == b.error and a.error > 0.0
 
+    # float.hex of (value, error) recorded from the serial out-of-place kernel
+    GOLDEN = {
+        "toeplitz8": (5.0, "0x1.33001d886233ap-19", "0x1.27fe6cf4f549fp-44"),
+        "equicorr3_neg": (2.0, "0x1.167da37c1ef4ep-4", "0x1.57b604232c668p-31"),
+    }
+
+    @staticmethod
+    def golden_model(key):
+        if key == "toeplitz8":
+            lags = np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
+            return NormalModel(0.5**lags)
+        return NormalModel.equicorrelated(3, -0.25)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_bit_identical_for_any_thread_count(self, key, threads, monkeypatch):
+        monkeypatch.setenv("RARE_UNION_THREADS", threads)
+        gamma, value, error = self.GOLDEN[key]
+        est = oracle_union_normal_qmc(self.golden_model(key), gamma, points=1 << 17)
+        assert (est.value.hex(), est.error.hex()) == (value, error)
+
+    @pytest.mark.parametrize("points", [1 << 10, 1 << 17])
+    def test_in_place_kernel_matches_plain_expression(self, points):
+        # the plain out-of-place Genz recursion, all Sobol rows drawn at once
+        from scipy.special import erfc, ndtri
+
+        def phi_bar(x):
+            return 0.5 * erfc(x / math.sqrt(2.0))
+
+        m = self.golden_model("toeplitz8")
+        gamma = -1.0  # keeps e_i away from 1, where a changed last bit would round away
+        for i in (1, 4, 7):
+            order = [i, *range(i)]
+            mu = m.mu[order]
+            chol = np.linalg.cholesky(m.sigma[np.ix_(order, order)])
+            u = _sobol_engine(i, (0, i)).random(points)
+            tail = float(phi_bar((gamma - mu[0]) / chol[0, 0]))
+            prob = np.full(points, tail)
+            z = np.empty((points, i))
+            z[:, 0] = -ndtri(np.clip(u[:, 0] * tail, 1e-317, 1.0))
+            for k in range(1, i + 1):
+                e = 1.0 - phi_bar((gamma - mu[k] - z[:, :k] @ chol[k, :k]) / chol[k, k])
+                prob = prob * e
+                if k < i:
+                    z[:, k] = ndtri(np.clip(u[:, k] * e, 1e-317, 1.0))
+            got = _genz_cell(mu, chol, gamma, _sobol_engine(i, (0, i)), points)
+            assert got.hex() == float(prob.mean()).hex()
+
     def test_dimension_limit(self):
         m = NormalModel(np.eye(9))
         with pytest.raises(ModelSpecError):
             oracle_union_normal_qmc(m, 1.0, points=1 << 10)
+
+    def test_scramble_count_validated(self):
+        m = NormalModel.equicorrelated(3, -0.25)
+        for scrambles in (0, -2):
+            with pytest.raises(ModelSpecError):
+                oracle_union_normal_qmc(m, 2.0, points=1 << 10, scrambles=scrambles)
 
     def test_float_conversion(self):
         m = NormalModel(np.eye(2))

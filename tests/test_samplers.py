@@ -75,6 +75,26 @@ class TestTruncatedNormal:
         v = sample_truncated_std_normal(2.0, rng_for("scalar"))
         assert isinstance(v, float) and v > 2.0
 
+    def test_non_finite_threshold_rejected_promptly(self):
+        # a nan threshold never satisfies the accept test, so the loop would spin
+        import threading
+
+        raised = []
+
+        def run():
+            for gamma in (math.nan, math.inf, -math.inf):
+                for size in (None, 5):
+                    try:
+                        sample_truncated_std_normal(gamma, rng_for("tn-nan"), size)
+                    except ModelSpecError:
+                        raised.append(gamma)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=30.0)
+        assert not worker.is_alive(), "truncated normal sampler did not return within 30 s"
+        assert len(raised) == 6
+
 
 class TestConditionalMvn:
     def test_independence_ignores_condition(self):
@@ -306,6 +326,11 @@ class TestLaplaceConditional:
     def test_gamma_validation(self):
         with pytest.raises(ModelSpecError):
             laplace_conditional_exceedance(3, 0, 0.0, rng_for("bad"))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ModelSpecError):
+            laplace_conditional_exceedance(3, 0, gamma, rng_for("bad"), 4)
 
 
 class TestDeterminism:
