@@ -14,12 +14,11 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from ._rng import stable_cell_seed
-from ._workers import worker_count
+from ._workers import ordered_map
 from .errors import CapabilityError, ModelSpecError, RareUnionError
 from .estimators import ESTIMATOR_NAMES, bonferroni_bounds, run_estimator
 from .efficiency import classify_archimedean, classify_model, empirical_efficiency_ratio
@@ -205,8 +204,9 @@ def _run_cell(config: ExperimentConfig, model, name: str, gamma: float, oracle: 
 def run_experiment(config: ExperimentConfig) -> list:
     """One row per (estimator, threshold), plus oracle rows when available.
 
-    Cells are independent (each carries its own derived seed) and run in a
-    thread pool; rows come back in configuration order regardless of
+    Cells are independent (each carries its own derived seed) and run on
+    the package's worker pool, each cell's estimator inline in its worker
+    thread; rows come back in configuration order regardless of
     completion order.
     """
     model = build_model(config.model)
@@ -219,16 +219,10 @@ def run_experiment(config: ExperimentConfig) -> list:
             rows.append(
                 TableRow("oracle", gamma, value, 0.0, 0.0, 0.0, False, 0, 0, 0.0)
             )
-    if cells:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(
-                pool.map(
-                    lambda cell: _run_cell(config, model, cell[0], cell[1], oracles.get(cell[1])),
-                    cells,
-                )
-            )
-        for cell_rows in results:
-            rows.extend(cell_rows)
+    for cell_rows in ordered_map(
+        lambda cell: _run_cell(config, model, cell[0], cell[1], oracles.get(cell[1])), cells
+    ):
+        rows.extend(cell_rows)
     return rows
 
 

@@ -31,8 +31,15 @@ bit-identical to the Bonferroni upper bound.
 
 Replicates run in fixed-size chunks, each on a derived substream:
 ``(seed, chunk)`` for a mixture, ``(seed, k + 1, chunk)`` for law k of a
-stratified estimator.  Chunk statistics merge in chunk order, so results
-are bit-reproducible for a given (model, gamma, replicates, seed).
+stratified estimator.  Those substreams make the units independent, so
+they run on the package's worker pool (``_workers.ordered_map``): a
+mixture's units are its chunks, whose statistics are reduced in the
+worker; a stratified estimator's units are the (chunk, law) pairs, so a
+single chunk of many laws still spreads.  The calling thread adds
+``weight * values`` in law order and merges chunk statistics in chunk
+order, so results are bit-identical for a given (model, gamma,
+replicates, seed) and any thread count.  Called from a pool thread, as
+in a table cell, the runner works inline.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import numpy as np
 
 from . import events as ev
 from ._rng import derive_generator, iter_chunks
+from ._workers import ordered_map
 from .errors import CapabilityError, ModelSpecError
 from .models import DependenceModel, FinitePatternModel
 
@@ -120,26 +128,33 @@ class Payoff:
 
 
 class _Stats:
-    """Streaming mean/variance/min/max merged in fixed chunk order."""
+    """Streaming mean/variance/min/max of chunks, merged in fixed chunk order."""
 
     def __init__(self):
         self.n, self.mean, self.m2 = 0, 0.0, 0.0
         self.vmin, self.vmax = math.inf, -math.inf
 
-    def update(self, values: np.ndarray):
-        nb = values.size
-        mb = float(values.mean())
-        m2b = float(((values - mb) ** 2).sum())
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_Stats":
+        """The statistics of one chunk's values."""
+        s = cls()
+        s.n = values.size
+        s.mean = float(values.mean())
+        s.m2 = float(((values - s.mean) ** 2).sum())
+        s.vmin, s.vmax = float(values.min()), float(values.max())
+        return s
+
+    def merge(self, chunk: "_Stats"):
         if self.n == 0:
-            self.n, self.mean, self.m2 = nb, mb, m2b
+            self.n, self.mean, self.m2 = chunk.n, chunk.mean, chunk.m2
         else:
-            n = self.n + nb
-            delta = mb - self.mean
-            self.mean += delta * nb / n
-            self.m2 += m2b + delta * delta * self.n * nb / n
+            n = self.n + chunk.n
+            delta = chunk.mean - self.mean
+            self.mean += delta * chunk.n / n
+            self.m2 += chunk.m2 + delta * delta * self.n * chunk.n / n
             self.n = n
-        self.vmin = min(self.vmin, float(values.min()))
-        self.vmax = max(self.vmax, float(values.max()))
+        self.vmin = min(self.vmin, chunk.vmin)
+        self.vmax = max(self.vmax, chunk.vmax)
 
     def result(self, seed: int, t0: float) -> EstimateResult:
         if self.vmin == self.vmax:  # degenerate: the exact common value, no spread
@@ -321,24 +336,38 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
         x = draws[k](rng, count)
         return est.value(k, x, model.exceedance_patterns(x, gamma))
 
+    def mixture_chunk(unit):
+        chunk, count = unit
+        rng = derive_generator(seed, chunk)
+        if len(draws) == 1:
+            return _Stats.of(values(0, rng, count))
+        v = np.empty(count)
+        picks = rng.choice(len(draws), size=count, p=weights / total)
+        for k in range(len(draws)):
+            sel = np.where(picks == k)[0]
+            if sel.size:
+                v[sel] = values(k, rng, sel.size)
+        return _Stats.of(v)
+
+    def stratum(unit):
+        chunk, count, k = unit
+        return values(k, derive_generator(seed, k + 1, chunk), count)
+
     stats = _Stats()
-    for chunk, count in iter_chunks(sweeps):
-        if not est.mixture:
-            v = np.full(count, est.head, dtype=float)
-            for k, (weight, _) in enumerate(est.laws):
-                if draws[k] is not None:
-                    v = v + weight * values(k, derive_generator(seed, k + 1, chunk), count)
-        elif len(draws) == 1:
-            v = values(0, derive_generator(seed, chunk), count)
-        else:
-            rng = derive_generator(seed, chunk)
-            v = np.empty(count)
-            picks = rng.choice(len(draws), size=count, p=weights / total)
-            for k in range(len(draws)):
-                sel = np.where(picks == k)[0]
-                if sel.size:
-                    v[sel] = values(k, rng, sel.size)
-        stats.update(v)
+    chunks = list(iter_chunks(sweeps))
+    if est.mixture:
+        for chunk_stats in ordered_map(mixture_chunk, chunks):
+            stats.merge(chunk_stats)
+        return stats.result(seed, t0)
+    # stratified: the (chunk, law) units come back chunk by chunk, in law order
+    laws = [k for k, draw in enumerate(draws) if draw is not None]
+    strata = ordered_map(stratum, [(chunk, count, k) for chunk, count in chunks for k in laws])
+    for _, count in chunks:
+        v = np.full(count, est.head, dtype=float)
+        for k in laws:
+            v = v + est.laws[k][0] * next(strata)
+        stats.merge(_Stats.of(v))
+    strata.close()  # every unit is consumed: shut the pool down now
     return stats.result(seed, t0)
 
 

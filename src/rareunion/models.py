@@ -187,9 +187,15 @@ class NormalModel(DependenceModel):
         return float(self._sigma[i, j] / (self._sd[i] * self._sd[j]))
 
     def sample(self, rng, size=None) -> np.ndarray:
+        """Rows are drawn block by block, with the bits of
+        ``mu + z @ chol.T`` on one ``(n, d)`` normal draw."""
         n = 1 if size is None else int(size)
-        z = rng.standard_normal((n, self.d))
-        x = self._mu + z @ self._chol.T
+        x = np.empty((n, self.d))
+        z_buf = np.empty((min(n, samplers.ROW_BLOCK), self.d))
+        for start, stop in samplers.row_blocks(n):
+            z = rng.standard_normal(out=z_buf[:stop - start])
+            np.matmul(z, self._chol.T, out=x[start:stop])
+            x[start:stop] += self._mu
         return x[0] if size is None else x
 
     def marginal_survival(self, i: int, gamma: float) -> float:
@@ -237,7 +243,7 @@ class _NormalSingleTail:
         out = np.empty((n, model.d))
         out[:, i] = x_i
         if self._cond is not None:
-            out[:, list(self._cond.rest)] = self._cond.draw(x_i[:, None], rng)
+            self._cond.draw(x_i[:, None], rng, out=out)
         return out[0] if size is None else out
 
 
@@ -276,9 +282,7 @@ class _NormalPairTail:
         out[:, i] = xi
         out[:, j] = xj
         if self._cond is not None:
-            out[:, list(self._cond.rest)] = self._cond.draw(
-                np.column_stack([xi, xj]), rng
-            )
+            self._cond.draw(np.column_stack([xi, xj]), rng, out=out)
         return out[0] if size is None else out
 
 

@@ -17,14 +17,12 @@ so the small union probabilities keep full relative precision.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, ndtri
-from scipy.stats import qmc
 
-from ._workers import worker_count
+from ._workers import ordered_map
 from .errors import ModelSpecError
 from .special import SQRT2, integrate, norm_sf
 
@@ -39,6 +37,19 @@ __all__ = [
 _NORMAL_CUTOFF = 37.0
 _QMC_ENTROPY = 0x5EEDED  # fixed: the oracle is deterministic by design
 _SOBOL_BLOCK = 1 << 16  # rows per Sobol draw, so no whole-array copy is made
+
+
+class _LazyQmc:
+    """``scipy.stats.qmc``, imported on first use: importing ``scipy.stats``
+    would add most of a second to every ``import rareunion``."""
+
+    def __getattr__(self, name):
+        from scipy.stats import qmc as module
+
+        return getattr(module, name)
+
+
+qmc = _LazyQmc()  # a module attribute, so it can be swapped like the module it stands for
 
 
 def _union_tail_power(u: float, d: int) -> float:
@@ -187,8 +198,8 @@ def oracle_union_normal_qmc(model, gamma: float, points: int = 1 << 20, scramble
     the point sets balanced.
 
     Each (scramble, cell) integral is an independent unit with its own
-    scrambled engine.  The units run on a thread pool of
-    ``RARE_UNION_THREADS`` workers, and each scramble's cells are summed
+    scrambled engine.  The units run on the package's worker pool
+    (``_workers.ordered_map``), and each scramble's cells are summed
     in cell order afterwards, so ``value`` and ``error`` are bit-identical
     for every thread count.  The engines are built in the calling thread,
     because scipy fills its Sobol direction-number cache lazily, on the
@@ -215,11 +226,11 @@ def oracle_union_normal_qmc(model, gamma: float, points: int = 1 << 20, scramble
     units = [(s, i) for s in range(scrambles) for i in range(d)]
     engines = [_sobol_engine(i, (s, i)) if i else None for s, i in units]
 
-    def integrate_unit(unit, engine):
-        return _genz_cell(*cells[unit[1]], gamma, engine, points)
+    def integrate_unit(job):
+        (_, i), engine = job
+        return _genz_cell(*cells[i], gamma, engine, points)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        values = list(pool.map(integrate_unit, units, engines))
+    values = list(ordered_map(integrate_unit, zip(units, engines)))
     totals = []
     for s in range(scrambles):
         total = 0.0  # left to right in cell order: the order fixes the bits

@@ -29,6 +29,27 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
+# Rows per block of a Gaussian draw.  A block's normals and matrix products
+# live in block-sized buffers, so a draw holds its output plus O(ROW_BLOCK)
+# scratch instead of three whole-size temporaries.
+ROW_BLOCK = 4096
+
+
+def row_blocks(n: int):
+    """``(start, stop)`` of near-equal blocks of at most ``ROW_BLOCK`` rows covering n rows.
+
+    The blocks are near-equal so none is tiny: BLAS takes a different code
+    path for a handful of rows, with different last bits, while blocks of
+    thousands of rows give exactly the bits of one whole-array product.
+    """
+    count = max(1, -(-n // ROW_BLOCK))
+    size, extra = divmod(n, count)
+    start = 0
+    for b in range(count):
+        stop = start + size + (b < extra)
+        yield start, stop
+        start = stop
+
 
 def shifted_exponential_rate(gamma: float) -> float:
     """Optimal rate of the shifted-exponential proposal for the tail beyond gamma.
@@ -84,6 +105,17 @@ def sample_truncated_std_normal(gamma: float, rng, size=None):
     return _trunc_std_normal_batch(np.full(int(size), float(gamma)), rng)
 
 
+def _column_runs(columns) -> tuple:
+    """``(first column, position in columns, length)`` of each run of consecutive columns."""
+    runs = []
+    for pos, col in enumerate(columns):
+        if runs and runs[-1][0] + runs[-1][2] == col:
+            runs[-1][2] += 1
+        else:
+            runs.append([col, pos, 1])
+    return tuple(tuple(run) for run in runs)
+
+
 class GaussianConditional:
     """Conditional law of the remaining coordinates of a Gaussian vector.
 
@@ -102,6 +134,7 @@ class GaussianConditional:
         rest = tuple(k for k in range(d) if k not in given)
         self.given = given
         self.rest = rest
+        self._runs = _column_runs(rest)
         self.mu_given = mu[list(given)]
         self.mu_rest = mu[list(rest)]
         s_gg = sigma[np.ix_(given, given)]
@@ -115,17 +148,31 @@ class GaussianConditional:
         else:
             self.chol = np.zeros((0, 0))
 
-    def draw(self, values, rng):
+    def draw(self, values, rng, out=None):
         """Sample the remaining coordinates given the conditioned values.
 
         ``values`` has shape (n, k) for k conditioning indices; returns
-        (n, d-k) in the order of the non-conditioned indices.
+        (n, d-k) in the order of the non-conditioned indices.  With ``out``,
+        an (n, d) array of whole vectors, the draw fills its non-conditioned
+        columns instead and returns it.  Rows are drawn block by block, with
+        the bits of ``mu_rest + (values - mu_given) @ coef.T + z @ chol.T``
+        on one ``(n, d-k)`` normal draw.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        n = values.shape[0]
-        mean = self.mu_rest + (values - self.mu_given) @ self.coef.T
-        z = rng.standard_normal((n, len(self.rest)))
-        return mean + z @ self.chol.T
+        n, width = values.shape[0], len(self.rest)
+        runs = self._runs if out is not None else ((0, 0, width),)
+        target = out if out is not None else np.empty((n, width))
+        z_buf = np.empty((min(n, ROW_BLOCK), width))
+        x_buf = np.empty_like(z_buf)
+        for start, stop in row_blocks(n):
+            z = rng.standard_normal(out=z_buf[:stop - start])
+            x = np.matmul(z, self.chol.T, out=x_buf[:stop - start])
+            mean = (values[start:stop] - self.mu_given) @ self.coef.T
+            mean += self.mu_rest
+            x += mean
+            for dst, src, length in runs:
+                target[start:stop, dst:dst + length] = x[:, src:src + length]
+        return target
 
 
 def sample_conditional_mvn(model, i: int, x_i, rng, size=None):

@@ -11,6 +11,7 @@ and the substream keys ``(seed, chunk)`` and ``(seed, k + 1, chunk)``: a
 numpy release that changes the streams changes them too.
 """
 
+import numpy as np
 import pytest
 
 import rareunion as ru
@@ -83,3 +84,39 @@ def test_bit_identical_to_recorded_values(case):
     r = ru.run_estimator(name, build(), gamma, replicates, seed)
     got = (r.estimate.hex(), r.sample_std.hex(), r.replicates, r.degenerate)
     assert got == GOLDEN[case]
+
+
+# Multi-chunk outputs, recorded before one estimator's chunks and strata ran
+# on the worker pool and before Gaussian draws were made in row blocks; they
+# must hold for any thread count.  131,073 replicates are chunks of 65,536 +
+# 65,536 + 1, so the last chunk is a 1-row draw; beta2_alpha's 65,537 sweeps
+# end in a 1-row chunk too.
+MULTI_CHUNK_MODELS = {
+    "toeplitz64": (lambda: ru.NormalModel(0.5 ** abs(np.subtract.outer(np.arange(64), np.arange(64)))), 4.0),
+    "equicorr4": (lambda: ru.NormalModel.equicorrelated(4, 0.75), 2.0),
+}
+
+# (estimator, model, replicates): (estimate, sample_std), all at seed 2026
+MULTI_CHUNK = {
+    ("cmc", "toeplitz64", 131073): ("0x1.07ff7c0041ffep-9", "0x1.6f481502327e5p-5"),
+    ("alpha1", "toeplitz64", 131073): ("0x1.04ad7bd4aec00p-9", "0x1.94c389b681dc7p-8"),
+    ("alpha1_is", "toeplitz64", 131073): ("0x1.051b5c15de224p-9", "0x1.8623c743e7612p-13"),
+    ("beta1_alpha", "toeplitz64", 131073): ("0x1.05187542a5f9cp-9", "0x1.16bdc2517440dp-15"),
+    ("alpha2_is", "equicorr4", 393222): ("0x1.cd9677143213cp-5", "0x1.44663bc90837fp-7"),
+    ("beta2_alpha", "equicorr4", 393222): ("0x1.cdecf593e2abcp-5", "0x1.a96dbbf111622p-7"),
+}
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_models():
+    return {name: (build(), gamma) for name, (build, gamma) in MULTI_CHUNK_MODELS.items()}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("case", sorted(MULTI_CHUNK), ids=lambda c: "-".join(map(str, c)))
+def test_multi_chunk_bit_identical_for_any_thread_count(case, threads, multi_chunk_models, monkeypatch):
+    monkeypatch.setenv("RARE_UNION_THREADS", threads)
+    name, model, replicates = case
+    m, gamma = multi_chunk_models[model]
+    r = ru.run_estimator(name, m, gamma, replicates, 2026)
+    assert (r.estimate.hex(), r.sample_std.hex()) == MULTI_CHUNK[case]

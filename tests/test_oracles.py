@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rareunion
+from rareunion import oracles
 from rareunion import (
     ModelSpecError,
     NormalModel,
@@ -144,6 +150,18 @@ class TestQmcOracle:
             got = _genz_cell(mu, chol, gamma, _sobol_engine(i, (0, i)), points)
             assert got.hex() == float(prob.mean()).hex()
 
+    def test_sobol_engines_come_from_the_module_attribute(self, monkeypatch):
+        real, made = oracles.qmc, []
+
+        class Recording:
+            def Sobol(self, dim, **kwargs):
+                made.append(dim)
+                return real.Sobol(dim, **kwargs)
+
+        monkeypatch.setattr(oracles, "qmc", Recording())
+        oracle_union_normal_qmc(NormalModel.equicorrelated(3, -0.25), 2.0, points=1 << 10)
+        assert made == [1, 2] * 8  # cells 1 and 2 of each of the 8 scrambles
+
     def test_dimension_limit(self):
         m = NormalModel(np.eye(9))
         with pytest.raises(ModelSpecError):
@@ -206,3 +224,12 @@ def test_equicorr_oracle_is_fast():
     for gamma in EQUICORR_REFERENCE:
         oracle_union_normal_equicorr(4, 0.75, gamma)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats.qmc is imported on the QMC oracle's first use, not by the package
+    src = str(Path(rareunion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, rareunion; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

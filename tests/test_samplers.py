@@ -6,6 +6,8 @@ from scipy.stats import invgauss, kstest
 
 from rareunion import ModelSpecError, NormalModel
 from rareunion.samplers import (
+    ROW_BLOCK,
+    GaussianConditional,
     _laplace_sqrt_ig_pdf,
     _pair_tilt,
     gibbs_bivariate_truncated,
@@ -135,6 +137,38 @@ class TestConditionalMvn:
         m = NormalModel.equicorrelated(4, 0.5)
         out = sample_conditional_mvn_pair(m, 0, 2, 1.0, 2.0, rng_for("pairform"), size=1000)
         assert out.shape == (1000, 2)
+
+
+class TestRowBlockedDraws:
+    """Block-by-block draws keep the bits of the plain whole-array expressions
+    on the same stream, also for a 1-row draw and just past one block."""
+
+    D = 64
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        lags = np.abs(np.subtract.outer(np.arange(self.D), np.arange(self.D)))
+        return NormalModel(0.5**lags, mu=np.linspace(-1.0, 1.0, self.D))
+
+    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK + 1, 1 << 16])
+    def test_sample_matches_plain_expression(self, model, n):
+        z = derive_generator(3, n).standard_normal((n, self.D))
+        want = model.mu + z @ model.chol.T
+        assert np.array_equal(model.sample(derive_generator(3, n), n), want)
+
+    @pytest.mark.parametrize("given", [(5,), (40, 7)])
+    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK + 1, 1 << 16])
+    def test_conditional_draw_matches_plain_expression(self, model, n, given):
+        cond = GaussianConditional(model.mu, model.sigma, given)
+        values = 2.0 + derive_generator(4, n).random((n, len(given)))
+        mean = cond.mu_rest + (values - cond.mu_given) @ cond.coef.T
+        want = mean + derive_generator(5, n).standard_normal((n, len(cond.rest))) @ cond.chol.T
+        assert np.array_equal(cond.draw(values, derive_generator(5, n)), want)
+        full = np.full((n, self.D), np.nan)
+        full[:, list(given)] = values
+        assert cond.draw(values, derive_generator(5, n), out=full) is full
+        assert np.array_equal(full[:, list(cond.rest)], want)
+        assert np.array_equal(full[:, list(given)], values)
 
 
 class TestGibbs:
