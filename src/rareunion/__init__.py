@@ -83,7 +83,6 @@ from .efficiency import (
     SlowlyVarying,
     berman_univariate_asymptotic,
     bivariate_type1_asymptotic_rate,
-    classify_ar1,
     classify_archimedean,
     classify_kotz3,
     classify_ledford_tawn,

@@ -10,8 +10,12 @@ structure:
 * residual tail index rules for identically-distributed pairs,
 * a catalogue verdict per Archimedean family and parameter,
 * closed-form rules for type-I elliptical laws (normal and the
-  power-exponential Kotz family) built from pairwise tail scales,
-* the stationary AR(1) special case.
+  power-exponential Kotz family) built from pairwise tail scales.
+
+Gaussian special cases are covariances, not rules of their own: an AR(1)
+path is a ``NormalModel`` with Toeplitz covariance ``phi**|i-j|``, so it
+gets the scale and residual-tail-index rules of every normal, and its
+verdict depends on the path length as well as on ``phi``.
 
 Asymptotic rate formulas are exposed up to unspecified positive
 constants; consumers must compare them on a log scale only.
@@ -26,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ModelSpecError
-from .models import AR1Model, ArchimedeanModel, DependenceModel, NormalModel
+from .models import ArchimedeanModel, DependenceModel, NormalModel
 
 __all__ = [
     "BRE",
@@ -45,7 +49,6 @@ __all__ = [
     "classify_archimedean",
     "classify_kotz3",
     "classify_normal",
-    "classify_ar1",
     "classify_model",
     "savage_condition",
     "KotzRadial",
@@ -501,27 +504,6 @@ def classify_normal(model: NormalModel) -> EfficiencyVerdict:
     )
 
 
-def classify_ar1(phi: float) -> EfficiencyVerdict:
-    """Stationary Gaussian AR(1) paths always give the first-order
-    estimator bounded relative error.
-
-    The extremal pair sits at lag one for positive coefficients and lag
-    two for negative ones; its conditional spread is strictly smaller
-    than the marginal one, which drives the governing ratio to zero.
-    """
-    phi = float(phi)
-    if not -1.0 < phi < 1.0:
-        raise ModelSpecError("the autoregression coefficient must lie in (-1, 1)")
-    if phi > 0:
-        lag, rule = 1, "extremal_pair_lag_one"
-    elif phi < 0:
-        lag, rule = 2, "extremal_pair_lag_two"
-    else:
-        lag, rule = 0, "independent_components"
-    diag = {"phi": phi, "maximizing_lag": lag, "lag_correlation": phi ** lag if lag else 0.0}
-    return EfficiencyVerdict(BRE, diag, ("ar1_stationary", rule))
-
-
 def classify_model(model: DependenceModel) -> EfficiencyVerdict:
     """Best available structural verdict for a model.
 
@@ -530,8 +512,6 @@ def classify_model(model: DependenceModel) -> EfficiencyVerdict:
     apply; on disagreement the sharper residual-tail verdict is reported
     and both sets of diagnostics are kept.
     """
-    if isinstance(model, AR1Model):
-        return classify_ar1(model.phi)
     if isinstance(model, ArchimedeanModel):
         return classify_archimedean(model.family, model.theta)
     if isinstance(model, NormalModel):

@@ -45,6 +45,20 @@ class Capabilities:
     conditional_pair: bool
 
 
+def _dimension(d, what: str = "dimension") -> int:
+    """``d`` as an int of at least 1; a non-integral value is an error, not a truncation."""
+    try:
+        n = int(d)
+        integral = n == d
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ModelSpecError(f"{what} must be an integer, got {d!r}")
+    if n < 1:
+        raise ModelSpecError(f"{what} must be at least 1")
+    return n
+
+
 class DependenceModel(abc.ABC):
     """Abstract joint law with threshold-exceedance events."""
 
@@ -115,23 +129,27 @@ class NormalModel(DependenceModel):
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ModelSpecError("covariance must be a square matrix")
-        if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=1e-12):
-            raise ModelSpecError("covariance must be symmetric")
         d = sigma.shape[0]
         if mu is None:
             mu = np.zeros(d)
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (d,):
             raise ModelSpecError(f"mean must have length {d}")
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite next
+            sym = 0.5 * (sigma + sigma.T)
+        if not (np.isfinite(sym).all() and np.isfinite(mu).all()):
+            raise ModelSpecError("covariance and mean entries must be finite")
+        if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=1e-12):
+            raise ModelSpecError("covariance must be symmetric")
         if (np.diag(sigma) <= 0).any():
             raise ModelSpecError("covariance diagonal must be positive")
         try:
-            chol = np.linalg.cholesky(0.5 * (sigma + sigma.T))
+            chol = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError as exc:
             raise ModelSpecError("covariance is not positive-definite") from exc
         self._mu = mu.copy()
         self._mu.setflags(write=False)
-        self._sigma = 0.5 * (sigma + sigma.T)
+        self._sigma = sym
         self._sigma.setflags(write=False)
         self._chol = chol
         self._chol.setflags(write=False)
@@ -141,21 +159,17 @@ class NormalModel(DependenceModel):
     @classmethod
     def equicorrelated(cls, d: int, rho: float) -> "NormalModel":
         """Unit-variance zero-mean model with constant pairwise correlation."""
-        d = int(d)
-        if d < 1:
-            raise ModelSpecError("dimension must be at least 1")
+        d = _dimension(d)
         rho = float(rho)
-        if d > 1:
-            lo = -1.0 / (d - 1) + 1e-9
-            if not lo <= rho < 1.0:
-                raise ModelSpecError(
-                    f"equicorrelation must lie in [{lo:.9f}, 1) for d={d}, got {rho}"
-                )
-        sigma = (1.0 - rho) * np.eye(d) + rho * np.ones((d, d))
+        lo = -1.0 / (d - 1) + 1e-9 if d > 1 else -1.0
+        if not lo <= rho < 1.0:
+            raise ModelSpecError(
+                f"equicorrelation must lie in [{lo:.9f}, 1) for d={d}, got {rho}"
+            )
         if d == 1:
-            sigma = np.eye(1)
-        model = cls(sigma)
-        model._equicorr_rho = rho if d > 1 else 0.0
+            rho = 0.0
+        model = cls((1.0 - rho) * np.eye(d) + rho * np.ones((d, d)))
+        model._equicorr_rho = rho
         return model
 
     @property
@@ -300,10 +314,7 @@ class LaplaceModel(DependenceModel):
     """
 
     def __init__(self, d: int):
-        d = int(d)
-        if d < 1:
-            raise ModelSpecError("dimension must be at least 1")
-        self._d = d
+        self._d = _dimension(d)
 
     @property
     def d(self) -> int:
@@ -519,9 +530,7 @@ class ArchimedeanModel(DependenceModel):
     """
 
     def __init__(self, family: str, theta: float, d: int):
-        d = int(d)
-        if d < 1:
-            raise ModelSpecError("dimension must be at least 1")
+        d = _dimension(d)
         key = str(family).strip().lower().replace("_", "-").replace(" ", "-")
         if key not in _ARCH_FAMILIES:
             raise ModelSpecError(
@@ -594,55 +603,27 @@ class ArchimedeanModel(DependenceModel):
 # Stationary AR(1)
 
 
-class AR1Model(DependenceModel):
+class AR1Model(NormalModel):
     """Stationary Gaussian AR(1) path observed at d consecutive times.
 
-    The marginal law is centred normal with variance
-    ``sigma_eps**2 / (1 - phi**2)`` and lag-k correlation ``phi**k``, so
-    marginal and pairwise exceedance probabilities reduce to the Gaussian
-    formulas.  Conditional event sampling is not wired up for paths.
+    It is the centred normal with Toeplitz covariance
+    ``sigma_eps**2 / (1 - phi**2) * phi**|i - j|``, so every estimator,
+    oracle and efficiency rule treats it as the Gaussian law it is.
     """
 
     def __init__(self, phi: float, sigma_eps: float, d: int):
         phi = float(phi)
         sigma_eps = float(sigma_eps)
-        d = int(d)
+        d = _dimension(d, "path length")
         if not -1.0 < phi < 1.0:
             raise ModelSpecError("autoregression coefficient must lie in (-1, 1)")
         if sigma_eps <= 0.0:
             raise ModelSpecError("innovation standard deviation must be positive")
-        if d < 1:
-            raise ModelSpecError("path length must be at least 1")
+        lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        super().__init__(sigma_eps**2 / (1.0 - phi**2) * phi**lags)
         self.phi = phi
         self.sigma_eps = sigma_eps
-        self._d = d
         self.sigma_marginal = sigma_eps / math.sqrt(1.0 - phi * phi)
-
-    @property
-    def d(self) -> int:
-        return self._d
-
-    @property
-    def capabilities(self) -> Capabilities:
-        return Capabilities(True, True, False, False)
-
-    def sample(self, rng, size=None) -> np.ndarray:
-        n = 1 if size is None else int(size)
-        x = np.empty((n, self._d))
-        x[:, 0] = self.sigma_marginal * rng.standard_normal(n)
-        for t in range(1, self._d):
-            x[:, t] = self.phi * x[:, t - 1] + self.sigma_eps * rng.standard_normal(n)
-        return x[0] if size is None else x
-
-    def marginal_survival(self, i: int, gamma: float) -> float:
-        self._check_index(i)
-        return norm_sf(gamma / self.sigma_marginal)
-
-    def pair_survival(self, i: int, j: int, gamma: float) -> float:
-        i, j = self._check_pair(i, j)
-        t = gamma / self.sigma_marginal
-        rho = self.phi ** abs(i - j)
-        return bivariate_normal_orthant(t, t, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +646,7 @@ class FinitePatternModel(DependenceModel):
         inferred = int(round(math.log2(size))) if size > 0 else 0
         if size < 2 or (1 << inferred) != size:
             raise ModelSpecError("pmf length must be a power of two (one entry per pattern)")
-        if d is not None and int(d) != inferred:
+        if d is not None and _dimension(d) != inferred:
             raise ModelSpecError(f"pmf length {size} does not match d={d}")
         if inferred > 20:
             raise ModelSpecError("finite pattern models support d <= 20")
@@ -779,6 +760,10 @@ def build_model(spec: dict) -> DependenceModel:
             return AR1Model(spec["phi"], spec["sigma_eps"], spec["d"])
         if kind == "finite":
             return FinitePatternModel(spec["pmf"], d=spec.get("d"))
+    except ModelSpecError:
+        raise
     except KeyError as exc:
         raise ModelSpecError(f"model spec missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelSpecError(f"invalid {kind} model spec: {exc}") from exc
     raise ModelSpecError(f"unknown model type {kind!r}")

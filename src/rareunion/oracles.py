@@ -246,23 +246,19 @@ def oracle_for_model(model, gamma: float, qmc_points: int = 1 << 20):
     """Best available deterministic union probability for a model, or None.
 
     Equicorrelated normals with non-negative correlation use the
-    one-factor integral, general normals (including autoregressive paths,
-    which are Gaussian) the QMC route, the Laplace model its factor
-    integral, and finite pattern models exhaustive summation.  A general
-    normal beyond the QMC route's dimension raises its ModelSpecError.
+    one-factor integral, every other normal (AR(1) paths among them) the
+    QMC route, the Laplace model its factor integral, and finite pattern
+    models exhaustive summation.  A normal beyond the QMC route's
+    dimension raises its ModelSpecError; a model with no route gives None.
     """
     from . import events as ev
-    from .models import AR1Model, FinitePatternModel, LaplaceModel, NormalModel
+    from .models import FinitePatternModel, LaplaceModel, NormalModel
 
     gamma = model.check_threshold(gamma)
     if isinstance(model, FinitePatternModel):
         return ev.brute_force_union(model)
     if isinstance(model, LaplaceModel):
         return oracle_union_laplace(model.d, gamma)
-    if isinstance(model, AR1Model) and model.d <= 8:
-        var = model.sigma_marginal**2
-        lags = np.abs(np.subtract.outer(np.arange(model.d), np.arange(model.d)))
-        model = NormalModel(var * model.phi**lags)
     if isinstance(model, NormalModel):
         rho = model.equicorrelation
         if rho is not None and rho >= 0.0:

@@ -258,8 +258,15 @@ def test_criterion_10_classification_suites():
         assert ru.classify_normal(ru.NormalModel.equicorrelated(4, 0.0)).level == ru.LE
         assert ru.classify_normal(ru.NormalModel.equicorrelated(4, -0.25)).level == ru.BRE
 
-        for phi in (-0.5, 0.0, 0.5):
-            assert ru.classify_ar1(phi).level == ru.BRE
+        # AR(1) is the Toeplitz normal.  Its extremal pair has correlation
+        # rho = phi (lag one, phi > 0) or phi**2 (lag two, phi < 0), so the
+        # residual tail index (1 + rho) / 2 exceeds 1/2 and the first-order
+        # estimator is inefficient; BRE needs eta <= 1/2, which only
+        # independence and a lone negatively correlated pair give.
+        for phi, d, level in ((0.5, 5, ru.INEFFICIENT), (-0.5, 5, ru.INEFFICIENT),
+                              (0.0, 5, ru.BRE), (-0.5, 2, ru.BRE)):
+            model = ru.AR1Model(phi, math.sqrt(1.0 - phi * phi), d)
+            assert ru.classify_model(model).level == level, (phi, d)
 
         for rule in ru.ARCHIMEDEAN_TABLE:
             thetas = []

@@ -345,6 +345,21 @@ class TestCommandLine:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_non_finite_covariance_exits_two(self):
+        # an infinite variance once printed an estimate of 0.525
+        proc = run_cli(
+            "estimate", "--model", '{"type":"normal","sigma":[[Infinity]]}', "--estimator", "cmc",
+            "--gamma", "1.5", timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_bad_model_field_exits_two_without_traceback(self):
+        proc = run_cli("oracle", "--model", '{"type":"laplace","d":null}', "--gamma", "6", timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_oracle_non_finite_gamma_exits_two(self):
         proc = run_cli("oracle", "--model", NORMAL4, "--gamma", "nan", timeout=120)
         assert proc.returncode == 2

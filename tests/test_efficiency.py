@@ -22,7 +22,7 @@ from rareunion import (
     UNKNOWN,
     berman_univariate_asymptotic,
     bivariate_type1_asymptotic_rate,
-    classify_ar1,
+    build_model,
     classify_archimedean,
     classify_kotz3,
     classify_ledford_tawn,
@@ -188,15 +188,40 @@ class TestKotzRule:
 
 
 class TestAr1Classification:
-    @pytest.mark.parametrize("phi,lag", [(0.5, 1), (-0.5, 2), (0.0, 0)])
-    def test_always_bre_with_lag_diagnostics(self, phi, lag):
-        v = classify_ar1(phi)
-        assert v.level == BRE
-        assert v.diagnostics["maximizing_lag"] == lag
+    """An AR(1) path is the Toeplitz normal, so it gets the Gaussian verdict.
+
+    The extremal pair has correlation phi at lag one when phi > 0 and
+    phi**2 at lag two when phi < 0; its residual tail index (1 + rho) / 2
+    exceeds one half, so the first-order estimator is inefficient.  Only
+    independence (rho = 0) and a single negatively correlated pair (d = 2)
+    keep bounded relative error.
+    """
+
+    @pytest.mark.parametrize(
+        "phi,d,level,rho_max",
+        [
+            pytest.param(0.5, 5, INEFFICIENT, 0.5, id="phi0.5-d5"),
+            pytest.param(-0.5, 5, INEFFICIENT, 0.25, id="phi-0.5-d5"),
+            pytest.param(0.0, 5, BRE, 0.0, id="phi0-d5"),
+            pytest.param(-0.5, 2, BRE, -0.5, id="phi-0.5-d2"),
+        ],
+    )
+    def test_gaussian_verdict_with_extremal_correlation(self, phi, d, level, rho_max):
+        v = classify_model(AR1Model(phi, math.sqrt(1.0 - phi * phi), d))
+        assert v.level == level
+        assert v.diagnostics["rho_max"] == pytest.approx(rho_max, abs=1e-12)
+
+    @pytest.mark.parametrize("phi,d", [(0.5, 5), (-0.5, 5), (0.0, 3), (-0.5, 2), (0.9, 8)])
+    def test_same_verdict_as_the_toeplitz_normal(self, phi, d):
+        lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        ar1 = classify_model(AR1Model(phi, math.sqrt(1.0 - phi * phi), d))
+        normal = classify_model(NormalModel(phi**lags))
+        assert (ar1.level, ar1.rules_fired) == (normal.level, normal.rules_fired)
 
     def test_range_validation(self):
+        # a non-stationary coefficient has no path, so no verdict either
         with pytest.raises(ModelSpecError):
-            classify_ar1(1.0)
+            classify_model(build_model({"type": "ar1", "phi": 1.0, "sigma_eps": 1.0, "d": 4}))
 
 
 class TestSavage:
@@ -319,8 +344,11 @@ class TestEmpiricalRatio:
 
 class TestClassifyModel:
     def test_ar1_dispatch(self):
+        # the lag-two pair, correlation 0.25, carries the Gaussian tail rule
         v = classify_model(AR1Model(-0.5, 1.0, 6))
-        assert v.level == BRE and v.diagnostics["maximizing_lag"] == 2
+        assert v.level == INEFFICIENT and "eta_above_half" in v.rules_fired
+        assert v.diagnostics["rho_max"] == pytest.approx(0.25, abs=1e-12)
+        assert v.diagnostics["lt_eta"] == pytest.approx(0.625, abs=1e-12)
 
     def test_archimedean_dispatch(self):
         assert classify_model(ArchimedeanModel("clayton", 3.0, 4)).level == BRE
@@ -346,5 +374,40 @@ class TestClassifyModel:
         assert "use_empirical_ratio" in v.rules_fired
 
     def test_verdict_json(self):
-        obj = classify_ar1(0.5).to_json()
+        obj = classify_model(AR1Model(0.5, math.sqrt(0.75), 5)).to_json()
         assert set(obj) == {"level", "diagnostics", "rules_fired"}
+
+
+_NORMAL_GRID = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+_UNIFORM_GRID = [1.0 - 10.0**-k for k in range(1, 7)]
+
+STRUCTURAL_CASES = [
+    pytest.param(NormalModel.equicorrelated(4, -0.25), _NORMAL_GRID, id="equicorr-0.25"),
+    pytest.param(NormalModel.equicorrelated(4, 0.0), _NORMAL_GRID, id="equicorr0"),
+    pytest.param(NormalModel.equicorrelated(4, 0.75), _NORMAL_GRID, id="equicorr0.75"),
+    pytest.param(NormalModel(np.diag([4.0, 1.0, 1.0])), _NORMAL_GRID, id="diag411"),
+    pytest.param(AR1Model(0.5, math.sqrt(0.75), 5), _NORMAL_GRID, id="ar1-0.5-d5"),
+    pytest.param(AR1Model(-0.5, math.sqrt(0.75), 5), _NORMAL_GRID, id="ar1--0.5-d5"),
+    pytest.param(AR1Model(0.0, 1.0, 5), _NORMAL_GRID, id="ar1-0-d5"),
+    pytest.param(AR1Model(-0.5, math.sqrt(0.75), 2), _NORMAL_GRID, id="ar1--0.5-d2"),
+    pytest.param(ArchimedeanModel("clayton", 2.0, 3), _UNIFORM_GRID, id="clayton2"),
+    pytest.param(ArchimedeanModel("frank", 3.0, 3), _UNIFORM_GRID, id="frank3"),
+    pytest.param(ArchimedeanModel("amh", 0.5, 3), _UNIFORM_GRID, id="amh0.5"),
+    pytest.param(ArchimedeanModel("gumbel", 1.0, 3), _UNIFORM_GRID, id="gumbel1"),
+]
+
+
+@pytest.mark.parametrize("model,grid", STRUCTURAL_CASES)
+def test_structural_verdict_agrees_with_ratio_growth(model, grid):
+    """The verdict must match how the strict ratio grows over the grid:
+    BRE stays within a factor 2 of its first value, Inefficient grows more
+    than tenfold.  The growth factor is the test, not ``strict_trend``:
+    AMH 0.5 rises to its bound (1.41 -> 1.50) and reads "increasing", and
+    Gumbel 1 is a constant 1 up to rounding and reads "mixed"."""
+    level = classify_model(model).level
+    ratios = [row.ratio_strict for row in empirical_efficiency_ratio(model, grid).rows]
+    if level == BRE:
+        assert max(ratios) / ratios[0] < 2.0, ratios
+    else:
+        assert level == INEFFICIENT
+        assert ratios[-1] / ratios[0] > 10.0, ratios

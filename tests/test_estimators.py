@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rareunion import (
+    AR1Model,
     CapabilityError,
     ModelSpecError,
     ArchimedeanModel,
@@ -24,6 +25,7 @@ from rareunion import (
     exhaustive_estimator_mean,
     exhaustive_residual_second_moment,
     exhaustive_variance_components,
+    oracle_for_model,
     oracle_union_normal_equicorr,
     run_estimator,
 )
@@ -106,6 +108,25 @@ class TestMixtureIdentity:
             likelihood = abar / count
             residual = (1 - count) if count >= 2 else 0
             assert abar + residual * likelihood == abar / count
+
+
+class TestAr1Coverage:
+    """An AR(1) path is a Toeplitz NormalModel, so all seven union
+    estimators run on it, conditional samplers included."""
+
+    @pytest.mark.parametrize("phi", [0.5, -0.5])
+    def test_every_estimator_agrees_with_the_oracle(self, phi):
+        m = AR1Model(phi, math.sqrt(1.0 - phi * phi), 5)
+        truth = oracle_for_model(m, 2.5, qmc_points=1 << 14)
+        bounds = bonferroni_bounds(m, 2.5)
+        bound_of = {"alpha1": bounds.upper, "alpha2": bounds.second}
+        for name in ALL_UNION_ESTIMATORS:
+            r = run_estimator(name, m, 2.5, 20_000, 7)
+            if r.degenerate and name in bound_of:
+                assert r.estimate == bound_of[name], name
+            else:
+                assert not r.degenerate, name
+                assert abs(r.estimate - truth) < 5 * r.stderr, (name, r.estimate, truth)
 
 
 class TestDegeneration:

@@ -64,6 +64,42 @@ class TestBuildModel:
         assert isinstance(build_model({"type": "ar1", "phi": 0.5, "sigma_eps": 1.0, "d": 5}), AR1Model)
         assert isinstance(build_model({"type": "finite", "pmf": [0.25] * 4}), FinitePatternModel)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "ar1", "phi": "x", "sigma_eps": 1.0, "d": 5},
+            {"type": "laplace", "d": None},
+            {"type": "laplace", "d": 2.7},
+            {"type": "normal", "d": 2.7, "rho": 0.5},
+            {"type": "archimedean", "family": "clayton", "theta": 2.0, "d": 2.7},
+            {"type": "ar1", "phi": 0.5, "sigma_eps": 1.0, "d": 2.7},
+            {"type": "finite", "d": 2.7, "pmf": [0.25] * 4},
+            {"type": "normal", "sigma": "x"},
+            {"type": "normal", "sigma": [[1.0, 0.0], [0.0]]},
+            {"type": "archimedean", "family": "frank", "theta": [], "d": 3},
+        ],
+    )
+    def test_bad_field_is_model_spec_error(self, spec):
+        with pytest.raises(ModelSpecError):
+            build_model(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "normal", "sigma": [[math.inf]]},
+            {"type": "normal", "sigma": [[1.0, 0.5], [0.5, 1.0]], "mu": [0.0, math.nan]},
+            {"type": "normal", "sigma": [[1e308, 0.0], [0.0, 1e308]]},
+            {"type": "ar1", "phi": 0.5, "sigma_eps": math.inf, "d": 5},
+            {"type": "ar1", "phi": 0.5, "sigma_eps": math.nan, "d": 5},
+        ],
+    )
+    def test_non_finite_covariance_or_mean_rejected(self, spec):
+        with pytest.raises(ModelSpecError, match="finite"):
+            build_model(spec)
+
+    def test_integral_float_dimension_accepted(self):
+        assert build_model({"type": "laplace", "d": 3.0}).d == 3
+
 
 class TestNormalModel:
     def test_marginal_survival_deep_tail(self):
@@ -251,6 +287,16 @@ class TestAR1Model:
                 assert m.pair_survival(i, j, g) == pytest.approx(
                     n.pair_survival(i, j, g), rel=1e-9
                 )
+
+    def test_is_the_toeplitz_normal(self):
+        phi, se, d = -0.6, 0.8, 4
+        m = AR1Model(phi, se, d)
+        lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        assert isinstance(m, NormalModel)
+        assert np.array_equal(m.sigma, se**2 / (1 - phi**2) * phi**lags)
+        assert np.array_equal(m.mu, np.zeros(d))
+        assert m.capabilities == NormalModel.equicorrelated(2, 0.5).capabilities
+        assert (m.phi, m.sigma_eps, m.d) == (phi, se, d)
 
     def test_invalid_parameters(self):
         with pytest.raises(ModelSpecError):

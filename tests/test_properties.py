@@ -1,7 +1,9 @@
 """Property tests: exact estimator means equal brute-force enumeration on
 random finite pattern models, including pmfs with exact zeros; sampled
-estimates do not depend on the thread count."""
+estimates do not depend on the thread count; any model spec, valid or
+not, gives a result or a RareUnionError."""
 
+import math
 import os
 from unittest import mock
 
@@ -10,14 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareunion import (
+    AR1Model,
     FinitePatternModel,
     LaplaceModel,
     NormalModel,
     Payoff,
     RareUnionError,
+    bonferroni_bounds,
     brute_force_tail_expectation,
     brute_force_union,
+    build_model,
     exhaustive_estimator_mean,
+    oracle_for_model,
     run_estimator,
 )
 
@@ -59,12 +65,15 @@ def test_partition_means_equal_tail_expectation(model):
 
 @st.composite
 def sampled_models(draw):
-    """(model, gamma) of a normal, Laplace or finite pattern model with d <= 4."""
+    """(model, gamma) of a normal, AR(1), Laplace or finite pattern model with d <= 4."""
     d = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["normal", "laplace", "finite"]))
+    kind = draw(st.sampled_from(["normal", "ar1", "laplace", "finite"]))
     if kind == "normal":
         rho = draw(st.sampled_from([0.0, 0.3, 0.75]))
         return NormalModel.equicorrelated(d, rho), draw(st.sampled_from([0.5, 1.5, 2.5]))
+    if kind == "ar1":
+        phi = draw(st.sampled_from([-0.5, 0.5, 0.9]))
+        return AR1Model(phi, math.sqrt(1.0 - phi * phi), d), draw(st.sampled_from([0.5, 1.5, 2.5]))
     if kind == "laplace":
         return LaplaceModel(d), draw(st.sampled_from([1.0, 2.0]))
     return draw(finite_models(max_d=4)), 0.0
@@ -88,3 +97,65 @@ def _outcome(name, model, gamma, replicates, threads):
 def test_estimates_identical_for_any_thread_count(model_gamma, name, replicates):
     model, gamma = model_gamma
     assert _outcome(name, model, gamma, replicates, "1") == _outcome(name, model, gamma, replicates, "3")
+
+
+# Each field mixes values its model accepts with values it must reject.
+_ANY_BAD = st.sampled_from([None, "x", math.nan, math.inf, -1, 2.7, [], {}])
+_FIELDS = {
+    "d": [1, 2, 3, 4, 3.0, 0, True],
+    "rho": [0.0, 0.5, -0.2, -0.9, 1.0],
+    "phi": [0.5, -0.5, 0.0, 0.9, 1.0, -1.2],
+    "sigma_eps": [1.0, 0.5, 0.0, -1.0],
+    "family": ["clayton", "frank", "amh", "gumbel", "joe", 3],
+    "theta": [0.5, 1.0, 2.0, 3.0, 0.0, -0.5, -1.0],
+    "sigma": [
+        [[1.0]],
+        [[1.0, 0.5], [0.5, 1.0]],
+        [[4.0, -0.3], [-0.3, 1.0]],
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 0.0], [1.0, 1.0]],
+        [[1.0, 0.5, 0.0], [0.5, 1.0]],
+        [[-1.0]],
+        [[1e308, 0.0], [0.0, 1e308]],
+        [1.0, 2.0],
+    ],
+    "mu": [[0.0], [0.0, 1.0], [1.0, -1.0], [math.nan, 0.0], [0.0, 0.0, 0.0]],
+    "pmf": [[0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.5, 0.5], [0.125] * 8, [0.5, 0.6], [1.0], [-0.5, 1.5]],
+}
+_SPEC_FIELDS = (
+    ("normal", ("d", "rho")),
+    ("normal", ("sigma", "mu")),
+    ("ar1", ("phi", "sigma_eps", "d")),
+    ("laplace", ("d",)),
+    ("archimedean", ("family", "theta", "d")),
+    ("finite", ("pmf", "d")),
+    ("student", ("d",)),
+)
+
+
+@st.composite
+def model_specs(draw):
+    """A model spec from the field pools, with at most one field spoilt:
+    given a value of the wrong kind, or left out."""
+    kind, fields = draw(st.sampled_from(_SPEC_FIELDS))
+    spec = {"type": kind, **{key: draw(st.sampled_from(_FIELDS[key])) for key in fields}}
+    spoilt = draw(st.sampled_from((None,) * len(fields) + fields))
+    if spoilt is not None:
+        if draw(st.booleans()):
+            spec[spoilt] = draw(_ANY_BAD)
+        else:
+            del spec[spoilt]
+    return spec
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(model_specs(), st.sampled_from([0.5, 0.9, 2.0, 0.0, -1.0, math.nan, math.inf]))
+def test_any_spec_gives_a_result_or_a_rare_union_error(spec, gamma):
+    try:
+        model = build_model(spec)
+        bounds = bonferroni_bounds(model, gamma)
+        value = oracle_for_model(model, gamma, qmc_points=1 << 6)
+    except RareUnionError:
+        return
+    assert 0.0 <= bounds.upper and math.isfinite(bounds.second), (spec, gamma, bounds)
+    assert value is None or 0.0 <= value <= 1.0, (spec, gamma, value)
