@@ -27,7 +27,6 @@ from .events import (
 from .models import (
     AR1Model,
     ArchimedeanModel,
-    Capabilities,
     DependenceModel,
     FinitePatternModel,
     LaplaceModel,
@@ -37,8 +36,6 @@ from .models import (
 from .samplers import (
     gibbs_bivariate_truncated,
     laplace_conditional_exceedance,
-    sample_conditional_mvn,
-    sample_conditional_mvn_pair,
     sample_inverse_gaussian,
     sample_truncated_std_normal,
     sample_truncated_std_normal_pair,

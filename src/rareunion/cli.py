@@ -22,7 +22,7 @@ from ._workers import ordered_map
 from .errors import CapabilityError, ModelSpecError, RareUnionError
 from .estimators import ESTIMATOR_NAMES, bonferroni_bounds, run_estimator
 from .efficiency import classify_archimedean, classify_model, empirical_efficiency_ratio
-from .models import build_model
+from .models import _dimension, build_model
 # oracle_union_normal_qmc stays importable here: perfbench's tracer patches this lookup
 from .oracles import oracle_for_model, oracle_union_normal_qmc  # noqa: F401
 
@@ -51,42 +51,46 @@ class ExperimentConfig:
             raise ModelSpecError("experiment config must be a JSON object")
         try:
             model = obj["model"]
-            gamma_grid = tuple(float(g) for g in obj["gamma_grid"])
+            grid = obj["gamma_grid"]
         except KeyError as exc:
             raise ModelSpecError(f"experiment config missing field {exc}") from exc
+        estimators = obj.get("estimators", [])
+        if not isinstance(grid, (list, tuple)) or not isinstance(estimators, (list, tuple)):
+            raise ModelSpecError("gamma_grid and estimators must be lists")
+        try:
+            gamma_grid = tuple(float(g) for g in grid)
+            switch = obj.get("switch_below_std")
+            switch = None if switch is None else float(switch)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelSpecError(f"gamma_grid and switch_below_std must be numbers: {exc}") from exc
         if not all(math.isfinite(g) for g in gamma_grid):
             raise ModelSpecError("gamma_grid values must be finite")
         if not gamma_grid or any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
             raise ModelSpecError("gamma_grid must be non-empty and strictly increasing")
-        estimators = tuple(obj.get("estimators", ()))
         for name in estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ModelSpecError(
                     f"unknown estimator {name!r}; valid names: {ESTIMATOR_NAMES}"
                 )
-        replicates = int(obj.get("replicates", 100_000))
-        if replicates < 1:
-            raise ModelSpecError("replicates must be at least 1")
+        replicates = _dimension(obj.get("replicates", 100_000), "replicates")
+        master_seed = _dimension(obj.get("master_seed", 0), "master_seed", least=None)
         output = obj.get("output", "csv")
         if output not in ("csv", "json"):
             raise ModelSpecError("output must be 'csv' or 'json'")
         oracle = obj.get("oracle", "auto")
         if oracle not in ("auto", "none") and not (
-            isinstance(oracle, int) and not isinstance(oracle, bool)
+            isinstance(oracle, int) and not isinstance(oracle, bool) and oracle >= 1
         ):
-            raise ModelSpecError("oracle must be 'auto', 'none', or a QMC point count")
-        switch = obj.get("switch_below_std")
-        if switch is not None:
-            switch = float(switch)
-            if switch < 0:
-                raise ModelSpecError("switch_below_std must be non-negative")
+            raise ModelSpecError("oracle must be 'auto', 'none', or a positive QMC point count")
+        if switch is not None and not switch >= 0.0:
+            raise ModelSpecError("switch_below_std must be non-negative")
         build_model(model)  # validate early
         return cls(
             model=model,
             gamma_grid=gamma_grid,
-            estimators=estimators,
+            estimators=tuple(estimators),
             replicates=replicates,
-            master_seed=int(obj.get("master_seed", 0)),
+            master_seed=master_seed,
             output=output,
             oracle=oracle,
             switch_below_std=switch,
@@ -324,6 +328,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.points < 1 or args.precision < 0:
+        raise ModelSpecError("--points must be positive and --precision non-negative")
     model = build_model(_model_from_arg(args.model))
     value = oracle_for_model(model, args.gamma, qmc_points=args.points)
     if value is None:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ModelSpecError
+from .errors import ModelSpecError
 from .models import ArchimedeanModel, DependenceModel, NormalModel
 
 __all__ = [
@@ -673,9 +673,6 @@ def empirical_efficiency_ratio(model: DependenceModel, gamma_grid) -> RatioDiagn
     ``eps`` of 0 and 0.1.  A bounded strict ratio along growing
     thresholds is the empirical signature of bounded relative error.
     """
-    caps = model.capabilities
-    if not (caps.marginal_prob and caps.pair_prob):
-        raise CapabilityError("the ratio diagnostic needs marginal and pairwise probabilities")
     if model.d < 2:
         raise ModelSpecError("the ratio diagnostic needs at least two events")
     rows = []

@@ -56,8 +56,8 @@ import numpy as np
 from . import events as ev
 from ._rng import derive_generator, iter_chunks
 from ._workers import ordered_map
-from .errors import CapabilityError, ModelSpecError
-from .models import DependenceModel, FinitePatternModel
+from .errors import ModelSpecError
+from .models import DependenceModel, FinitePatternModel, _dimension
 
 __all__ = [
     "EstimateResult", "BonferroniBounds", "Payoff", "bonferroni_bounds", "estimate_cmc",
@@ -179,15 +179,11 @@ class _Layers:
     @cached_property
     def margs(self) -> np.ndarray:
         """``P(A_i)`` for i = 0..d-1."""
-        if not self.model.capabilities.marginal_prob:
-            raise CapabilityError(f"{type(self.model).__name__} cannot compute marginal probabilities")
         return np.array([self.model.marginal_survival(i, self.gamma) for i in range(self.d)])
 
     @cached_property
     def pairs(self) -> np.ndarray:
         """``P(A_i A_j)`` for i < j in lexicographic order, the order of the pair cells."""
-        if not self.model.capabilities.pair_prob:
-            raise CapabilityError(f"{type(self.model).__name__} cannot compute pairwise probabilities")
         pairs = itertools.combinations(range(self.d), 2)
         return np.array([self.model.pair_survival(i, j, self.gamma) for i, j in pairs])
 
@@ -293,15 +289,6 @@ def _check_order(n: int) -> int:
 # The chunked runner
 
 
-def _check_capabilities(model: DependenceModel, laws) -> None:
-    """The model must sample every conditioning-set size the laws use."""
-    needs = {1: ("conditional_single", "one event"), 2: ("conditional_pair", "event pairs")}
-    for size in sorted({len(events) for _, events in laws} - {0}):
-        flag, what = needs[size]
-        if not getattr(model.capabilities, flag):
-            raise CapabilityError(f"{type(model).__name__} cannot sample conditioned on {what}")
-
-
 def _sampler(model: DependenceModel, gamma: float, events: tuple):
     if not events:
         return model.sample
@@ -312,13 +299,10 @@ def _sampler(model: DependenceModel, gamma: float, events: tuple):
 
 def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
     """Monte Carlo over the record ``build`` describes for (model, gamma)."""
-    replicates = int(replicates)
-    if replicates < 1:
-        raise ModelSpecError("replicates must be at least 1")
+    replicates = _dimension(replicates, "replicates")
     gamma = model.check_threshold(gamma)
     t0 = time.perf_counter()
     est = build(_Layers(model, gamma))
-    _check_capabilities(model, est.laws)
     if est.mixture:
         weights = np.array([w for w, _ in est.laws])
         total = float(np.sum(weights))
@@ -330,6 +314,7 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
         sweeps = -(-replicates // max(total, 1))
     if total == 0:  # nothing to sample: the head is exact
         return _result(est.head, 0.0, 0, True, seed, t0)
+    # every handle is built before anything is drawn: an unsupported law fails here
     draws = [_sampler(model, gamma, events) if w > 0.0 else None for w, events in est.laws]
 
     def values(k, rng, count):

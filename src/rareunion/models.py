@@ -7,16 +7,16 @@ from the law conditioned on one event or on a pair of events.  Models are
 immutable after construction and safe to share between workers; all
 randomness flows through caller-supplied generators.
 
-Models advertise what they can do through :class:`Capabilities`; the
-estimators check those flags as preconditions instead of failing deep in
-a sampling loop.
+A model supports an operation when it overrides the method; the base
+class raises :class:`CapabilityError` for the others.  The estimators
+build every conditional handle they will draw from before drawing
+anything, so an unsupported law fails before any sampling.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import CapabilityError, ModelSpecError
 from .special import bivariate_normal_orthant, integrate, norm_sf
 
 __all__ = [
-    "Capabilities",
     "DependenceModel",
     "NormalModel",
     "LaplaceModel",
@@ -37,16 +36,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Capabilities:
-    marginal_prob: bool
-    pair_prob: bool
-    conditional_single: bool
-    conditional_pair: bool
-
-
-def _dimension(d, what: str = "dimension") -> int:
-    """``d`` as an int of at least 1; a non-integral value is an error, not a truncation."""
+def _dimension(d, what: str = "dimension", least=1) -> int:
+    """``d`` as an int of at least ``least`` (None: any int); a non-integral
+    value is an error, not a truncation."""
     try:
         n = int(d)
         integral = n == d
@@ -54,8 +46,8 @@ def _dimension(d, what: str = "dimension") -> int:
         integral = False
     if not integral:
         raise ModelSpecError(f"{what} must be an integer, got {d!r}")
-    if n < 1:
-        raise ModelSpecError(f"{what} must be at least 1")
+    if least is not None and n < least:
+        raise ModelSpecError(f"{what} must be at least {least}")
     return n
 
 
@@ -65,11 +57,6 @@ class DependenceModel(abc.ABC):
     @property
     @abc.abstractmethod
     def d(self) -> int:
-        ...
-
-    @property
-    @abc.abstractmethod
-    def capabilities(self) -> Capabilities:
         ...
 
     @abc.abstractmethod
@@ -193,10 +180,6 @@ class NormalModel(DependenceModel):
         """Common correlation when built by the equicorrelated constructor, else None."""
         return self._equicorr_rho
 
-    @property
-    def capabilities(self) -> Capabilities:
-        return Capabilities(True, True, True, True)
-
     def correlation(self, i: int, j: int) -> float:
         return float(self._sigma[i, j] / (self._sd[i] * self._sd[j]))
 
@@ -223,80 +206,50 @@ class NormalModel(DependenceModel):
         return bivariate_normal_orthant(ti, tj, self.correlation(i, j))
 
     def conditional_given_exceedance(self, i: int, gamma: float):
-        i = self._check_index(i)
-        return _NormalSingleTail(self, i, self.check_threshold(gamma))
+        return _NormalTail(self, (self._check_index(i),), self.check_threshold(gamma))
 
     def conditional_given_pair_exceedance(self, i: int, j: int, gamma: float):
-        i, j = self._check_pair(i, j)
-        return _NormalPairTail(self, i, j, self.check_threshold(gamma))
+        return _NormalTail(self, self._check_pair(i, j), self.check_threshold(gamma))
 
 
-class _NormalSingleTail:
-    """Draws from the Gaussian law given ``X_i > gamma``.
+class _NormalTail:
+    """Draws from the Gaussian law given ``X_k > gamma`` for each k in ``given``.
 
-    Composes a truncated-normal draw of the conditioned coordinate with the
-    exact Gaussian conditional of the rest.
+    One conditioned coordinate is a truncated-normal draw; a pair is an
+    exact minimax-tilted accept-reject draw, whose tilt is computed once
+    here.  The remaining coordinates are exact Gaussian conditionals given
+    the conditioned ones.
     """
 
-    def __init__(self, model: NormalModel, i: int, gamma: float):
+    def __init__(self, model: NormalModel, given: tuple, gamma: float):
         self.model = model
-        self.i = i
+        self.given = given
         self.gamma = gamma
-        self._t = (gamma - model.mu[i]) / model._sd[i]
+        self._mu = model.mu[list(given)]
+        self._sd = model._sd[list(given)]
+        self._t = (gamma - self._mu) / self._sd
+        if len(given) == 2:
+            self._rho = model.correlation(*given)
+            self._tilt = samplers._pair_tilt(*self._t, self._rho)
         self._cond = (
-            samplers.GaussianConditional(model.mu, model.sigma, (i,))
-            if model.d > 1
+            samplers.GaussianConditional(model.mu, model.sigma, given)
+            if model.d > len(given)
             else None
         )
 
     def draw(self, rng, size=None) -> np.ndarray:
         n = 1 if size is None else int(size)
-        model, i = self.model, self.i
-        z = samplers.sample_truncated_std_normal(self._t, rng, n)
-        x_i = model.mu[i] + model._sd[i] * z
-        out = np.empty((n, model.d))
-        out[:, i] = x_i
+        if len(self.given) == 1:
+            z = (samplers.sample_truncated_std_normal(self._t[0], rng, n),)
+        else:
+            z = samplers.sample_truncated_std_normal_pair(
+                *self._t, self._rho, rng, size=n, tilt=self._tilt
+            )
+        x = self._mu + self._sd * np.column_stack(z)
+        out = np.empty((n, self.model.d))
+        out[:, list(self.given)] = x
         if self._cond is not None:
-            self._cond.draw(x_i[:, None], rng, out=out)
-        return out[0] if size is None else out
-
-
-class _NormalPairTail:
-    """Draws from the Gaussian law given ``min(X_i, X_j) > gamma``.
-
-    The constrained pair is an exact minimax-tilted accept-reject draw,
-    whose tilt is computed once here; the remaining coordinates are exact
-    Gaussian conditionals given the pair.
-    """
-
-    def __init__(self, model: NormalModel, i: int, j: int, gamma: float):
-        self.model = model
-        self.i = i
-        self.j = j
-        self.gamma = gamma
-        self._ti = (gamma - model.mu[i]) / model._sd[i]
-        self._tj = (gamma - model.mu[j]) / model._sd[j]
-        self._rho = model.correlation(i, j)
-        self._tilt = samplers._pair_tilt(self._ti, self._tj, self._rho)
-        self._cond = (
-            samplers.GaussianConditional(model.mu, model.sigma, (i, j))
-            if model.d > 2
-            else None
-        )
-
-    def draw(self, rng, size=None) -> np.ndarray:
-        n = 1 if size is None else int(size)
-        model, i, j = self.model, self.i, self.j
-        zi, zj = samplers.sample_truncated_std_normal_pair(
-            self._ti, self._tj, self._rho, rng, size=n, tilt=self._tilt
-        )
-        xi = model.mu[i] + model._sd[i] * zi
-        xj = model.mu[j] + model._sd[j] * zj
-        out = np.empty((n, model.d))
-        out[:, i] = xi
-        out[:, j] = xj
-        if self._cond is not None:
-            self._cond.draw(np.column_stack([xi, xj]), rng, out=out)
+            self._cond.draw(x, rng, out=out)
         return out[0] if size is None else out
 
 
@@ -319,10 +272,6 @@ class LaplaceModel(DependenceModel):
     @property
     def d(self) -> int:
         return self._d
-
-    @property
-    def capabilities(self) -> Capabilities:
-        return Capabilities(True, True, True, False)
 
     def sample(self, rng, size=None) -> np.ndarray:
         n = 1 if size is None else int(size)
@@ -560,10 +509,6 @@ class ArchimedeanModel(DependenceModel):
     def theta(self) -> float:
         return self._gen.theta
 
-    @property
-    def capabilities(self) -> Capabilities:
-        return Capabilities(True, True, False, False)
-
     def check_threshold(self, u: float) -> float:
         u = float(u)
         if not 0.0 < u < 1.0:
@@ -667,10 +612,6 @@ class FinitePatternModel(DependenceModel):
     @property
     def patterns(self) -> np.ndarray:
         return ev.enumerate_patterns(self._d)
-
-    @property
-    def capabilities(self) -> Capabilities:
-        return Capabilities(True, True, True, True)
 
     def exceedance_patterns(self, x, gamma) -> np.ndarray:
         return np.atleast_2d(np.asarray(x, dtype=float)) > 0.5

@@ -24,7 +24,7 @@ from scipy.special import erfc, ndtri
 
 from ._workers import ordered_map
 from .errors import ModelSpecError
-from .special import SQRT2, integrate, norm_sf
+from .special import _NORMAL_CUTOFF, SQRT2, integrate, norm_sf
 
 __all__ = [
     "oracle_union_normal_equicorr",
@@ -34,7 +34,6 @@ __all__ = [
     "oracle_for_model",
 ]
 
-_NORMAL_CUTOFF = 37.0
 _QMC_ENTROPY = 0x5EEDED  # fixed: the oracle is deterministic by design
 _SOBOL_BLOCK = 1 << 16  # rows per Sobol draw, so no whole-array copy is made
 

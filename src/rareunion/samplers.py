@@ -13,21 +13,17 @@ import math
 import numpy as np
 
 from .errors import ModelSpecError
-from .special import norm_hazard, norm_logsf
+from .special import SQRT2, norm_hazard, norm_logsf
 
 __all__ = [
     "shifted_exponential_rate",
     "sample_truncated_std_normal",
     "GaussianConditional",
-    "sample_conditional_mvn",
-    "sample_conditional_mvn_pair",
     "sample_truncated_std_normal_pair",
     "gibbs_bivariate_truncated",
     "sample_inverse_gaussian",
     "laplace_conditional_exceedance",
 ]
-
-SQRT2 = math.sqrt(2.0)
 
 # Rows per block of a Gaussian draw.  A block's normals and matrix products
 # live in block-sized buffers, so a draw holds its output plus O(ROW_BLOCK)
@@ -173,35 +169,6 @@ class GaussianConditional:
             for dst, src, length in runs:
                 target[start:stop, dst:dst + length] = x[:, src:src + length]
         return target
-
-
-def sample_conditional_mvn(model, i: int, x_i, rng, size=None):
-    """Draw the other coordinates of a Gaussian model given ``X_i = x_i``.
-
-    ``x_i`` may be a scalar (with ``size`` draws at that value) or a batch;
-    output rows follow the order of the remaining indices.
-    """
-    cond = GaussianConditional(model.mu, model.sigma, (i,))
-    x_i = np.asarray(x_i, dtype=float)
-    if x_i.ndim == 0:
-        n = 1 if size is None else int(size)
-        values = np.full((n, 1), float(x_i))
-        out = cond.draw(values, rng)
-        return out[0] if size is None else out
-    return cond.draw(x_i[:, None], rng)
-
-
-def sample_conditional_mvn_pair(model, i: int, j: int, x_i, x_j, rng, size=None):
-    """Same as :func:`sample_conditional_mvn` for two conditioned coordinates."""
-    cond = GaussianConditional(model.mu, model.sigma, (i, j))
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    if x_i.ndim == 0:
-        n = 1 if size is None else int(size)
-        values = np.column_stack([np.full(n, float(x_i)), np.full(n, float(x_j))])
-        out = cond.draw(values, rng)
-        return out[0] if size is None else out
-    return cond.draw(np.column_stack([x_i, x_j]), rng)
 
 
 def _pair_log_ratio(x, ti, tj, rho, s, mu):

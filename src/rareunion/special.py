@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc, erfcx, log_ndtr, ndtri
+from scipy.special import erfc, erfcx, log_ndtr
 
 from .errors import QuadratureError
 
@@ -47,18 +47,6 @@ def norm_hazard(x):
     """Hazard ``phi(x) / P(Z > x)``, through the scaled complementary error
     function so that deep in the right tail it is not zero over zero."""
     out = SQRT2_OVER_PI / erfcx(np.asarray(x, dtype=float) / SQRT2)
-    return float(out) if out.ndim == 0 else out
-
-
-def norm_cdf(x):
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / SQRT2)
-    return float(out) if out.ndim == 0 else out
-
-
-def norm_ppf(q):
-    q = np.asarray(q, dtype=float)
-    out = ndtri(q)
     return float(out) if out.ndim == 0 else out
 
 

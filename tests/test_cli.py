@@ -83,6 +83,34 @@ class TestConfig:
         assert cfg.replicates == 100_000
         assert cfg.oracle == "auto"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gamma_grid", ["x"]),
+            ("gamma_grid", 5),
+            ("replicates", "x"),
+            ("replicates", 2.7),
+            ("master_seed", "x"),
+            ("master_seed", 1.5),
+            ("switch_below_std", "x"),
+            ("estimators", "cmc"),
+            ("oracle", 0),
+        ],
+    )
+    def test_bad_number_or_kind_rejected(self, field, value):
+        # these once raised a bare ValueError or TypeError, truncated 2.7
+        # to 2, or iterated "cmc" letter by letter
+        obj = {"model": {"type": "laplace", "d": 2}, "gamma_grid": [1.0], field: value}
+        with pytest.raises(ModelSpecError, match=field):
+            ExperimentConfig.from_dict(obj)
+
+    def test_integral_counts_accepted(self):
+        cfg = ExperimentConfig.from_dict(
+            {"model": {"type": "laplace", "d": 2}, "gamma_grid": [1.0], "replicates": 2.0, "master_seed": -3}
+        )
+        assert (cfg.replicates, cfg.master_seed) == (2, -3)
+        assert type(cfg.replicates) is int
+
 
 class TestRunExperiment:
     def test_rows_in_config_order_with_oracle(self):
@@ -387,6 +415,20 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag, value", [("--points", "-5"), ("--precision", "-3")])
+    def test_oracle_bad_count_exits_two(self, flag, value):
+        # --points -5 once integrated 16 points and exited 0
+        proc = run_cli("oracle", "--model", NORMAL4, "--gamma", "2", flag, value, timeout=120)
+        assert proc.returncode == 2
+        assert flag in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_table_bad_replicates_exits_two(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": json.loads(NORMAL4), "gamma_grid": [2.0], "replicates": "x"}))
+        proc = run_cli("table", "--config", str(path), timeout=120)
+        assert proc.returncode == 2
+        assert "replicates" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_oracle_invalid_thread_count_exits_two(self):
         lags = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))

@@ -7,6 +7,7 @@ import pytest
 from rareunion import (
     AR1Model,
     CapabilityError,
+    DependenceModel,
     ModelSpecError,
     ArchimedeanModel,
     FinitePatternModel,
@@ -25,6 +26,7 @@ from rareunion import (
     exhaustive_estimator_mean,
     exhaustive_residual_second_moment,
     exhaustive_variance_components,
+    empirical_efficiency_ratio,
     oracle_for_model,
     oracle_union_normal_equicorr,
     run_estimator,
@@ -210,6 +212,47 @@ class TestCapabilities:
         r = estimate_alpha_n(m, 0.9, 2, 5000, 1)
         assert r.replicates == 5000
 
+    @pytest.mark.parametrize(
+        "run, law",
+        [
+            (lambda: estimate_alpha_1_is(ArchimedeanModel("clayton", 2.0, 3), 0.9, 100, 1), "one event"),
+            (lambda: estimate_alpha_2_is(LaplaceModel(4), 6.0, 100, 1), "event pairs"),
+            (lambda: estimate_beta_dagger_alpha(LaplaceModel(4), 6.0, 2, 100, 1), "event pairs"),
+        ],
+        ids=["archimedean-alpha1_is", "laplace-alpha2_is", "laplace-beta2_alpha"],
+    )
+    def test_unsupported_law_names_its_conditioning(self, run, law):
+        with pytest.raises(CapabilityError, match=f"cannot sample conditioned on {law}"):
+            run()
+
+    def test_model_that_only_samples(self):
+        class SampleOnly(DependenceModel):
+            d = 3
+
+            def sample(self, rng, size=None):
+                return rng.standard_normal((1 if size is None else size, 3))
+
+        m = SampleOnly()
+        assert estimate_cmc(m, 1.0, 1000, 1).replicates == 1000
+        for run in (
+            lambda: estimate_alpha_n(m, 1.0, 1, 100, 1),
+            lambda: estimate_alpha_1_is(m, 1.0, 100, 1),
+            lambda: empirical_efficiency_ratio(m, [1.0, 2.0]),
+        ):
+            with pytest.raises(CapabilityError, match="cannot compute marginal probabilities"):
+                run()
+
+    def test_laws_of_weight_zero_are_never_drawn(self):
+        # Clayton at theta = -1 has no frailty law and no conditional
+        # sampler, but every pair survival is exactly zero at u = 0.9, so
+        # the pair estimators have nothing to draw and return their head
+        m = ArchimedeanModel("clayton", -1.0, 3)
+        assert [m.pair_survival(i, j, 0.9) for i, j in [(0, 1), (0, 2), (1, 2)]] == [0.0] * 3
+        upper = bonferroni_bounds(m, 0.9).upper
+        assert upper == 0.29999999999999993
+        for r in (estimate_alpha_2_is(m, 0.9, 1000, 1), estimate_beta_dagger_alpha(m, 0.9, 2, 1000, 1)):
+            assert r.degenerate and r.estimate == upper
+
     def test_invalid_inputs(self):
         m = NormalModel.equicorrelated(2, 0.5)
         with pytest.raises(ModelSpecError):
@@ -218,6 +261,8 @@ class TestCapabilities:
             estimate_beta_n(m, 1.0, 3, Payoff.constant_one(), 100, 1)
         with pytest.raises(ModelSpecError):
             estimate_cmc(m, 1.0, 0, 1)
+        with pytest.raises(ModelSpecError, match="replicates must be an integer"):
+            estimate_cmc(m, 1.0, 2.7, 1)
         with pytest.raises(ModelSpecError):
             run_estimator("nope", m, 1.0, 10, 1)
         with pytest.raises(ModelSpecError):

@@ -212,8 +212,7 @@ class TestLaplaceModel:
 
     def test_conditional_pair_unsupported(self):
         m = LaplaceModel(4)
-        assert not m.capabilities.conditional_pair
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match="cannot sample conditioned on event pairs"):
             m.conditional_given_pair_exceedance(0, 1, 6.0)
 
     def test_conditional_needs_positive_gamma(self):
@@ -295,7 +294,7 @@ class TestAR1Model:
         assert isinstance(m, NormalModel)
         assert np.array_equal(m.sigma, se**2 / (1 - phi**2) * phi**lags)
         assert np.array_equal(m.mu, np.zeros(d))
-        assert m.capabilities == NormalModel.equicorrelated(2, 0.5).capabilities
+        assert m.conditional_given_pair_exceedance(0, 2, 1.0).draw(rng_for("ar1pair"), 3).shape == (3, d)
         assert (m.phi, m.sigma_eps, m.d) == (phi, se, d)
 
     def test_invalid_parameters(self):

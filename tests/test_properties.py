@@ -1,7 +1,8 @@
 """Property tests: exact estimator means equal brute-force enumeration on
 random finite pattern models, including pmfs with exact zeros; sampled
 estimates do not depend on the thread count; any model spec, valid or
-not, gives a result or a RareUnionError."""
+not, gives a result or a RareUnionError, and so does any experiment
+config."""
 
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from rareunion import (
     AR1Model,
+    ESTIMATOR_NAMES,
     FinitePatternModel,
     LaplaceModel,
     NormalModel,
@@ -26,6 +28,7 @@ from rareunion import (
     oracle_for_model,
     run_estimator,
 )
+from rareunion.cli import ExperimentConfig
 
 UNION_ESTIMATORS = ("cmc", "alpha1", "alpha2", "alpha1_is", "alpha2_is", "beta1_alpha", "beta2_alpha")
 
@@ -159,3 +162,59 @@ def test_any_spec_gives_a_result_or_a_rare_union_error(spec, gamma):
         return
     assert 0.0 <= bounds.upper and math.isfinite(bounds.second), (spec, gamma, bounds)
     assert value is None or 0.0 <= value <= 1.0, (spec, gamma, value)
+
+
+# Values each config field accepts, and values it must reject.
+_CONFIG_GOOD = {
+    "model": [{"type": "normal", "d": 2, "rho": 0.5}, {"type": "laplace", "d": 3}],
+    "gamma_grid": [[1.0], [1.0, 2.0], ["1.5", 2], (0.5,)],
+    "estimators": [["cmc"], ["cmc", "bonferroni"], []],
+    "replicates": [1, 1000, 2.0, True],
+    "master_seed": [0, 7, -3, 2.0, 2**70],
+    "output": ["csv", "json"],
+    "oracle": ["auto", "none", 1024],
+    "switch_below_std": [None, 0.0, 1e-3, math.inf],
+}
+_CONFIG_BAD = {
+    "model": [{"type": "laplace", "d": 0}, "normal"],
+    "gamma_grid": [[2.0, 1.0], [], 5, "12", [math.nan], [10**400], ["x"]],
+    "estimators": ["cmc", ["zeta"], [["cmc"]]],
+    "replicates": [0, 2.7, "10", "x"],
+    "master_seed": [1.5, "7", "x"],
+    "output": ["xml"],
+    "oracle": [0, -5, True, 2.5, "1024"],
+    "switch_below_std": [-1.0, math.nan, 10**400, "x"],
+}
+
+
+@st.composite
+def experiment_configs(draw):
+    """A config from the field pools, with at most one field spoilt:
+    given a rejected value, a value of the wrong kind, or left out."""
+    config = {key: draw(st.sampled_from(pool)) for key, pool in _CONFIG_GOOD.items()}
+    for key in ("estimators", "replicates", "master_seed", "output", "oracle", "switch_below_std"):
+        if draw(st.booleans()):
+            del config[key]  # the default
+    spoilt = draw(st.sampled_from((None,) * 8 + tuple(_CONFIG_BAD)))
+    if spoilt is not None:
+        how = draw(st.sampled_from(("bad", "any", "absent")))
+        if how == "absent":
+            config.pop(spoilt, None)
+        else:
+            config[spoilt] = draw(st.sampled_from(_CONFIG_BAD[spoilt]) if how == "bad" else _ANY_BAD)
+    return config
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(experiment_configs())
+def test_any_config_gives_a_config_or_a_rare_union_error(obj):
+    try:
+        cfg = ExperimentConfig.from_dict(obj)
+    except RareUnionError:
+        return
+    assert type(cfg.replicates) is int and cfg.replicates == obj.get("replicates", 100_000) >= 1
+    assert type(cfg.master_seed) is int and cfg.master_seed == obj.get("master_seed", 0)
+    assert all(math.isfinite(g) for g in cfg.gamma_grid) and list(cfg.gamma_grid) == sorted(set(cfg.gamma_grid))
+    assert isinstance(obj.get("estimators", []), list) and set(cfg.estimators) <= set(ESTIMATOR_NAMES)
+    assert cfg.oracle in ("auto", "none") or (type(cfg.oracle) is int and cfg.oracle >= 1)
+    assert cfg.switch_below_std is None or cfg.switch_below_std >= 0.0

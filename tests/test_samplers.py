@@ -13,8 +13,6 @@ from rareunion.samplers import (
     gibbs_bivariate_truncated,
     laplace_conditional_exceedance,
     rejection_pair_exceedance_oracle,
-    sample_conditional_mvn,
-    sample_conditional_mvn_pair,
     sample_inverse_gaussian,
     sample_truncated_std_normal,
     sample_truncated_std_normal_pair,
@@ -101,13 +99,15 @@ class TestTruncatedNormal:
 class TestConditionalMvn:
     def test_independence_ignores_condition(self):
         m = NormalModel.equicorrelated(3, 0.0)
-        out = sample_conditional_mvn(m, 0, 5.0, rng_for("ind"), size=50_000)
+        cond = GaussianConditional(m.mu, m.sigma, (0,))
+        out = cond.draw(np.full((50_000, 1), 5.0), rng_for("ind"))
         assert out.shape == (50_000, 2)
         assert abs(out.mean()) < 0.02
 
     def test_bivariate_conditional_law(self):
         m = NormalModel.equicorrelated(2, 0.75)
-        out = sample_conditional_mvn(m, 0, 4.0, rng_for("cond"), size=100_000)
+        cond = GaussianConditional(m.mu, m.sigma, (0,))
+        out = cond.draw(np.full((100_000, 1), 4.0), rng_for("cond"))
         # law given the first coordinate at 4: centre 3, spread 1 - 0.75^2
         assert out[:, 0].mean() == pytest.approx(3.0, abs=0.01)
         assert out[:, 0].var(ddof=1) == pytest.approx(0.4375, abs=0.01)
@@ -116,7 +116,7 @@ class TestConditionalMvn:
         m = NormalModel(np.eye(3))
         rng = rng_for("compose")
         x0 = rng.standard_normal(50_000)
-        rest = sample_conditional_mvn(m, 0, x0, rng)
+        rest = GaussianConditional(m.mu, m.sigma, (0,)).draw(x0[:, None], rng)
         joint = np.column_stack([x0, rest])
         cov = np.cov(joint.T)
         assert np.allclose(cov, np.eye(3), atol=0.03)
@@ -135,7 +135,8 @@ class TestConditionalMvn:
 
     def test_pair_form(self):
         m = NormalModel.equicorrelated(4, 0.5)
-        out = sample_conditional_mvn_pair(m, 0, 2, 1.0, 2.0, rng_for("pairform"), size=1000)
+        cond = GaussianConditional(m.mu, m.sigma, (0, 2))
+        out = cond.draw(np.tile([1.0, 2.0], (1000, 1)), rng_for("pairform"))
         assert out.shape == (1000, 2)
 
 
