@@ -39,7 +39,7 @@ class ExperimentConfig:
     replicates: int = 100_000
     master_seed: int = 0
     output: str = "csv"
-    oracle: object = "auto"  # "auto" | "none" | qmc point count
+    oracle: object = "auto"  # "auto" | "none" | cap on QMC points
     # optional policy: when a partially deterministic estimator's sample
     # standard deviation falls to or below this value, report the matching
     # deterministic bound instead (None disables the switch)
@@ -78,10 +78,8 @@ class ExperimentConfig:
         if output not in ("csv", "json"):
             raise ModelSpecError("output must be 'csv' or 'json'")
         oracle = obj.get("oracle", "auto")
-        if oracle not in ("auto", "none") and not (
-            isinstance(oracle, int) and not isinstance(oracle, bool) and oracle >= 1
-        ):
-            raise ModelSpecError("oracle must be 'auto', 'none', or a positive QMC point count")
+        if oracle not in ("auto", "none"):
+            oracle = _dimension(oracle, "oracle")
         if switch is not None and not switch >= 0.0:
             raise ModelSpecError("switch_below_std must be non-negative")
         build_model(model)  # validate early
@@ -282,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="deterministic union probability")
     p_or.add_argument("--model", required=True)
     p_or.add_argument("--gamma", type=float, required=True)
-    p_or.add_argument("--points", type=int, default=1 << 20, help="QMC points for general covariances")
+    p_or.add_argument("--points", type=int, default=1 << 20, help="cap on QMC points for general covariances")
     p_or.add_argument("--precision", type=int, default=3, help="mantissa digits to print")
 
     p_cl = sub.add_parser("classify", help="structural efficiency verdict")

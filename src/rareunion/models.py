@@ -38,10 +38,10 @@ __all__ = [
 
 def _dimension(d, what: str = "dimension", least=1) -> int:
     """``d`` as an int of at least ``least`` (None: any int); a non-integral
-    value is an error, not a truncation."""
+    value or a boolean is an error, not a truncation."""
     try:
         n = int(d)
-        integral = n == d
+        integral = n == d and not isinstance(d, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:

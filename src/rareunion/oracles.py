@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, ndtri
 
+from . import events as ev
 from ._workers import ordered_map
 from .errors import ModelSpecError
+from .models import FinitePatternModel, LaplaceModel, NormalModel, _dimension
 from .special import _NORMAL_CUTOFF, SQRT2, integrate, norm_sf
 
 __all__ = [
@@ -36,6 +38,11 @@ __all__ = [
 
 _QMC_ENTROPY = 0x5EEDED  # fixed: the oracle is deterministic by design
 _SOBOL_BLOCK = 1 << 16  # rows per Sobol draw, so no whole-array copy is made
+_QMC_FIRST_POINTS = 1 << 12  # first level of the doubling under a relative target
+
+# The relative scramble spread at which ``oracle_for_model`` stops doubling:
+# 500 times finer than the half-unit of the four digits a table prints.
+QMC_REL_TARGET = 1e-6
 
 
 class _LazyQmc:
@@ -120,10 +127,13 @@ class QmcEstimate:
 
     The error field is the standard error across the fixed set of
     scrambles, a practical (not guaranteed) accuracy indicator.
+    ``points`` is the per-scramble point count actually integrated
+    (0 for the one-dimensional closed form).
     """
 
     value: float
     error: float
+    points: int
 
     def __float__(self) -> float:
         return self.value
@@ -186,7 +196,9 @@ def _genz_cell(m, chol, gamma, engine, points) -> float:
     return float(prob.mean())
 
 
-def oracle_union_normal_qmc(model, gamma: float, points: int = 1 << 20, scrambles: int = 8) -> QmcEstimate:
+def oracle_union_normal_qmc(
+    model, gamma: float, points: int = 1 << 20, scrambles: int = 8, rel_target: float = 0.0
+) -> QmcEstimate:
     """Union probability for a general normal model by low-discrepancy integration.
 
     Splits the union into the disjoint cells "first exceedance at i" and
@@ -196,28 +208,43 @@ def oracle_union_normal_qmc(model, gamma: float, points: int = 1 << 20, scramble
     estimate.  The point count is rounded up to a power of two to keep
     the point sets balanced.
 
+    ``rel_target == 0`` integrates ``points`` per scramble in one pass.
+    ``rel_target > 0`` makes ``points`` a cap: the count starts at
+    ``min(points, 2**12)`` and doubles until ``error / value`` is at most
+    ``rel_target``, the value is 0, or the cap is reached.  A doubling
+    integrates only the new half: each unit's engine continues its Sobol
+    sequence, and the unit's mean becomes the average of the two halves'
+    means, exact because the halves are equal powers of two.  The
+    scrambled-net spread has covered the actual error at every level from
+    2^12 up (Owen 1997; Genz & Bretz 2009, ch. 4), which is what makes it a
+    sound stopping rule.  ``QmcEstimate.points`` reports the count used.
+
     Each (scramble, cell) integral is an independent unit with its own
-    scrambled engine.  The units run on the package's worker pool
-    (``_workers.ordered_map``), and each scramble's cells are summed
+    scrambled engine.  The units of a level run on the package's worker
+    pool (``_workers.ordered_map``), and each scramble's cells are summed
     in cell order afterwards, so ``value`` and ``error`` are bit-identical
     for every thread count.  The engines are built in the calling thread,
     because scipy fills its Sobol direction-number cache lazily, on the
     first engine, without a lock.  Each unit runs the in-place kernel
-    ``_genz_cell``, which holds one ``(points, k - 1)`` array and two
-    length-``points`` arrays: at most 75 MB for d=8 at 2^20 points, so
-    peak memory grows by that much per worker.
+    ``_genz_cell``, which holds one ``(n, k - 1)`` array and two
+    length-``n`` arrays for the ``n`` points of its pass: at most 75 MB
+    for d=8 at 2^20 points, so peak memory grows by that much per worker.
     """
     mu = np.asarray(model.mu, dtype=float)
     sigma = np.asarray(model.sigma, dtype=float)
     d = mu.size
     if d > 8:
         raise ModelSpecError("the QMC oracle supports d <= 8")
-    points = 1 << max(4, int(math.ceil(math.log2(max(2, int(points))))))
-    scrambles = int(scrambles)
-    if scrambles < 1:
-        raise ModelSpecError("the QMC oracle needs at least one scramble")
+    cap = 1 << max(4, (_dimension(points, "points") - 1).bit_length())
+    scrambles = _dimension(scrambles, "scrambles")
+    try:
+        target = float(rel_target)
+    except (TypeError, ValueError):
+        target = math.nan
+    if not 0.0 <= target < math.inf:
+        raise ModelSpecError(f"rel_target must be finite and non-negative, got {rel_target!r}")
     if d == 1:
-        return QmcEstimate(value=norm_sf((gamma - mu[0]) / math.sqrt(sigma[0, 0])), error=0.0)
+        return QmcEstimate(value=norm_sf((gamma - mu[0]) / math.sqrt(sigma[0, 0])), error=0.0, points=0)
     cells = []
     for i in range(d):
         order = [i, *range(i)]
@@ -225,20 +252,29 @@ def oracle_union_normal_qmc(model, gamma: float, points: int = 1 << 20, scramble
     units = [(s, i) for s in range(scrambles) for i in range(d)]
     engines = [_sobol_engine(i, (s, i)) if i else None for s, i in units]
 
-    def integrate_unit(job):
-        (_, i), engine = job
-        return _genz_cell(*cells[i], gamma, engine, points)
+    def integrate_units(count):
+        def integrate_unit(job):
+            (_, i), engine = job
+            return _genz_cell(*cells[i], gamma, engine, count)
 
-    values = list(ordered_map(integrate_unit, zip(units, engines)))
-    totals = []
-    for s in range(scrambles):
-        total = 0.0  # left to right in cell order: the order fixes the bits
-        for value in values[s * d:(s + 1) * d]:
-            total += value
-        totals.append(total)
-    totals = np.asarray(totals)
-    err = float(totals.std(ddof=1) / math.sqrt(len(totals))) if len(totals) > 1 else 0.0
-    return QmcEstimate(value=float(totals.mean()), error=err)
+        return list(ordered_map(integrate_unit, zip(units, engines)))
+
+    n = min(cap, _QMC_FIRST_POINTS) if target else cap
+    means = integrate_units(n)
+    while True:
+        totals = []
+        for s in range(scrambles):
+            total = 0.0  # left to right in cell order: the order fixes the bits
+            for value in means[s * d:(s + 1) * d]:
+                total += value
+            totals.append(total)
+        totals = np.asarray(totals)
+        value = float(totals.mean())
+        err = float(totals.std(ddof=1) / math.sqrt(len(totals))) if len(totals) > 1 else 0.0
+        if n >= cap or value == 0.0 or err / value <= target:
+            return QmcEstimate(value=value, error=err, points=n)
+        means = [0.5 * (old + new) for old, new in zip(means, integrate_units(n))]
+        n *= 2
 
 
 def oracle_for_model(model, gamma: float, qmc_points: int = 1 << 20):
@@ -247,13 +283,13 @@ def oracle_for_model(model, gamma: float, qmc_points: int = 1 << 20):
     Equicorrelated normals with non-negative correlation use the
     one-factor integral, every other normal (AR(1) paths among them) the
     QMC route, the Laplace model its factor integral, and finite pattern
-    models exhaustive summation.  A normal beyond the QMC route's
-    dimension raises its ModelSpecError; a model with no route gives None.
+    models exhaustive summation.  The QMC route runs under the relative
+    target ``QMC_REL_TARGET``, with ``qmc_points`` as its cap on the
+    points per scramble.  A normal beyond the QMC route's dimension
+    raises its ModelSpecError; a model with no route gives None.
     """
-    from . import events as ev
-    from .models import FinitePatternModel, LaplaceModel, NormalModel
-
     gamma = model.check_threshold(gamma)
+    qmc_points = _dimension(qmc_points, "qmc_points")
     if isinstance(model, FinitePatternModel):
         return ev.brute_force_union(model)
     if isinstance(model, LaplaceModel):
@@ -262,5 +298,5 @@ def oracle_for_model(model, gamma: float, qmc_points: int = 1 << 20):
         rho = model.equicorrelation
         if rho is not None and rho >= 0.0:
             return oracle_union_normal_equicorr(model.d, rho, gamma)
-        return oracle_union_normal_qmc(model, gamma, points=qmc_points).value
+        return oracle_union_normal_qmc(model, gamma, points=qmc_points, rel_target=QMC_REL_TARGET).value
     return None

@@ -95,11 +95,13 @@ class TestConfig:
             ("switch_below_std", "x"),
             ("estimators", "cmc"),
             ("oracle", 0),
+            ("replicates", True),
+            ("oracle", True),
         ],
     )
     def test_bad_number_or_kind_rejected(self, field, value):
         # these once raised a bare ValueError or TypeError, truncated 2.7
-        # to 2, or iterated "cmc" letter by letter
+        # to 2, read True as 1, or iterated "cmc" letter by letter
         obj = {"model": {"type": "laplace", "d": 2}, "gamma_grid": [1.0], field: value}
         with pytest.raises(ModelSpecError, match=field):
             ExperimentConfig.from_dict(obj)

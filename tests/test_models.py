@@ -77,6 +77,7 @@ class TestBuildModel:
             {"type": "normal", "sigma": "x"},
             {"type": "normal", "sigma": [[1.0, 0.0], [0.0]]},
             {"type": "archimedean", "family": "frank", "theta": [], "d": 3},
+            {"type": "laplace", "d": True},  # once a one-dimensional model
         ],
     )
     def test_bad_field_is_model_spec_error(self, spec):

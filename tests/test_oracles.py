@@ -169,7 +169,7 @@ class TestQmcOracle:
 
     def test_scramble_count_validated(self):
         m = NormalModel.equicorrelated(3, -0.25)
-        for scrambles in (0, -2):
+        for scrambles in (0, -2, 1.5, True):
             with pytest.raises(ModelSpecError):
                 oracle_union_normal_qmc(m, 2.0, points=1 << 10, scrambles=scrambles)
 
@@ -177,6 +177,127 @@ class TestQmcOracle:
         m = NormalModel(np.eye(2))
         est = oracle_union_normal_qmc(m, 1.0, points=1 << 12)
         assert float(est) == est.value
+
+
+class TestQmcRelativeTarget:
+    # float.hex of the one-pass 2^20-point value (rel_target=0)
+    REFERENCE = {
+        ("toeplitz8", 5.0): "0x1.33001eba3e56cp-19",
+        ("toeplitz8", 8.0): "0x1.669cf16de6945p-48",
+        ("equicorr5_neg", 3.0): "0x1.ba3fb7e6c401cp-8",
+    }
+
+    @staticmethod
+    def model(key):
+        if key == "toeplitz8":
+            return TestQmcOracle.golden_model(key)
+        return NormalModel.equicorrelated(5, -0.2)
+
+    @pytest.mark.parametrize(
+        "key, gamma, target, points",
+        [
+            ("toeplitz8", 5.0, 1e-6, 1 << 12),
+            ("toeplitz8", 8.0, 1e-7, 1 << 12),
+            ("equicorr5_neg", 3.0, 1e-7, 1 << 14),
+        ],
+    )
+    def test_early_stop_is_within_its_spread_of_the_full_value(self, key, gamma, target, points):
+        est = oracle_union_normal_qmc(self.model(key), gamma, rel_target=target)
+        ref = float.fromhex(self.REFERENCE[key, gamma])
+        assert est.points == points
+        assert est.error / est.value <= target
+        assert abs(est.value - ref) <= 4 * est.error
+
+    def test_doubling_draws_only_new_points(self, monkeypatch):
+        real, rows = oracles.qmc, []
+
+        class Counting:
+            def Sobol(self, dim, **kwargs):
+                engine = real.Sobol(dim, **kwargs)
+                draw = engine.random
+
+                def random(n):
+                    out = draw(n)
+                    rows.append(len(out))
+                    return out
+
+                engine.random = random
+                return engine
+
+        monkeypatch.setattr(oracles, "qmc", Counting())
+        est = oracle_union_normal_qmc(self.model("equicorr5_neg"), 3.0, rel_target=1e-7)
+        assert est.points == 1 << 14  # two doublings
+        assert sum(rows) == 8 * 4 * est.points
+
+    @pytest.mark.parametrize("cap", [1 << 13, 1 << 14])
+    def test_cap_stops_the_doubling(self, cap):
+        m = self.model("equicorr5_neg")
+        est = oracle_union_normal_qmc(m, 3.0, points=cap, rel_target=1e-12)
+        assert est.points == cap
+        # a power-of-two mean is the average of its halves' means: numpy's
+        # pairwise sum splits at the half and dividing by two is exact
+        one_pass = oracle_union_normal_qmc(m, 3.0, points=cap)
+        assert (est.value.hex(), est.error.hex()) == (one_pass.value.hex(), one_pass.error.hex())
+
+    @pytest.mark.parametrize("points", [1 << 10, 1 << 12])
+    def test_small_counts_are_one_pass(self, points):
+        m = self.model("equicorr5_neg")
+        est = oracle_union_normal_qmc(m, 3.0, points=points, rel_target=1e-12)
+        one_pass = oracle_union_normal_qmc(m, 3.0, points=points)
+        assert est == one_pass and est.points == points
+
+    def test_bit_identical_for_any_thread_count(self, monkeypatch):
+        values = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RARE_UNION_THREADS", threads)
+            est = oracle_union_normal_qmc(self.model("equicorr5_neg"), 3.0, rel_target=1e-7)
+            values.add((est.value.hex(), est.error.hex(), est.points))
+        assert len(values) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_doubling_keeps_sobol_balance(self):
+        # scipy warns when a fresh engine's first draw is not a power of two
+        est = oracle_union_normal_qmc(self.model("equicorr5_neg"), 3.0, rel_target=1e-7)
+        assert est.points > 1 << 12
+
+    def test_single_variable_reports_no_points(self):
+        est = oracle_union_normal_qmc(NormalModel(np.eye(1)), 2.0, rel_target=1e-6)
+        assert (est.value, est.error, est.points) == (norm_sf(2.0), 0.0, 0)
+
+    def test_oracle_for_model_runs_under_the_target(self, monkeypatch):
+        seen = []
+
+        def recording(model, gamma, points, rel_target):
+            seen.append((points, rel_target))
+            return oracles.QmcEstimate(0.5, 0.0, points)
+
+        monkeypatch.setattr(oracles, "oracle_union_normal_qmc", recording)
+        assert oracle_for_model(self.model("equicorr5_neg"), 3.0, qmc_points=1 << 15) == 0.5
+        assert seen == [(1 << 15, oracles.QMC_REL_TARGET)]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"points": -5},
+            {"points": 0},
+            {"points": True},
+            {"points": 2.5},
+            {"rel_target": -1e-6},
+            {"rel_target": math.nan},
+            {"rel_target": math.inf},
+            {"rel_target": "x"},
+        ],
+    )
+    def test_invalid_inputs_rejected(self, kwargs):
+        # points=-5 and points=0 once integrated 16 points
+        m = NormalModel.equicorrelated(3, -0.25)
+        with pytest.raises(ModelSpecError, match=next(iter(kwargs))):
+            oracle_union_normal_qmc(m, 2.0, **kwargs)
+
+    @pytest.mark.parametrize("qmc_points", [0, -5, True])
+    def test_oracle_for_model_count_rejected(self, qmc_points):
+        with pytest.raises(ModelSpecError, match="qmc_points"):
+            oracle_for_model(NormalModel.equicorrelated(3, -0.25), 2.0, qmc_points=qmc_points)
 
 
 class TestOracleDispatch:
