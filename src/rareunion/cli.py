@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from ._rng import stable_cell_seed
@@ -22,7 +22,7 @@ from ._workers import ordered_map
 from .errors import CapabilityError, ModelSpecError, RareUnionError
 from .estimators import ESTIMATOR_NAMES, bonferroni_bounds, run_estimator
 from .efficiency import classify_archimedean, classify_model, empirical_efficiency_ratio
-from .models import _dimension, build_model
+from .models import _dimension, _real, build_model
 # oracle_union_normal_qmc stays importable here: perfbench's tracer patches this lookup
 from .oracles import oracle_for_model, oracle_union_normal_qmc  # noqa: F401
 
@@ -57,14 +57,9 @@ class ExperimentConfig:
         estimators = obj.get("estimators", [])
         if not isinstance(grid, (list, tuple)) or not isinstance(estimators, (list, tuple)):
             raise ModelSpecError("gamma_grid and estimators must be lists")
-        try:
-            gamma_grid = tuple(float(g) for g in grid)
-            switch = obj.get("switch_below_std")
-            switch = None if switch is None else float(switch)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelSpecError(f"gamma_grid and switch_below_std must be numbers: {exc}") from exc
-        if not all(math.isfinite(g) for g in gamma_grid):
-            raise ModelSpecError("gamma_grid values must be finite")
+        gamma_grid = tuple(_real(g, "gamma_grid values") for g in grid)
+        switch = obj.get("switch_below_std")
+        switch = None if switch is None else _real(switch, "switch_below_std")
         if not gamma_grid or any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
             raise ModelSpecError("gamma_grid must be non-empty and strictly increasing")
         for name in estimators:
@@ -109,18 +104,7 @@ class TableRow:
     wall_ms: float
 
     def to_json(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "gamma": self.gamma,
-            "estimate": self.estimate,
-            "sample_std": self.sample_std,
-            "stderr": self.stderr,
-            "rel_err": self.rel_err,
-            "degenerate": self.degenerate,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         est = f"{self.estimate:.10e}"

@@ -24,13 +24,14 @@ constants; consumers must compare them on a log scale only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ModelSpecError
-from .models import ArchimedeanModel, DependenceModel, NormalModel
+from .estimators import _Layers
+from .models import ArchimedeanModel, DependenceModel, Interval, NormalModel, _arch_family, _dimension, _real
 
 __all__ = [
     "BRE",
@@ -213,24 +214,6 @@ LEDFORD_TAWN_TABLE = (
 
 
 @dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = False
-
-    def contains(self, x: float) -> bool:
-        lo_ok = x >= self.lo if self.lo_closed else x > self.lo
-        hi_ok = x <= self.hi if self.hi_closed else x < self.hi
-        return lo_ok and hi_ok
-
-    def describe(self) -> str:
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo}, {self.hi}{right}"
-
-
-@dataclass(frozen=True)
 class ArchimedeanFamilyRule:
     """Catalogue entry: parameter range and the subset with a BRE guarantee.
 
@@ -259,11 +242,11 @@ class ArchimedeanFamilyRule:
 _INF = math.inf
 
 ARCHIMEDEAN_TABLE = (
-    ArchimedeanFamilyRule(1, "clayton", Interval(-1.0, _INF, True, False), "all"),
+    ArchimedeanFamilyRule(1, "clayton", _arch_family("clayton").valid, "all"),
     ArchimedeanFamilyRule(2, None, Interval(1.0, _INF, True, False), "one_only"),
-    ArchimedeanFamilyRule(3, "ali-mikhail-haq", Interval(-1.0, 1.0, True, False), "all"),
-    ArchimedeanFamilyRule(4, "gumbel-hougaard", Interval(1.0, _INF, True, False), "one_only"),
-    ArchimedeanFamilyRule(5, "frank", Interval(-_INF, _INF, False, False), "all_except_zero"),
+    ArchimedeanFamilyRule(3, "ali-mikhail-haq", _arch_family("ali-mikhail-haq").valid, "all"),
+    ArchimedeanFamilyRule(4, "gumbel-hougaard", _arch_family("gumbel-hougaard").valid, "one_only"),
+    ArchimedeanFamilyRule(5, "frank", _arch_family("frank").valid, "all_except_zero"),
     ArchimedeanFamilyRule(6, None, Interval(1.0, _INF, True, False), "one_only"),
     ArchimedeanFamilyRule(7, None, Interval(0.0, 1.0, False, True), "all"),
     ArchimedeanFamilyRule(8, None, Interval(1.0, _INF, True, False), "all"),
@@ -283,15 +266,6 @@ ARCHIMEDEAN_TABLE = (
     ArchimedeanFamilyRule(22, None, Interval(0.0, 1.0, False, True), "all"),
 )
 
-_ARCH_BY_NAME = {
-    "clayton": 1,
-    "ali-mikhail-haq": 3,
-    "amh": 3,
-    "gumbel-hougaard": 4,
-    "gumbel": 4,
-    "frank": 5,
-}
-
 
 def classify_archimedean(family, theta: float) -> EfficiencyVerdict:
     """Catalogue verdict for an Archimedean copula family and parameter.
@@ -302,17 +276,14 @@ def classify_archimedean(family, theta: float) -> EfficiencyVerdict:
     proof of inefficiency.
     """
     if isinstance(family, str):
-        key = family.strip().lower().replace("_", "-").replace(" ", "-")
-        if key not in _ARCH_BY_NAME:
-            raise ModelSpecError(f"unknown Archimedean family name {family!r}")
-        number = _ARCH_BY_NAME[key]
+        name = _arch_family(family).name
+        row = next(row for row in ARCHIMEDEAN_TABLE if row.name == name)
     else:
-        number = int(family)
-    rows = {row.number: row for row in ARCHIMEDEAN_TABLE}
-    if number not in rows:
-        raise ModelSpecError(f"no Archimedean catalogue entry number {number}")
-    row = rows[number]
-    theta = float(theta)
+        number = _dimension(family, "family number", least=None)
+        row = next((row for row in ARCHIMEDEAN_TABLE if row.number == number), None)
+        if row is None:
+            raise ModelSpecError(f"no Archimedean catalogue entry number {number}")
+    theta = _real(theta, "theta")
     if not row.valid.contains(theta):
         raise ModelSpecError(
             f"theta={theta} outside the valid range {row.valid.describe()} "
@@ -626,18 +597,7 @@ class RatioDiagnostics:
     relaxed_trend: str
 
     def to_json(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "gamma": r.gamma,
-                    "ratio_strict": r.ratio_strict,
-                    "ratio_relaxed": r.ratio_relaxed,
-                }
-                for r in self.rows
-            ],
-            "strict_trend": self.strict_trend,
-            "relaxed_trend": self.relaxed_trend,
-        }
+        return asdict(self)
 
 
 def _trend(values) -> str:
@@ -677,13 +637,9 @@ def empirical_efficiency_ratio(model: DependenceModel, gamma_grid) -> RatioDiagn
         raise ModelSpecError("the ratio diagnostic needs at least two events")
     rows = []
     for gamma in map(model.check_threshold, gamma_grid):
-        margs = [model.marginal_survival(i, gamma) for i in range(model.d)]
-        pair_max = max(
-            model.pair_survival(i, j, gamma)
-            for i in range(model.d)
-            for j in range(i + 1, model.d)
-        )
-        marg_max = max(margs)
+        layers = _Layers(model, gamma)
+        marg_max = float(layers.margs.max())  # first: a model that only samples fails on these
+        pair_max = float(layers.pairs.max())
         rows.append(
             RatioRow(
                 gamma=gamma,

@@ -446,7 +446,7 @@ def _exact_laws(model: FinitePatternModel, est: _Estimator):
     x = patterns.astype(float)
     for k, (weight, events) in enumerate(est.laws):
         if weight > 0.0:
-            mask = patterns[:, list(events)].all(axis=1)
+            mask = model._given(events)
             yield weight, model.pmf[mask] / weight, est.value(k, x[mask], patterns[mask])
 
 

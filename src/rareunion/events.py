@@ -94,10 +94,10 @@ def residual_term(count: int, order: int) -> int:
 def residual_term_table(d: int, order: int) -> np.ndarray:
     """``residual_term(E, order)`` for ``E = 0..d``, as floats.
 
-    The table is built in exact integer arithmetic and converted once, so
-    vectorized estimators can index it by observed counts.
+    The alternating sums are exact integers converted once, so vectorized
+    estimators can index the table by observed counts.
     """
-    return np.array([residual_term(e, order) for e in range(d + 1)], dtype=float)
+    return payoff_alternating_table(d, order) * (np.arange(d + 1) > order)
 
 
 def payoff_alternating_table(d: int, order: int) -> np.ndarray:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +53,38 @@ def _dimension(d, what: str = "dimension", least=1) -> int:
     return n
 
 
+def _real(x, what: str) -> float:
+    """``x`` as a finite float; a string, a boolean or a non-finite value
+    is an error, not a conversion."""
+    try:
+        value = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        value = math.nan
+    if not math.isfinite(value):
+        raise ModelSpecError(f"{what} must be a finite number, got {x!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A parameter range, each end open or closed."""
+
+    lo: float
+    hi: float
+    lo_closed: bool = True
+    hi_closed: bool = False
+
+    def contains(self, x: float) -> bool:
+        lo_ok = x >= self.lo if self.lo_closed else x > self.lo
+        hi_ok = x <= self.hi if self.hi_closed else x < self.hi
+        return lo_ok and hi_ok
+
+    def describe(self) -> str:
+        left = "[" if self.lo_closed else "("
+        right = "]" if self.hi_closed else ")"
+        return f"{left}{self.lo}, {self.hi}{right}"
+
+
 class DependenceModel(abc.ABC):
     """Abstract joint law with threshold-exceedance events."""
 
@@ -81,10 +115,7 @@ class DependenceModel(abc.ABC):
 
     def check_threshold(self, gamma: float) -> float:
         """The threshold as a float; raises ModelSpecError outside the model's domain."""
-        gamma = float(gamma)
-        if not math.isfinite(gamma):
-            raise ModelSpecError(f"the threshold gamma must be finite, got {gamma}")
-        return gamma
+        return _real(gamma, "the threshold gamma")
 
     def _check_index(self, i: int) -> int:
         i = int(i)
@@ -147,7 +178,7 @@ class NormalModel(DependenceModel):
     def equicorrelated(cls, d: int, rho: float) -> "NormalModel":
         """Unit-variance zero-mean model with constant pairwise correlation."""
         d = _dimension(d)
-        rho = float(rho)
+        rho = _real(rho, "rho")
         lo = -1.0 / (d - 1) + 1e-9 if d > 1 else -1.0
         if not lo <= rho < 1.0:
             raise ModelSpecError(
@@ -351,8 +382,7 @@ class _ArchGenerator:
 
 class _Clayton(_ArchGenerator):
     name = "clayton"
-    valid_lo, valid_hi = -1.0, math.inf
-    lo_closed, hi_closed = True, False
+    valid = Interval(-1.0, math.inf)
 
     def psi(self, t):
         th = self.theta
@@ -382,8 +412,7 @@ class _Clayton(_ArchGenerator):
 
 class _GumbelHougaard(_ArchGenerator):
     name = "gumbel-hougaard"
-    valid_lo, valid_hi = 1.0, math.inf
-    lo_closed, hi_closed = True, False
+    valid = Interval(1.0, math.inf)
 
     def psi(self, t):
         return np.power(-np.log(t), self.theta)
@@ -409,8 +438,7 @@ class _GumbelHougaard(_ArchGenerator):
 
 class _Frank(_ArchGenerator):
     name = "frank"
-    valid_lo, valid_hi = -math.inf, math.inf
-    lo_closed, hi_closed = False, False
+    valid = Interval(-math.inf, math.inf, False)
 
     def psi(self, t):
         th = self.theta
@@ -436,8 +464,7 @@ class _Frank(_ArchGenerator):
 
 class _AliMikhailHaq(_ArchGenerator):
     name = "ali-mikhail-haq"
-    valid_lo, valid_hi = -1.0, 1.0
-    lo_closed, hi_closed = True, False
+    valid = Interval(-1.0, 1.0)
 
     def psi(self, t):
         t = np.asarray(t, dtype=float)
@@ -466,6 +493,17 @@ _ARCH_FAMILIES = {
 }
 
 
+def _arch_family(name) -> type:
+    """The generator class of a family name or alias, in any case, with
+    ``_``, ``-`` or spaces between its words."""
+    key = str(name).strip().lower().replace("_", "-").replace(" ", "-")
+    if key not in _ARCH_FAMILIES:
+        raise ModelSpecError(
+            f"unknown Archimedean family {name!r}; choose from {sorted(_ARCH_FAMILIES)}"
+        )
+    return _ARCH_FAMILIES[key]
+
+
 class ArchimedeanModel(DependenceModel):
     """Exchangeable Archimedean copula with uniform marginals.
 
@@ -480,20 +518,10 @@ class ArchimedeanModel(DependenceModel):
 
     def __init__(self, family: str, theta: float, d: int):
         d = _dimension(d)
-        key = str(family).strip().lower().replace("_", "-").replace(" ", "-")
-        if key not in _ARCH_FAMILIES:
-            raise ModelSpecError(
-                f"unknown Archimedean family {family!r}; choose from "
-                f"{sorted(set(_ARCH_FAMILIES))}"
-            )
-        gen_cls = _ARCH_FAMILIES[key]
-        theta = float(theta)
-        lo_ok = theta >= gen_cls.valid_lo if gen_cls.lo_closed else theta > gen_cls.valid_lo
-        hi_ok = theta <= gen_cls.valid_hi if gen_cls.hi_closed else theta < gen_cls.valid_hi
-        if not (lo_ok and hi_ok):
-            raise ModelSpecError(
-                f"theta={theta} outside the valid range for {gen_cls.name}"
-            )
+        gen_cls = _arch_family(family)
+        theta = _real(theta, "theta")
+        if not gen_cls.valid.contains(theta):
+            raise ModelSpecError(f"theta={theta} outside the valid range for {gen_cls.name}")
         self._gen = gen_cls(theta)
         self._d = d
 
@@ -510,7 +538,7 @@ class ArchimedeanModel(DependenceModel):
         return self._gen.theta
 
     def check_threshold(self, u: float) -> float:
-        u = float(u)
+        u = _real(u, "the threshold u")
         if not 0.0 < u < 1.0:
             raise ModelSpecError(
                 f"Archimedean thresholds live on the uniform scale (0, 1), got {u}"
@@ -557,8 +585,8 @@ class AR1Model(NormalModel):
     """
 
     def __init__(self, phi: float, sigma_eps: float, d: int):
-        phi = float(phi)
-        sigma_eps = float(sigma_eps)
+        phi = _real(phi, "phi")
+        sigma_eps = _real(sigma_eps, "sigma_eps")
         d = _dimension(d, "path length")
         if not -1.0 < phi < 1.0:
             raise ModelSpecError("autoregression coefficient must lie in (-1, 1)")
@@ -617,24 +645,21 @@ class FinitePatternModel(DependenceModel):
         return np.atleast_2d(np.asarray(x, dtype=float)) > 0.5
 
     def sample(self, rng, size=None) -> np.ndarray:
-        n = 1 if size is None else int(size)
-        idx = rng.choice(self._pmf.size, size=n, p=self._pmf)
-        x = self.patterns[idx].astype(float)
-        return x[0] if size is None else x
+        # the pmf as given, not renormalised: the draw sees the model's own p
+        return _FiniteConditional(self, np.arange(self._pmf.size), self._pmf).draw(rng, size)
+
+    def _given(self, events) -> np.ndarray:
+        """The mask of the patterns in which every event in ``events`` occurs."""
+        return self.patterns[:, list(events)].all(axis=1)
 
     def marginal_survival(self, i: int, gamma: float = 0.0) -> float:
-        i = self._check_index(i)
-        return float(self._pmf[self.patterns[:, i]].sum())
+        return float(self._pmf[self._given((self._check_index(i),))].sum())
 
     def pair_survival(self, i: int, j: int, gamma: float = 0.0) -> float:
-        i, j = self._check_pair(i, j)
-        mask = self.patterns[:, i] & self.patterns[:, j]
-        return float(self._pmf[mask].sum())
+        return float(self._pmf[self._given(self._check_pair(i, j))].sum())
 
     def _restricted(self, required: tuple[int, ...]) -> "_FiniteConditional":
-        mask = np.ones(self._pmf.size, dtype=bool)
-        for idx in required:
-            mask &= self.patterns[:, idx]
+        mask = self._given(required)
         total = float(self._pmf[mask].sum())
         if total <= 0.0:
             raise ValueError(f"conditioning event {required} has probability zero")

@@ -25,7 +25,7 @@ from scipy.special import erfc, ndtri
 from . import events as ev
 from ._workers import ordered_map
 from .errors import ModelSpecError
-from .models import FinitePatternModel, LaplaceModel, NormalModel, _dimension
+from .models import FinitePatternModel, LaplaceModel, NormalModel, _dimension, _real
 from .special import _NORMAL_CUTOFF, SQRT2, integrate, norm_sf
 
 __all__ = [
@@ -75,10 +75,8 @@ def oracle_union_normal_equicorr(d: int, rho: float, gamma: float) -> float:
     1e-10, far below what any table comparison needs.  Negative
     correlation has no one-factor form; use the QMC oracle there.
     """
-    d = int(d)
-    if d < 1:
-        raise ModelSpecError("dimension must be at least 1")
-    rho = float(rho)
+    d = _dimension(d)
+    rho, gamma = _real(rho, "rho"), _real(gamma, "gamma")
     if rho < 0.0:
         raise ModelSpecError("the one-factor oracle needs rho >= 0; use the QMC oracle")
     if rho >= 1.0:
@@ -94,7 +92,7 @@ def oracle_union_normal_equicorr(d: int, rho: float, gamma: float) -> float:
         )
 
     lo, hi = -_NORMAL_CUTOFF, _NORMAL_CUTOFF
-    hints = [0.0, gamma * sr, gamma / sr if sr > 0 else 0.0]
+    hints = [0.0, gamma * sr, gamma / sr]
     return integrate(f, lo, hi, points=hints, epsrel=1e-12)
 
 
@@ -106,10 +104,8 @@ def oracle_union_laplace(d: int, gamma: float) -> float:
     stable complement trick.  Only positive thresholds are meaningful
     here (the union probability exceeds one half otherwise).
     """
-    d = int(d)
-    if d < 1:
-        raise ModelSpecError("dimension must be at least 1")
-    gamma = float(gamma)
+    d = _dimension(d)
+    gamma = _real(gamma, "gamma")
     if gamma <= 0.0:
         raise ModelSpecError("the Laplace oracle requires gamma > 0")
 
@@ -139,10 +135,6 @@ class QmcEstimate:
         return self.value
 
 
-def _phi_bar_np(x):
-    return 0.5 * erfc(np.asarray(x, dtype=float) / SQRT2)
-
-
 def _sobol_engine(dim: int, seed):
     scramble_rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(_QMC_ENTROPY, spawn_key=seed))
@@ -168,7 +160,7 @@ def _genz_cell(m, chol, gamma, engine, points) -> float:
     ``1 - 0.5 * erfc((gamma - m_i - z @ chol_i) / chol_ii / sqrt 2)``.
     """
     k = len(m)
-    tail_prob = float(_phi_bar_np((gamma - m[0]) / chol[0, 0]))
+    tail_prob = norm_sf((gamma - m[0]) / chol[0, 0])
     if k == 1:
         return tail_prob
     w = np.empty((points, k - 1))
@@ -237,12 +229,9 @@ def oracle_union_normal_qmc(
         raise ModelSpecError("the QMC oracle supports d <= 8")
     cap = 1 << max(4, (_dimension(points, "points") - 1).bit_length())
     scrambles = _dimension(scrambles, "scrambles")
-    try:
-        target = float(rel_target)
-    except (TypeError, ValueError):
-        target = math.nan
-    if not 0.0 <= target < math.inf:
-        raise ModelSpecError(f"rel_target must be finite and non-negative, got {rel_target!r}")
+    target = _real(rel_target, "rel_target")
+    if target < 0.0:
+        raise ModelSpecError(f"rel_target must be non-negative, got {rel_target!r}")
     if d == 1:
         return QmcEstimate(value=norm_sf((gamma - mu[0]) / math.sqrt(sigma[0, 0])), error=0.0, points=0)
     cells = []

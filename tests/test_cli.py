@@ -97,11 +97,16 @@ class TestConfig:
             ("oracle", 0),
             ("replicates", True),
             ("oracle", True),
+            ("gamma_grid", ["1.5", 3, 4]),
+            ("gamma_grid", [False, True]),
+            ("switch_below_std", "0.1"),
+            ("switch_below_std", True),
         ],
     )
     def test_bad_number_or_kind_rejected(self, field, value):
         # these once raised a bare ValueError or TypeError, truncated 2.7
-        # to 2, read True as 1, or iterated "cmc" letter by letter
+        # to 2, read True as 1, read "1.5" as 1.5, or iterated "cmc" letter
+        # by letter
         obj = {"model": {"type": "laplace", "d": 2}, "gamma_grid": [1.0], field: value}
         with pytest.raises(ModelSpecError, match=field):
             ExperimentConfig.from_dict(obj)

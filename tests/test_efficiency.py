@@ -115,12 +115,38 @@ class TestArchimedeanCatalogue:
             classify_archimedean("gumbel", 0.5)
         with pytest.raises(ModelSpecError):
             classify_archimedean(18, 1.0)
+        with pytest.raises(ModelSpecError, match="theta"):
+            classify_archimedean("clayton", "2")  # once read as 2.0
 
     def test_unknown_family(self):
         with pytest.raises(ModelSpecError):
             classify_archimedean("copula-nova", 1.0)
         with pytest.raises(ModelSpecError):
             classify_archimedean(23, 1.0)
+
+    @pytest.mark.parametrize("family", [2.5, True, "2"])
+    def test_family_number_is_a_count(self, family):
+        # 2.5 once answered for family #2 and True for Clayton (#1)
+        with pytest.raises(ModelSpecError, match="family"):
+            classify_archimedean(family, 2.0)
+
+    @pytest.mark.parametrize("family", ["clayton", "ali-mikhail-haq", "gumbel-hougaard", "frank"])
+    def test_model_accepts_exactly_the_catalogue_range(self, family):
+        valid = next(rule.valid for rule in ARCHIMEDEAN_TABLE if rule.name == family)
+        ends = [end for end in (valid.lo, valid.hi) if math.isfinite(end)]
+        for theta in [end + step for end in ends for step in (-1e-9, 0.0, 1e-9)] + [-1e300, 1e300]:
+            try:
+                accepted = ArchimedeanModel(family, theta, 2).theta == theta
+            except ModelSpecError:
+                accepted = False
+            assert accepted == valid.contains(theta), theta
+
+    @pytest.mark.parametrize("alias, theta", [("amh", 0.5), ("Gumbel", 2.0), ("ali_mikhail haq", 0.5)])
+    def test_aliases_resolve_alike(self, alias, theta):
+        model = ArchimedeanModel(alias, theta, 2)
+        verdict = classify_archimedean(alias, theta)
+        assert verdict.diagnostics["family_name"] == model.family
+        assert verdict == classify_model(model)
 
 
 class TestNormalClassification:
@@ -330,6 +356,20 @@ class TestEmpiricalRatio:
         m = LaplaceModel(2)
         diag = empirical_efficiency_ratio(m, [4.0, 6.0, 8.0, 10.0])
         assert diag.strict_trend == "increasing"
+
+    def test_toeplitz_ratio_bits(self):
+        # float.hex of (ratio_strict, ratio_relaxed) on d=8 0.5^|i-j| at gamma 1..6
+        pinned = [
+            ("0x1.3de43d5842c30p+1", "0x1.087037f3ff184p+1"),
+            ("0x1.f52ae71a8d3a5p+2", "0x1.574e54ba5f54dp+2"),
+            ("0x1.6783dda07a4a3p+5", "0x1.73583e30663c0p+4"),
+            ("0x1.e590b503dfca7p+8", "0x1.589f7568afbbbp+7"),
+            ("0x1.39a5c675842c7p+13", "0x1.161f8f08c03d9p+11"),
+            ("0x1.86a44c4db8df9p+18", "0x1.88e673cc0faa9p+15"),
+        ]
+        lags = np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
+        diag = empirical_efficiency_ratio(NormalModel(0.5**lags), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert [(r.ratio_strict.hex(), r.ratio_relaxed.hex()) for r in diag.rows] == pinned
 
     def test_non_finite_threshold_rejected(self):
         # a nan row once passed through and read as a "constant" trend

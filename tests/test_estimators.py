@@ -267,6 +267,8 @@ class TestCapabilities:
             run_estimator("nope", m, 1.0, 10, 1)
         with pytest.raises(ModelSpecError):
             exhaustive_estimator_mean("nope", random_finite(1, 2))
+        with pytest.raises(ModelSpecError, match="gamma"):
+            run_estimator("alpha1", m, "2.5", 1000, 1)  # once ran at 2.5
 
 
 class TestAgainstOracle:

@@ -74,10 +74,12 @@ class TestResidualTerm:
                 assert head == tail
 
     def test_table_matches_scalar(self):
-        for n in (1, 2, 3):
-            table = ev.residual_term_table(12, n)
-            for e in range(13):
-                assert table[e] == ev.residual_term(e, n)
+        for n in range(4):
+            for d in range(1, 21):
+                table = ev.residual_term_table(d, n)
+                assert table.shape == (d + 1,)
+                for e in range(d + 1):
+                    assert table[e] == ev.residual_term(e, n)
 
     def test_payoff_table_has_no_indicator(self):
         table = ev.payoff_alternating_table(6, 1)

@@ -78,6 +78,13 @@ class TestBuildModel:
             {"type": "normal", "sigma": [[1.0, 0.0], [0.0]]},
             {"type": "archimedean", "family": "frank", "theta": [], "d": 3},
             {"type": "laplace", "d": True},  # once a one-dimensional model
+            # each of these strings was once read through float(), and True as 1.0
+            {"type": "normal", "d": 4, "rho": "0.75"},
+            {"type": "normal", "d": 4, "rho": True},
+            {"type": "archimedean", "family": "clayton", "theta": "2", "d": 3},
+            {"type": "archimedean", "family": "gumbel", "theta": True, "d": 3},
+            {"type": "ar1", "phi": "0.5", "sigma_eps": 1.0, "d": 5},
+            {"type": "ar1", "phi": 0.5, "sigma_eps": "1.0", "d": 5},
         ],
     )
     def test_bad_field_is_model_spec_error(self, spec):
@@ -100,6 +107,33 @@ class TestBuildModel:
 
     def test_integral_float_dimension_accepted(self):
         assert build_model({"type": "laplace", "d": 3.0}).d == 3
+
+
+@pytest.mark.parametrize(
+    "model, bad",
+    [
+        (NormalModel.equicorrelated(2, 0.5), "2.5"),
+        (NormalModel.equicorrelated(2, 0.5), True),
+        (NormalModel.equicorrelated(2, 0.5), np.bool_(True)),
+        (NormalModel.equicorrelated(2, 0.5), 10**400),
+        (ArchimedeanModel("clayton", 2.0, 2), "0.5"),
+        (ArchimedeanModel("clayton", 2.0, 2), False),
+    ],
+    ids=["str", "bool", "numpy-bool", "huge-int", "archimedean-str", "archimedean-bool"],
+)
+def test_threshold_must_be_a_number(model, bad):
+    # check_threshold("2.5") once returned 2.5 and check_threshold(True) 1.0
+    with pytest.raises(ModelSpecError, match="finite number"):
+        model.check_threshold(bad)
+
+
+def test_numpy_scalars_accepted():
+    m = NormalModel.equicorrelated(3, np.float32(0.5))
+    assert m.equicorrelation == 0.5
+    assert m.check_threshold(np.float32(2.5)) == 2.5
+    assert m.check_threshold(np.int64(3)) == 3.0
+    assert ArchimedeanModel("clayton", np.int64(2), 3).check_threshold(np.float64(0.5)) == 0.5
+    assert AR1Model(np.float64(0.5), 1, 4).phi == 0.5
 
 
 class TestNormalModel:

@@ -47,6 +47,20 @@ class TestEquicorrOracle:
         with pytest.raises(ModelSpecError):
             oracle_union_normal_equicorr(3, -0.2, 2.0)
 
+    @pytest.mark.parametrize(
+        "d, rho, gamma, what",
+        [
+            (4, math.nan, 2.0, "rho"),  # once returned nan
+            (4, 0.5, math.nan, "gamma"),
+            (4, "0.5", 2.0, "rho"),
+            (2.7, 0.5, 2.0, "dimension"),  # once truncated to 2
+            (True, 0.5, 2.0, "dimension"),
+        ],
+    )
+    def test_inputs_validated(self, d, rho, gamma, what):
+        with pytest.raises(ModelSpecError, match=what):
+            oracle_union_normal_equicorr(d, rho, gamma)
+
 
 class TestLaplaceOracle:
     def test_reference_values_to_four_digits(self):
@@ -62,6 +76,20 @@ class TestLaplaceOracle:
     def test_gamma_validation(self):
         with pytest.raises(ModelSpecError):
             oracle_union_laplace(4, 0.0)
+
+    @pytest.mark.parametrize(
+        "d, gamma, what",
+        [
+            (2.7, 6.0, "dimension"),  # once the d=2 value, 2.0586863942209993e-04
+            (True, 6.0, "dimension"),  # once the d=1 value
+            (4, math.nan, "gamma"),  # once nan
+            (4, math.inf, "gamma"),  # once 0.0
+            (4, "6", "gamma"),
+        ],
+    )
+    def test_inputs_validated(self, d, gamma, what):
+        with pytest.raises(ModelSpecError, match=what):
+            oracle_union_laplace(d, gamma)
 
 
 class TestQmcOracle:
@@ -286,10 +314,11 @@ class TestQmcRelativeTarget:
             {"rel_target": math.nan},
             {"rel_target": math.inf},
             {"rel_target": "x"},
+            {"rel_target": "1e-6"},
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
-        # points=-5 and points=0 once integrated 16 points
+        # points=-5 and points=0 once integrated 16 points; "1e-6" was once a target
         m = NormalModel.equicorrelated(3, -0.25)
         with pytest.raises(ModelSpecError, match=next(iter(kwargs))):
             oracle_union_normal_qmc(m, 2.0, **kwargs)
