@@ -24,12 +24,13 @@ def derive_generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def iter_chunks(total: int, chunk_size: int = CHUNK_SIZE):
-    """Yield (chunk_index, count) covering ``total`` replicates in order."""
+def iter_chunks(total: int):
+    """Yield (chunk_index, count) covering ``total`` replicates in order,
+    ``CHUNK_SIZE`` at a time."""
     index = 0
     done = 0
     while done < total:
-        count = min(chunk_size, total - done)
+        count = min(CHUNK_SIZE, total - done)
         yield index, count
         done += count
         index += 1

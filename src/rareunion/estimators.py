@@ -107,9 +107,7 @@ class Payoff:
 
     @staticmethod
     def residual_alternating(order: int) -> "Payoff":
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        return Payoff(kind="residual_alternating", order=int(order))
+        return Payoff(kind="residual_alternating", order=_dimension(order, "order", least=0))
 
     @staticmethod
     def custom(fn: Callable) -> "Payoff":
@@ -275,7 +273,7 @@ ESTIMATOR_NAMES = tuple(_ESTIMATORS) + ("bonferroni",)
 
 def _lookup(name: str):
     if name not in _ESTIMATORS:
-        raise ModelSpecError(f"unknown estimator {name!r}; valid names: {ESTIMATOR_NAMES}")
+        raise ModelSpecError(f"unknown estimator {name!r}; valid names: {tuple(_ESTIMATORS)}")
     return _ESTIMATORS[name]
 
 

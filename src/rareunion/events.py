@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -160,52 +160,35 @@ class PartitionCell:
         return self.required_mask(patterns) & self.blocked_clear(patterns)
 
 
-def _check_permutation(d: int, permutation: Optional[Sequence[int]]) -> tuple[int, ...]:
-    if permutation is None:
-        return tuple(range(d))
-    perm = tuple(int(p) for p in permutation)
-    if sorted(perm) != list(range(d)):
-        raise ValueError(f"permutation must reorder 0..{d - 1}, got {permutation}")
-    return perm
-
-
-def partition_cells(d: int, m: int, permutation: Optional[Sequence[int]] = None) -> list[PartitionCell]:
+def partition_cells(d: int, m: int) -> list[PartitionCell]:
     """All ``C(d, m)`` cells partitioning ``{E >= m}``.
 
-    The cells depend on the order in which events are scanned; reordering
-    gives a different, equally valid partition.  ``permutation`` lists
-    event indices in scan order (identity by default).
+    Events are scanned in index order: the cell of an index set I blocks
+    every index below max(I) that is not in I.
     """
     if not 1 <= m <= d:
         raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
-    perm = _check_permutation(d, permutation)
-    rank = {event: pos for pos, event in enumerate(perm)}
     cells = []
     for combo in itertools.combinations(range(d), m):
-        max_rank = max(rank[e] for e in combo)
-        blocked = tuple(
-            e for e in perm if rank[e] < max_rank and e not in combo
-        )
-        cells.append(PartitionCell(events=combo, blocked=tuple(sorted(blocked))))
+        blocked = tuple(e for e in range(combo[-1]) if e not in combo)
+        cells.append(PartitionCell(events=combo, blocked=blocked))
     return cells
 
 
-def cell_for_pattern(pattern, m: int, permutation: Optional[Sequence[int]] = None) -> Optional[PartitionCell]:
+def cell_for_pattern(pattern, m: int) -> Optional[PartitionCell]:
     """The unique cell containing ``pattern``, or None when fewer than m events occurred.
 
     The containing cell's index set consists of the first m occurred events
-    in scan order; all earlier non-occurrences are then blocked indices.
+    in index order; all earlier non-occurrences are then blocked indices.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     arr = _as_pattern(pattern)
-    d = arr.size
-    perm = _check_permutation(d, permutation)
-    hits = [e for e in perm if arr[e]]
-    if len(hits) < m:
+    hits = np.flatnonzero(arr)
+    if hits.size < m:
         return None
-    chosen = tuple(sorted(hits[:m]))
-    rank = {event: pos for pos, event in enumerate(perm)}
-    max_rank = max(rank[e] for e in chosen)
-    blocked = tuple(sorted(e for e in perm if rank[e] < max_rank and e not in chosen))
+    chosen = tuple(int(e) for e in hits[:m])
+    blocked = tuple(int(e) for e in np.flatnonzero(~arr[: chosen[-1]]))
     return PartitionCell(events=chosen, blocked=blocked)
 
 

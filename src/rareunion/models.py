@@ -118,8 +118,8 @@ class DependenceModel(abc.ABC):
         return _real(gamma, "the threshold gamma")
 
     def _check_index(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < self.d:
+        i = _dimension(i, "event index", least=0)
+        if i >= self.d:
             raise ValueError(f"event index {i} out of range for d={self.d}")
         return i
 
@@ -313,14 +313,14 @@ class LaplaceModel(DependenceModel):
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         self._check_index(i)
-        g = float(gamma)
+        g = self.check_threshold(gamma)
         if g >= 0.0:
             return 0.5 * math.exp(-samplers.SQRT2 * g)
         return 1.0 - 0.5 * math.exp(samplers.SQRT2 * g)
 
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
         self._check_pair(i, j)
-        g = float(gamma)
+        g = self.check_threshold(gamma)
 
         def f(r):
             tail = norm_sf(g / math.sqrt(r))
@@ -358,8 +358,8 @@ class _ArchGenerator:
     The frailty law V has Laplace transform equal to the generator inverse,
     so ``U_i = psi_inv(E_i / V)`` with i.i.d. unit exponentials is an exact
     d-dimensional draw.  Families keep their textbook parameter ranges for
-    construction; sampling is limited to the range where the frailty law
-    exists.
+    construction (``valid``); sampling is limited to the range where the
+    frailty law exists (``sampleable``).
     """
 
     name = ""
@@ -373,9 +373,6 @@ class _ArchGenerator:
     def psi_inv(self, s):
         raise NotImplementedError
 
-    def sampleable(self) -> bool:
-        raise NotImplementedError
-
     def frailty(self, rng, n: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -383,6 +380,7 @@ class _ArchGenerator:
 class _Clayton(_ArchGenerator):
     name = "clayton"
     valid = Interval(-1.0, math.inf)
+    sampleable = Interval(0.0, math.inf)
 
     def psi(self, t):
         th = self.theta
@@ -397,11 +395,7 @@ class _Clayton(_ArchGenerator):
         base = 1.0 + th * np.asarray(s, dtype=float)
         if th < 0.0:
             base = np.maximum(base, 0.0)
-        out = np.power(base, -1.0 / th)
-        return float(out) if out.ndim == 0 else out
-
-    def sampleable(self):
-        return self.theta >= 0.0
+        return np.power(base, -1.0 / th)
 
     def frailty(self, rng, n):
         if self.theta == 0.0:
@@ -413,16 +407,13 @@ class _Clayton(_ArchGenerator):
 class _GumbelHougaard(_ArchGenerator):
     name = "gumbel-hougaard"
     valid = Interval(1.0, math.inf)
+    sampleable = valid
 
     def psi(self, t):
         return np.power(-np.log(t), self.theta)
 
     def psi_inv(self, s):
-        out = np.exp(-np.power(np.asarray(s, dtype=float), 1.0 / self.theta))
-        return float(out) if out.ndim == 0 else out
-
-    def sampleable(self):
-        return True
+        return np.exp(-np.power(np.asarray(s, dtype=float), 1.0 / self.theta))
 
     def frailty(self, rng, n):
         if self.theta == 1.0:
@@ -439,6 +430,7 @@ class _GumbelHougaard(_ArchGenerator):
 class _Frank(_ArchGenerator):
     name = "frank"
     valid = Interval(-math.inf, math.inf, False)
+    sampleable = Interval(0.0, math.inf)
 
     def psi(self, t):
         th = self.theta
@@ -450,11 +442,7 @@ class _Frank(_ArchGenerator):
         th = self.theta
         if th == 0.0:
             return np.exp(-s)
-        out = -np.log1p(np.exp(-np.asarray(s, dtype=float)) * math.expm1(-th)) / th
-        return float(out) if out.ndim == 0 else out
-
-    def sampleable(self):
-        return self.theta >= 0.0
+        return -np.log1p(np.exp(-np.asarray(s, dtype=float)) * math.expm1(-th)) / th
 
     def frailty(self, rng, n):
         if self.theta == 0.0:
@@ -465,17 +453,14 @@ class _Frank(_ArchGenerator):
 class _AliMikhailHaq(_ArchGenerator):
     name = "ali-mikhail-haq"
     valid = Interval(-1.0, 1.0)
+    sampleable = Interval(0.0, 1.0)
 
     def psi(self, t):
         t = np.asarray(t, dtype=float)
         return np.log((1.0 - self.theta * (1.0 - t)) / t)
 
     def psi_inv(self, s):
-        out = (1.0 - self.theta) / (np.exp(np.asarray(s, dtype=float)) - self.theta)
-        return float(out) if out.ndim == 0 else out
-
-    def sampleable(self):
-        return 0.0 <= self.theta < 1.0
+        return (1.0 - self.theta) / (np.exp(np.asarray(s, dtype=float)) - self.theta)
 
     def frailty(self, rng, n):
         if self.theta == 0.0:
@@ -546,7 +531,7 @@ class ArchimedeanModel(DependenceModel):
         return u
 
     def sample(self, rng, size=None) -> np.ndarray:
-        if not self._gen.sampleable():
+        if not self._gen.sampleable.contains(self.theta):
             raise CapabilityError(
                 f"no frailty construction for {self.family} with theta={self.theta}; "
                 "sampling supports the non-negative-association range only"
@@ -672,11 +657,8 @@ class FinitePatternModel(DependenceModel):
         return self._restricted(self._check_pair(i, j))
 
     def to_json(self) -> dict:
-        return {"d": self._d, "pmf": [float(p) for p in self._pmf]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FinitePatternModel":
-        return cls(obj["pmf"], d=obj.get("d"))
+        """The ``build_model`` spec of this model."""
+        return {"type": "finite", "d": self._d, "pmf": [float(p) for p in self._pmf]}
 
 
 class _FiniteConditional:

@@ -39,6 +39,7 @@ __all__ = [
 _QMC_ENTROPY = 0x5EEDED  # fixed: the oracle is deterministic by design
 _SOBOL_BLOCK = 1 << 16  # rows per Sobol draw, so no whole-array copy is made
 _QMC_FIRST_POINTS = 1 << 12  # first level of the doubling under a relative target
+_QMC_SCRAMBLES = 8  # independent scrambles; their spread is the error estimate
 
 # The relative scramble spread at which ``oracle_for_model`` stops doubling:
 # 500 times finer than the half-unit of the four digits a table prints.
@@ -121,7 +122,7 @@ def oracle_union_laplace(d: int, gamma: float) -> float:
 class QmcEstimate:
     """Deterministic QMC value with an internal error estimate.
 
-    The error field is the standard error across the fixed set of
+    The error field is the standard error across the eight fixed
     scrambles, a practical (not guaranteed) accuracy indicator.
     ``points`` is the per-scramble point count actually integrated
     (0 for the one-dimensional closed form).
@@ -189,15 +190,15 @@ def _genz_cell(m, chol, gamma, engine, points) -> float:
 
 
 def oracle_union_normal_qmc(
-    model, gamma: float, points: int = 1 << 20, scrambles: int = 8, rel_target: float = 0.0
+    model, gamma: float, points: int = 1 << 20, rel_target: float = 0.0
 ) -> QmcEstimate:
     """Union probability for a general normal model by low-discrepancy integration.
 
     Splits the union into the disjoint cells "first exceedance at i" and
-    integrates each with a scrambled low-discrepancy point set.  The
+    integrates each with eight scrambled low-discrepancy point sets.  The
     result is deterministic for a given point count because the scramble
-    seeds are fixed; the spread across scrambles provides the error
-    estimate.  The point count is rounded up to a power of two to keep
+    seeds are fixed; the spread across the eight scrambles provides the
+    error estimate.  The point count is rounded up to a power of two to keep
     the point sets balanced.
 
     ``rel_target == 0`` integrates ``points`` per scramble in one pass.
@@ -228,7 +229,7 @@ def oracle_union_normal_qmc(
     if d > 8:
         raise ModelSpecError("the QMC oracle supports d <= 8")
     cap = 1 << max(4, (_dimension(points, "points") - 1).bit_length())
-    scrambles = _dimension(scrambles, "scrambles")
+    gamma = _real(gamma, "gamma")
     target = _real(rel_target, "rel_target")
     if target < 0.0:
         raise ModelSpecError(f"rel_target must be non-negative, got {rel_target!r}")
@@ -238,7 +239,7 @@ def oracle_union_normal_qmc(
     for i in range(d):
         order = [i, *range(i)]
         cells.append((mu[order], np.linalg.cholesky(sigma[np.ix_(order, order)])))
-    units = [(s, i) for s in range(scrambles) for i in range(d)]
+    units = [(s, i) for s in range(_QMC_SCRAMBLES) for i in range(d)]
     engines = [_sobol_engine(i, (s, i)) if i else None for s, i in units]
 
     def integrate_units(count):
@@ -252,14 +253,14 @@ def oracle_union_normal_qmc(
     means = integrate_units(n)
     while True:
         totals = []
-        for s in range(scrambles):
+        for s in range(_QMC_SCRAMBLES):
             total = 0.0  # left to right in cell order: the order fixes the bits
             for value in means[s * d:(s + 1) * d]:
                 total += value
             totals.append(total)
         totals = np.asarray(totals)
         value = float(totals.mean())
-        err = float(totals.std(ddof=1) / math.sqrt(len(totals))) if len(totals) > 1 else 0.0
+        err = float(totals.std(ddof=1) / math.sqrt(_QMC_SCRAMBLES))
         if n >= cap or value == 0.0 or err / value <= target:
             return QmcEstimate(value=value, error=err, points=n)
         means = [0.5 * (old + new) for old, new in zip(means, integrate_units(n))]

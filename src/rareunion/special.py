@@ -50,11 +50,13 @@ def norm_hazard(x):
     return float(out) if out.ndim == 0 else out
 
 
-def integrate(f, a, b, *, points=None, epsrel=1e-11, epsabs=0.0, limit=400):
+def integrate(f, a, b, *, points=None, epsrel=1e-11):
     """Adaptive quadrature of ``f`` on ``[a, b]`` with a convergence check.
 
-    Thin wrapper around the adaptive Gauss-Kronrod integrator; infinite
-    endpoints are transformed onto a finite interval internally.  Raises
+    Thin wrapper around the adaptive Gauss-Kronrod integrator with a
+    purely relative tolerance (no absolute one, so tiny tail values keep
+    their digits) and at most 400 subintervals; infinite endpoints are
+    transformed onto a finite interval internally.  Raises
     :class:`QuadratureError` when the reported error estimate is not small
     relative to the value.
     """
@@ -64,7 +66,7 @@ def integrate(f, a, b, *, points=None, epsrel=1e-11, epsabs=0.0, limit=400):
         if pts:
             kwargs["points"] = pts
     value, abserr, info, *rest = quad(
-        f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1, **kwargs
+        f, a, b, epsabs=0.0, epsrel=epsrel, limit=400, full_output=1, **kwargs
     )
     if rest:  # an explanation string is appended only on failure
         tol = max(abs(value) * 1e-8, 1e-300)

@@ -22,13 +22,9 @@ from rareunion.estimators import (
     exhaustive_residual_second_moment,
     exhaustive_variance_components,
 )
-from rareunion.samplers import (
-    gibbs_bivariate_truncated,
-    laplace_conditional_exceedance,
-    rejection_pair_exceedance_oracle,
-    sample_truncated_std_normal,
-)
+from rareunion.samplers import laplace_conditional_exceedance, sample_truncated_std_normal
 from rareunion.special import norm_pdf, norm_sf
+from sampling_references import rejection_pair_exceedance_oracle
 
 SEED = 20260810
 
@@ -244,9 +240,10 @@ def test_criterion_09_sampler_distributions():
         se = math.sqrt(p * (1 - p) / draws.shape[0])
         assert abs(emp - p) < 4 * se, (emp, p)
 
-        # pair-constrained chain against plain rejection
+        # the pair sampler the estimators draw from, against plain rejection
         m = ru.NormalModel.equicorrelated(2, 0.75)
-        xi, _ = gibbs_bivariate_truncated(m, 0, 1, 2.0, 100, np.random.default_rng(SEED + 12), size=30_000)
+        pair = m.conditional_given_pair_exceedance(0, 1, 2.0)
+        xi = pair.draw(np.random.default_rng(SEED + 12), 30_000)[:, 0]
         ri, _ = rejection_pair_exceedance_oracle(m, 0, 1, 2.0, np.random.default_rng(SEED + 13), raw=800_000)
         se = math.sqrt(xi.var(ddof=1) / xi.size + ri.var(ddof=1) / ri.size)
         assert abs(xi.mean() - ri.mean()) < 4 * se, (xi.mean(), ri.mean())

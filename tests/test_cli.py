@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
+import traceback
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ import pytest
 from rareunion.cli import (
     CSV_HEADER,
     ExperimentConfig,
+    main,
     run_experiment,
     rows_to_csv,
     rows_to_json,
@@ -18,18 +24,53 @@ from rareunion.errors import ModelSpecError
 NORMAL4 = '{"type":"normal","d":4,"rho":0.75}'
 
 
-def run_cli(*args, env=None, timeout=None):
-    import os
+@contextlib.contextmanager
+def _environment(env):
+    saved = {key: os.environ.get(key) for key in env or {}}
+    os.environ.update(env or {})
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
 
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+
+def run_cli(*args, env=None, timeout=120):
+    """``rareunion <args>`` run in this process, as a ``CompletedProcess``.
+
+    ``main`` runs on a thread joined with ``timeout``, so a hang fails the
+    test.  argparse's ``SystemExit`` becomes the exit code and any other
+    uncaught exception a traceback on stderr with exit code 1, as in a
+    real process.  ``env`` holds only while the command runs.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    code = []
+
+    def command():
+        try:
+            code.append(main(list(args)))
+        except SystemExit as exc:
+            code.append(0 if exc.code is None else exc.code)
+        except BaseException:
+            traceback.print_exc(file=err)
+            code.append(1)
+
+    with _environment(env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        worker = threading.Thread(target=command, daemon=True)
+        worker.start()
+        worker.join(timeout)
+    if worker.is_alive():
+        raise subprocess.TimeoutExpired(["rareunion", *args], timeout)
+    return subprocess.CompletedProcess(["rareunion", *args], code[0], out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args):
+    """``python -m rareunion.cli <args>`` in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-m", "rareunion.cli", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-        timeout=timeout,
+        [sys.executable, "-m", "rareunion.cli", *args], capture_output=True, text=True, timeout=120
     )
 
 
@@ -269,7 +310,7 @@ class TestCsvFormat:
 
 class TestCommandLine:
     def test_oracle_prints_reference_value(self):
-        proc = run_cli("oracle", "--model", NORMAL4, "--gamma", "4")
+        proc = run_cli_process("oracle", "--model", NORMAL4, "--gamma", "4")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.095e-04"
 
@@ -390,7 +431,7 @@ class TestCommandLine:
         assert "finite" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_bad_model_field_exits_two_without_traceback(self):
-        proc = run_cli("oracle", "--model", '{"type":"laplace","d":null}', "--gamma", "6", timeout=120)
+        proc = run_cli_process("oracle", "--model", '{"type":"laplace","d":null}', "--gamma", "6")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr

@@ -341,6 +341,20 @@ class TestInputBoundary:
         with pytest.raises(ModelSpecError):
             estimate_alpha_1_is(LaplaceModel(4), -1.0, 100, 1)
 
+    @pytest.mark.parametrize("name", ["bonferroni", "zeta"])
+    def test_unknown_estimator_lists_only_runnable_names(self, name):
+        # the message once offered "bonferroni", which run_estimator rejects
+        with pytest.raises(ModelSpecError, match="valid names") as info:
+            run_estimator(name, NormalModel.equicorrelated(2, 0.5), 2.0, 10, 1)
+        listed = str(info.value).split("valid names")[1]
+        assert "cmc" in listed and "bonferroni" not in listed
+
+    @pytest.mark.parametrize("order", [1.5, True, "1", -1])
+    def test_payoff_order_must_be_a_count(self, order):
+        # 1.5 and True once became order 1
+        with pytest.raises(ModelSpecError, match="order"):
+            Payoff.residual_alternating(order)
+
 
 class CountingFinite(FinitePatternModel):
     """Finite model that counts its pairwise probability calls."""

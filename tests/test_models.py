@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -110,21 +111,43 @@ class TestBuildModel:
 
 
 @pytest.mark.parametrize(
-    "model, bad",
+    "read, bad",
     [
-        (NormalModel.equicorrelated(2, 0.5), "2.5"),
-        (NormalModel.equicorrelated(2, 0.5), True),
-        (NormalModel.equicorrelated(2, 0.5), np.bool_(True)),
-        (NormalModel.equicorrelated(2, 0.5), 10**400),
-        (ArchimedeanModel("clayton", 2.0, 2), "0.5"),
-        (ArchimedeanModel("clayton", 2.0, 2), False),
+        (NormalModel.equicorrelated(2, 0.5).check_threshold, "2.5"),
+        (NormalModel.equicorrelated(2, 0.5).check_threshold, True),
+        (NormalModel.equicorrelated(2, 0.5).check_threshold, np.bool_(True)),
+        (NormalModel.equicorrelated(2, 0.5).check_threshold, 10**400),
+        (ArchimedeanModel("clayton", 2.0, 2).check_threshold, "0.5"),
+        (ArchimedeanModel("clayton", 2.0, 2).check_threshold, False),
+        (functools.partial(LaplaceModel(3).marginal_survival, 0), "2"),
+        (functools.partial(LaplaceModel(3).pair_survival, 0, 1), True),
     ],
-    ids=["str", "bool", "numpy-bool", "huge-int", "archimedean-str", "archimedean-bool"],
+    ids=[
+        "str", "bool", "numpy-bool", "huge-int", "archimedean-str", "archimedean-bool",
+        "laplace-marginal-str", "laplace-pair-bool",
+    ],
 )
-def test_threshold_must_be_a_number(model, bad):
-    # check_threshold("2.5") once returned 2.5 and check_threshold(True) 1.0
+def test_threshold_must_be_a_number(read, bad):
+    # check_threshold("2.5") once returned 2.5 and check_threshold(True) 1.0;
+    # the Laplace layers once read "2" as 2.0 and True as 1.0
     with pytest.raises(ModelSpecError, match="finite number"):
-        model.check_threshold(bad)
+        read(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: m.marginal_survival(1.5, 2.0),
+        lambda m: m.marginal_survival(True, 2.0),
+        lambda m: m.pair_survival(0, 1.9, 2.0),
+        lambda m: m.conditional_given_exceedance(0.5, 2.0),
+    ],
+    ids=["marginal-fraction", "marginal-bool", "pair-fraction", "conditional-fraction"],
+)
+def test_event_index_must_be_an_integer(call):
+    # these once used events 1, 1, (0, 1) and 0
+    with pytest.raises(ModelSpecError, match="event index must be an integer"):
+        call(NormalModel.equicorrelated(3, 0.5))
 
 
 def test_numpy_scalars_accepted():
@@ -355,7 +378,8 @@ class TestFinitePatternModel:
     def test_json_round_trip(self):
         pmf = [0.05, 0.15, 0.25, 0.55]
         m = FinitePatternModel(pmf)
-        again = FinitePatternModel.from_json(m.to_json())
+        again = build_model(m.to_json())
+        assert isinstance(again, FinitePatternModel)
         assert np.array_equal(again.pmf, m.pmf)
         assert again.d == 2
 

@@ -195,12 +195,6 @@ class TestQmcOracle:
         with pytest.raises(ModelSpecError):
             oracle_union_normal_qmc(m, 1.0, points=1 << 10)
 
-    def test_scramble_count_validated(self):
-        m = NormalModel.equicorrelated(3, -0.25)
-        for scrambles in (0, -2, 1.5, True):
-            with pytest.raises(ModelSpecError):
-                oracle_union_normal_qmc(m, 2.0, points=1 << 10, scrambles=scrambles)
-
     def test_float_conversion(self):
         m = NormalModel(np.eye(2))
         est = oracle_union_normal_qmc(m, 1.0, points=1 << 12)
@@ -315,13 +309,16 @@ class TestQmcRelativeTarget:
             {"rel_target": math.inf},
             {"rel_target": "x"},
             {"rel_target": "1e-6"},
+            {"gamma": math.nan},
+            {"gamma": "2.5"},
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
-        # points=-5 and points=0 once integrated 16 points; "1e-6" was once a target
+        # points=-5 and points=0 once integrated 16 points; "1e-6" was once a target;
+        # a nan gamma once gave a nan value and "2.5" a numpy type error
         m = NormalModel.equicorrelated(3, -0.25)
         with pytest.raises(ModelSpecError, match=next(iter(kwargs))):
-            oracle_union_normal_qmc(m, 2.0, **kwargs)
+            oracle_union_normal_qmc(m, **{"gamma": 2.0, **kwargs})
 
     @pytest.mark.parametrize("qmc_points", [0, -5, True])
     def test_oracle_for_model_count_rejected(self, qmc_points):

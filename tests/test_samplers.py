@@ -8,11 +8,9 @@ from rareunion import ModelSpecError, NormalModel
 from rareunion.samplers import (
     ROW_BLOCK,
     GaussianConditional,
-    _laplace_sqrt_ig_pdf,
     _pair_tilt,
     gibbs_bivariate_truncated,
     laplace_conditional_exceedance,
-    rejection_pair_exceedance_oracle,
     sample_inverse_gaussian,
     sample_truncated_std_normal,
     sample_truncated_std_normal_pair,
@@ -20,6 +18,7 @@ from rareunion.samplers import (
 )
 from rareunion._rng import derive_generator
 from rareunion.special import bivariate_normal_orthant, integrate, norm_pdf, norm_sf
+from sampling_references import laplace_sqrt_ig_pdf, rejection_pair_exceedance_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -339,7 +338,7 @@ class TestLaplaceConditional:
         edges = np.linspace(np.quantile(draws, 0.001), np.quantile(draws, 0.999), 31)
         observed, _ = np.histogram(draws, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = _laplace_sqrt_ig_pdf(centers, x_i)
+        dens = laplace_sqrt_ig_pdf(centers, x_i)
         expected = dens * np.diff(edges) * draws.size
         mask = expected > 10
         chi2 = (((observed - expected) ** 2) / expected)[mask].sum()
