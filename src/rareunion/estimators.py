@@ -182,8 +182,7 @@ class _Layers:
     @cached_property
     def pairs(self) -> np.ndarray:
         """``P(A_i A_j)`` for i < j in lexicographic order, the order of the pair cells."""
-        pairs = itertools.combinations(range(self.d), 2)
-        return np.array([self.model.pair_survival(i, j, self.gamma) for i, j in pairs])
+        return self.model.pair_survivals(self.gamma)
 
     @cached_property
     def abar(self) -> float:

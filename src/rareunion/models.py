@@ -16,6 +16,7 @@ anything, so an unsupported law fails before any sampling.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -107,6 +108,11 @@ class DependenceModel(abc.ABC):
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
         raise CapabilityError(f"{type(self).__name__} cannot compute pairwise probabilities")
 
+    def pair_survivals(self, gamma: float) -> np.ndarray:
+        """``P(A_i A_j)`` for i < j in lexicographic order."""
+        pairs = itertools.combinations(range(self.d), 2)
+        return np.array([self.pair_survival(i, j, gamma) for i, j in pairs])
+
     def conditional_given_exceedance(self, i: int, gamma: float):
         raise CapabilityError(f"{type(self).__name__} cannot sample conditioned on one event")
 
@@ -120,13 +126,13 @@ class DependenceModel(abc.ABC):
     def _check_index(self, i: int) -> int:
         i = _dimension(i, "event index", least=0)
         if i >= self.d:
-            raise ValueError(f"event index {i} out of range for d={self.d}")
+            raise ModelSpecError(f"event index {i} out of range for d={self.d}")
         return i
 
     def _check_pair(self, i: int, j: int) -> tuple[int, int]:
         i, j = self._check_index(i), self._check_index(j)
         if i == j:
-            raise ValueError("pair indices must differ")
+            raise ModelSpecError("pair indices must differ")
         return i, j
 
 
@@ -232,9 +238,20 @@ class NormalModel(DependenceModel):
 
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
         i, j = self._check_pair(i, j)
+        gamma = self.check_threshold(gamma)
         ti = (gamma - self._mu[i]) / self._sd[i]
         tj = (gamma - self._mu[j]) / self._sd[j]
         return bivariate_normal_orthant(ti, tj, self.correlation(i, j))
+
+    def pair_survivals(self, gamma: float) -> np.ndarray:
+        """The pair layer as one orthant batch, which holds each distinct
+        standardised key ``(max t, min t, rho)`` once."""
+        i, j = np.triu_indices(self.d, 1)
+        t = (self.check_threshold(gamma) - self._mu) / self._sd
+        rho = self._sigma[i, j] / (self._sd[i] * self._sd[j])
+        keys = np.column_stack([np.maximum(t[i], t[j]), np.minimum(t[i], t[j]), rho])
+        keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+        return bivariate_normal_orthant(*keys.T)[inverse.reshape(-1)]
 
     def conditional_given_exceedance(self, i: int, gamma: float):
         return _NormalTail(self, (self._check_index(i),), self.check_threshold(gamma))
@@ -323,12 +340,17 @@ class LaplaceModel(DependenceModel):
         g = self.check_threshold(gamma)
 
         def f(r):
-            tail = norm_sf(g / math.sqrt(r))
-            return math.exp(-r) * tail * tail
+            tail = norm_sf(g / np.sqrt(r))
+            return np.exp(-r) * tail * tail
 
         peak = abs(g) / samplers.SQRT2
         hi = max(60.0, 6.0 * peak)
         return integrate(f, 0.0, hi, points=[peak], epsrel=1e-11)
+
+    def pair_survivals(self, gamma: float) -> np.ndarray:
+        """The law is exchangeable, so every pair shares one integral."""
+        count = self._d * (self._d - 1) // 2
+        return np.full(count, self.pair_survival(0, 1, gamma) if count else 0.0)
 
     def conditional_given_exceedance(self, i: int, gamma: float):
         i = self._check_index(i)

@@ -26,7 +26,7 @@ from . import events as ev
 from ._workers import ordered_map
 from .errors import ModelSpecError
 from .models import FinitePatternModel, LaplaceModel, NormalModel, _dimension, _real
-from .special import _NORMAL_CUTOFF, SQRT2, integrate, norm_sf
+from .special import _NORMAL_CUTOFF, SQRT2, integrate, norm_pdf, norm_sf
 
 __all__ = [
     "oracle_union_normal_equicorr",
@@ -59,12 +59,10 @@ class _LazyQmc:
 qmc = _LazyQmc()  # a module attribute, so it can be swapped like the module it stands for
 
 
-def _union_tail_power(u: float, d: int) -> float:
-    """``1 - Phi(u)**d`` without cancellation."""
-    tail = norm_sf(u)
-    if tail >= 1.0:
-        return 1.0
-    return -math.expm1(d * math.log1p(-tail))
+def _union_tail_power(u, d: int):
+    """``1 - Phi(u)**d`` without cancellation, elementwise."""
+    with np.errstate(divide="ignore"):  # a tail of one gives log1p(-1) = -inf, and the result 1
+        return -np.expm1(d * np.log1p(-norm_sf(u)))
 
 
 def oracle_union_normal_equicorr(d: int, rho: float, gamma: float) -> float:
@@ -83,14 +81,12 @@ def oracle_union_normal_equicorr(d: int, rho: float, gamma: float) -> float:
     if rho >= 1.0:
         raise ModelSpecError("rho must be below 1")
     if d == 1 or rho == 0.0:
-        return _union_tail_power(gamma, d)
+        return float(_union_tail_power(gamma, d))
     sr = math.sqrt(rho)
     s1 = math.sqrt(1.0 - rho)
 
     def f(z):
-        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * _union_tail_power(
-            (gamma - sr * z) / s1, d
-        )
+        return norm_pdf(z) * _union_tail_power((gamma - sr * z) / s1, d)
 
     lo, hi = -_NORMAL_CUTOFF, _NORMAL_CUTOFF
     hints = [0.0, gamma * sr, gamma / sr]
@@ -111,7 +107,7 @@ def oracle_union_laplace(d: int, gamma: float) -> float:
         raise ModelSpecError("the Laplace oracle requires gamma > 0")
 
     def f(r):
-        return math.exp(-r) * _union_tail_power(gamma / math.sqrt(r), d)
+        return np.exp(-r) * _union_tail_power(gamma / np.sqrt(r), d)
 
     peak = gamma / SQRT2
     hi = max(60.0, 6.0 * peak)

@@ -121,15 +121,18 @@ class TestBuildModel:
         (ArchimedeanModel("clayton", 2.0, 2).check_threshold, False),
         (functools.partial(LaplaceModel(3).marginal_survival, 0), "2"),
         (functools.partial(LaplaceModel(3).pair_survival, 0, 1), True),
+        (functools.partial(NormalModel.equicorrelated(2, 0.5).pair_survival, 0, 1), math.nan),
+        (lambda g: NormalModel.equicorrelated(3, 0.5).pair_survivals(g), "2"),
     ],
     ids=[
         "str", "bool", "numpy-bool", "huge-int", "archimedean-str", "archimedean-bool",
-        "laplace-marginal-str", "laplace-pair-bool",
+        "laplace-marginal-str", "laplace-pair-bool", "normal-pair-nan", "normal-pairs-str",
     ],
 )
 def test_threshold_must_be_a_number(read, bad):
     # check_threshold("2.5") once returned 2.5 and check_threshold(True) 1.0;
-    # the Laplace layers once read "2" as 2.0 and True as 1.0
+    # the Laplace layers once read "2" as 2.0 and True as 1.0; the normal
+    # pair probability once returned nan for a nan threshold
     with pytest.raises(ModelSpecError, match="finite number"):
         read(bad)
 
@@ -148,6 +151,22 @@ def test_event_index_must_be_an_integer(call):
     # these once used events 1, 1, (0, 1) and 0
     with pytest.raises(ModelSpecError, match="event index must be an integer"):
         call(NormalModel.equicorrelated(3, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: NormalModel.equicorrelated(3, 0.5).marginal_survival(5, 2.0),
+        lambda: NormalModel.equicorrelated(3, 0.5).pair_survival(0, 3, 2.0),
+        lambda: NormalModel.equicorrelated(3, 0.5).pair_survival(1, 1, 2.0),
+        lambda: LaplaceModel(3).pair_survival(1, 1, 2.0),
+    ],
+    ids=["marginal-beyond-d", "pair-beyond-d", "normal-pair-repeated", "laplace-pair-repeated"],
+)
+def test_bad_event_index_is_a_model_spec_error(call):
+    # an index >= d and a repeated pair once raised a bare ValueError
+    with pytest.raises(ModelSpecError, match="out of range|must differ"):
+        call()
 
 
 def test_numpy_scalars_accepted():
@@ -255,7 +274,7 @@ class TestLaplaceModel:
         m = LaplaceModel(2)
         for g in (1.0, 6.0):
             numeric = integrate(
-                lambda r: math.exp(-r) * norm_sf(g / math.sqrt(r)), 0.0, 80.0, epsrel=1e-12
+                lambda r: np.exp(-r) * norm_sf(g / np.sqrt(r)), 0.0, 80.0, epsrel=1e-12
             )
             assert m.marginal_survival(0, g) == pytest.approx(numeric, rel=1e-8)
 

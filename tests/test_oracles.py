@@ -374,9 +374,15 @@ def test_equicorr_oracle_is_fast():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats.qmc is imported on the QMC oracle's first use, not by the package
+    # scipy.stats.qmc is imported on the QMC oracle's first use, not by the package;
+    # the quadrature is the package's own, so scipy.integrate (which loads
+    # scipy.optimize and scipy.sparse) is never imported
     src = str(Path(rareunion.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, rareunion; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
+    code = (
+        "import sys, rareunion, rareunion.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {[h.split('.') for h in heavy]!r}))"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
