@@ -234,7 +234,7 @@ class NormalModel(DependenceModel):
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         i = self._check_index(i)
-        return norm_sf((gamma - self._mu[i]) / self._sd[i])
+        return norm_sf((self.check_threshold(gamma) - self._mu[i]) / self._sd[i])
 
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
         i, j = self._check_pair(i, j)

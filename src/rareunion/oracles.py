@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, ndtri
 
+from . import _qmc as qmc  # a module attribute, so the engine source can be swapped
 from . import events as ev
+from ._qmc import BITS as _SOBOL_BITS
 from ._workers import ordered_map
 from .errors import ModelSpecError
 from .models import FinitePatternModel, LaplaceModel, NormalModel, _dimension, _real
@@ -44,19 +46,6 @@ _QMC_SCRAMBLES = 8  # independent scrambles; their spread is the error estimate
 # The relative scramble spread at which ``oracle_for_model`` stops doubling:
 # 500 times finer than the half-unit of the four digits a table prints.
 QMC_REL_TARGET = 1e-6
-
-
-class _LazyQmc:
-    """``scipy.stats.qmc``, imported on first use: importing ``scipy.stats``
-    would add most of a second to every ``import rareunion``."""
-
-    def __getattr__(self, name):
-        from scipy.stats import qmc as module
-
-        return getattr(module, name)
-
-
-qmc = _LazyQmc()  # a module attribute, so it can be swapped like the module it stands for
 
 
 def _union_tail_power(u, d: int):
@@ -136,7 +125,7 @@ def _sobol_engine(dim: int, seed):
     scramble_rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(_QMC_ENTROPY, spawn_key=seed))
     )
-    return qmc.Sobol(dim, scramble=True, seed=scramble_rng)
+    return qmc.Sobol(dim, seed=scramble_rng)
 
 
 def _genz_cell(m, chol, gamma, engine, points) -> float:
@@ -195,7 +184,8 @@ def oracle_union_normal_qmc(
     result is deterministic for a given point count because the scramble
     seeds are fixed; the spread across the eight scrambles provides the
     error estimate.  The point count is rounded up to a power of two to keep
-    the point sets balanced.
+    the point sets balanced, and may be at most 2^30, the length of the
+    30-bit Sobol sequence.
 
     ``rel_target == 0`` integrates ``points`` per scramble in one pass.
     ``rel_target > 0`` makes ``points`` a cap: the count starts at
@@ -212,19 +202,25 @@ def oracle_union_normal_qmc(
     scrambled engine.  The units of a level run on the package's worker
     pool (``_workers.ordered_map``), and each scramble's cells are summed
     in cell order afterwards, so ``value`` and ``error`` are bit-identical
-    for every thread count.  The engines are built in the calling thread,
-    because scipy fills its Sobol direction-number cache lazily, on the
-    first engine, without a lock.  Each unit runs the in-place kernel
+    for every thread count.  The engines (``qmc.Sobol``) are built once, up
+    front, because each continues its sequence from level to level; an
+    engine holds only its scrambled direction numbers, and builds each
+    draw's points on the spot.  Each unit runs the in-place kernel
     ``_genz_cell``, which holds one ``(n, k - 1)`` array and two
     length-``n`` arrays for the ``n`` points of its pass: at most 75 MB
     for d=8 at 2^20 points, so peak memory grows by that much per worker.
     """
+    if not isinstance(model, NormalModel):
+        raise ModelSpecError(f"the QMC oracle needs a NormalModel, got {type(model).__name__}")
     mu = np.asarray(model.mu, dtype=float)
     sigma = np.asarray(model.sigma, dtype=float)
     d = mu.size
     if d > 8:
         raise ModelSpecError("the QMC oracle supports d <= 8")
-    cap = 1 << max(4, (_dimension(points, "points") - 1).bit_length())
+    points = _dimension(points, "points")
+    if points > 1 << _SOBOL_BITS:
+        raise ModelSpecError(f"points must be at most 2**{_SOBOL_BITS}, got {points}")
+    cap = 1 << max(4, (points - 1).bit_length())
     gamma = _real(gamma, "gamma")
     target = _real(rel_target, "rel_target")
     if target < 0.0:

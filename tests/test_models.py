@@ -123,16 +123,21 @@ class TestBuildModel:
         (functools.partial(LaplaceModel(3).pair_survival, 0, 1), True),
         (functools.partial(NormalModel.equicorrelated(2, 0.5).pair_survival, 0, 1), math.nan),
         (lambda g: NormalModel.equicorrelated(3, 0.5).pair_survivals(g), "2"),
+        (functools.partial(NormalModel.equicorrelated(3, 0.5).marginal_survival, 0), math.nan),
+        (functools.partial(NormalModel.equicorrelated(3, 0.5).marginal_survival, 0), "2"),
+        (functools.partial(NormalModel.equicorrelated(3, 0.5).marginal_survival, 0), True),
     ],
     ids=[
         "str", "bool", "numpy-bool", "huge-int", "archimedean-str", "archimedean-bool",
         "laplace-marginal-str", "laplace-pair-bool", "normal-pair-nan", "normal-pairs-str",
+        "normal-marginal-nan", "normal-marginal-str", "normal-marginal-bool",
     ],
 )
 def test_threshold_must_be_a_number(read, bad):
     # check_threshold("2.5") once returned 2.5 and check_threshold(True) 1.0;
     # the Laplace layers once read "2" as 2.0 and True as 1.0; the normal
-    # pair probability once returned nan for a nan threshold
+    # pair probability once returned nan for a nan threshold, and the normal
+    # marginal nan for nan, a numpy type error for "2" and 0.1587 for True
     with pytest.raises(ModelSpecError, match="finite number"):
         read(bad)
 

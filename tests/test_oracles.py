@@ -190,6 +190,16 @@ class TestQmcOracle:
         oracle_union_normal_qmc(NormalModel.equicorrelated(3, -0.25), 2.0, points=1 << 10)
         assert made == [1, 2] * 8  # cells 1 and 2 of each of the 8 scrambles
 
+    @pytest.mark.parametrize(
+        "model",
+        [LaplaceModel(3), FinitePatternModel(np.full(4, 0.25))],
+        ids=["laplace", "finite"],
+    )
+    def test_non_normal_model_rejected(self, model):
+        # a LaplaceModel once raised AttributeError for its missing mu
+        with pytest.raises(ModelSpecError, match="NormalModel"):
+            oracle_union_normal_qmc(model, 2.0, points=1 << 10)
+
     def test_dimension_limit(self):
         m = NormalModel(np.eye(9))
         with pytest.raises(ModelSpecError):
@@ -276,9 +286,9 @@ class TestQmcRelativeTarget:
             values.add((est.value.hex(), est.error.hex(), est.points))
         assert len(values) == 1
 
-    @pytest.mark.filterwarnings("error")
     def test_doubling_keeps_sobol_balance(self):
-        # scipy warns when a fresh engine's first draw is not a power of two
+        # the engine raises on a draw that is not an aligned power of two
+        # (tests/test_qmc.py), so a doubling run that completes never tripped it
         est = oracle_union_normal_qmc(self.model("equicorr5_neg"), 3.0, rel_target=1e-7)
         assert est.points > 1 << 12
 
@@ -311,6 +321,7 @@ class TestQmcRelativeTarget:
             {"rel_target": "1e-6"},
             {"gamma": math.nan},
             {"gamma": "2.5"},
+            {"points": 1 << 31},  # past the 2^30-point Sobol sequence; 1 << 40 once ran out of memory
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
@@ -374,15 +385,17 @@ def test_equicorr_oracle_is_fast():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats.qmc is imported on the QMC oracle's first use, not by the package;
-    # the quadrature is the package's own, so scipy.integrate (which loads
-    # scipy.optimize and scipy.sparse) is never imported
+    # the quadrature and the Sobol engine are the package's own, so neither
+    # importing the package nor running the QMC oracle loads scipy.stats or
+    # scipy.integrate (which loads scipy.optimize and scipy.sparse)
     src = str(Path(rareunion.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
-    code = (
-        "import sys, rareunion, rareunion.cli; "
-        f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {[h.split('.') for h in heavy]!r}))"
-    )
+    code = "\n".join([
+        "import sys, rareunion, rareunion.cli",
+        "model = rareunion.NormalModel.equicorrelated(3, -0.25)",
+        "rareunion.oracle_union_normal_qmc(model, 2.0, points=1 << 10, rel_target=1e-9)",
+        f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {[h.split('.') for h in heavy]!r}))",
+    ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
