@@ -25,7 +25,6 @@ from .events import (
     residual_term,
 )
 from .models import (
-    AR1Model,
     ArchimedeanModel,
     DependenceModel,
     FinitePatternModel,
@@ -46,12 +45,7 @@ from .estimators import (
     EstimateResult,
     Payoff,
     bonferroni_bounds,
-    estimate_alpha_1_is,
-    estimate_alpha_2_is,
-    estimate_alpha_n,
-    estimate_beta_dagger_alpha,
     estimate_beta_n,
-    estimate_cmc,
     exhaustive_estimator_mean,
     exhaustive_residual_second_moment,
     exhaustive_variance_components,

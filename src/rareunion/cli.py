@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ._rng import stable_cell_seed
@@ -27,8 +27,6 @@ from .models import _dimension, _real, build_model
 from .oracles import oracle_for_model, oracle_union_normal_qmc  # noqa: F401
 
 CSV_HEADER = "estimator,gamma,estimate,sample_std,stderr,rel_err,degenerate,replicates,seed,wall_ms"
-
-PAPER_SCALE_REPLICATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -247,19 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table", help="run a config-driven experiment grid")
     p_tab.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p_tab.add_argument("--format", choices=["csv", "json"], default=None)
     p_tab.add_argument("--out", default=None, help="output file (default: stdout)")
-    p_tab.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help=f"override replicates to {PAPER_SCALE_REPLICATES}",
-    )
-    p_tab.add_argument(
-        "--switch-below-std",
-        type=float,
-        default=None,
-        help="report the deterministic bound whenever alpha1/alpha2 sample std is below this",
-    )
 
     p_or = sub.add_parser("oracle", help="deterministic union probability")
     p_or.add_argument("--model", required=True)
@@ -291,16 +277,8 @@ def _cmd_table(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     config = ExperimentConfig.from_dict(obj)
-    overrides = {}
-    if args.paper_scale:
-        overrides["replicates"] = PAPER_SCALE_REPLICATES
-    if args.switch_below_std is not None:
-        overrides["switch_below_std"] = args.switch_below_std
-    if overrides:
-        config = replace(config, **overrides)
     rows = run_experiment(config)
-    fmt = args.format or config.output
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
+    text = rows_to_csv(rows) if config.output == "csv" else rows_to_json(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -360,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ModelSpecError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ModelSpecError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RareUnionError as exc:

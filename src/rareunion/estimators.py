@@ -19,15 +19,20 @@ laws, per-law value function and allocation:
   partition cell, with value ``head + w_0 z_0 + w_1 z_1 + ...``; each law
   gets ``ceil(replicates / L)`` draws.
 
-One chunked runner samples the record, and ``exhaustive_estimator_mean``
-reads the same record on a finite pattern model, summing each law's
-values against its conditional pmf ``pmf 1{events} / weight``.  Laws of
-weight zero are never drawn; a record with nothing to sample returns its
-head.  The estimate is the mean of the replicate values, ``sample_std``
-their standard deviation and ``stderr = sample_std / sqrt(replicates)``.
-Degeneration means a sample variance of exactly zero, detected by exact
-min/max comparison, so a degenerated first-order estimator is
-bit-identical to the Bonferroni upper bound.
+``run_estimator(name, model, gamma, replicates, seed)`` runs the seven
+union-probability estimators above by registry name (``alpha_n`` is
+``alpha1`` and ``alpha2``); ``estimate_beta_n`` builds the order-n
+partition record for a payoff, the one entry for tail functionals
+``E[Y 1{E >= n}]``.  One chunked runner samples the record, and
+``exhaustive_estimator_mean`` reads the same record on a finite pattern
+model, summing each law's values against its conditional pmf
+``pmf 1{events} / weight``.  Laws of weight zero are never drawn; a
+record with nothing to sample returns its head.  The estimate is the
+mean of the replicate values, ``sample_std`` their standard deviation and
+``stderr = sample_std / sqrt(replicates)``.  Degeneration means a sample
+variance of exactly zero, detected by exact min/max comparison, so a
+degenerated first-order estimator is bit-identical to the Bonferroni
+upper bound.
 
 Replicates run in fixed-size chunks, each on a derived substream:
 ``(seed, chunk)`` for a mixture, ``(seed, k + 1, chunk)`` for law k of a
@@ -60,9 +65,8 @@ from .errors import ModelSpecError
 from .models import DependenceModel, FinitePatternModel, _dimension
 
 __all__ = [
-    "EstimateResult", "BonferroniBounds", "Payoff", "bonferroni_bounds", "estimate_cmc",
-    "estimate_alpha_n", "estimate_alpha_1_is", "estimate_alpha_2_is", "estimate_beta_n",
-    "estimate_beta_dagger_alpha", "ESTIMATOR_NAMES", "run_estimator", "exhaustive_estimator_mean",
+    "EstimateResult", "BonferroniBounds", "Payoff", "bonferroni_bounds", "estimate_beta_n",
+    "ESTIMATOR_NAMES", "run_estimator", "exhaustive_estimator_mean",
     "exhaustive_residual_second_moment", "exhaustive_variance_components",
 ]
 
@@ -215,10 +219,17 @@ _UNCONDITIONAL = [(1.0, ())]
 
 
 def _crude(lay: _Layers) -> _Estimator:
+    """Crude Monte Carlo (``cmc``): mean of the union indicator ``1{E >= 1}``."""
     return _Estimator(0.0, _UNCONDITIONAL, lambda k, x, p: (p.sum(axis=1) >= 1).astype(float), True)
 
 
 def _alpha_n(n: int):
+    """``alpha1``/``alpha2``: exact inclusion-exclusion head of depth n (1:
+    marginals, 2: also pairs) plus the sampled alternating remainder.  The
+    remainder vanishes unless a replicate has more than n exceedances, so
+    deep in the tail the estimator degenerates to the matching Bonferroni
+    bound."""
+
     def build(lay: _Layers) -> _Estimator:
         head = lay.abar if n == 1 else lay.abar - lay.q
         table = ev.residual_term_table(lay.d, n)
@@ -228,12 +239,20 @@ def _alpha_n(n: int):
 
 
 def _alpha1_is(lay: _Layers) -> _Estimator:
+    """First-order conditioning mixture: event i is picked with probability
+    ``P(A_i) / abar``, with ``abar`` the marginal sum, and the replicate
+    value is ``abar / E``.  The union has probability one under the
+    mixture, so no replicate is wasted."""
     abar = lay.abar
     laws = [(w, (i,)) for i, w in enumerate(lay.margs)]
     return _Estimator(abar, laws, lambda k, x, p: abar / p.sum(axis=1), True)
 
 
 def _alpha2_is(lay: _Layers) -> _Estimator:
+    """Second-order conditioning mixture: pair (i, j) is picked with
+    probability ``P(A_i A_j) / q``, with ``q`` the pairwise sum, and the
+    value is ``abar - 2 q / E``.  When ``q`` is exactly zero there is
+    nothing to sample: the value is the marginal sum, flagged degenerate."""
     abar, q = lay.abar, lay.q
     laws = list(zip(lay.pairs, itertools.combinations(range(lay.d), 2)))
     return _Estimator(abar, laws, lambda k, x, p: abar - 2.0 * q / p.sum(axis=1), True)
@@ -254,6 +273,9 @@ def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0):
 
 
 def _beta1_alpha(lay: _Layers) -> _Estimator:
+    """Union probability through the order-1 partition: the first cell's
+    conditional expectation is identically one, so its contribution is the
+    exact ``P(A_1)`` and only the remaining ``d - 1`` cells are sampled."""
     return _partition(lay, 1, float(lay.margs[0]), lambda c, x, p: c.blocked_clear(p).astype(float), first=1)
 
 
@@ -264,6 +286,10 @@ _ESTIMATORS = {
     "alpha1_is": _alpha1_is,
     "alpha2_is": _alpha2_is,
     "beta1_alpha": _beta1_alpha,
+    # union probability through the order-2 partition: the marginal layer is
+    # exact and the pair cells estimate the alternating remainder with payoff
+    # 1 - E; the cell constraint indicator keeps the cells disjoint, which is
+    # what makes the estimator unbiased beyond two dimensions
     "beta2_alpha": _beta_n(2, Payoff.residual_alternating(1), head=lambda lay: lay.abar),
 }
 
@@ -354,36 +380,7 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
 
 
 # ---------------------------------------------------------------------------
-# Public estimators
-
-
-def estimate_cmc(model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
-    """Crude Monte Carlo: mean of the union indicator ``1{E >= 1}``."""
-    return _run(_crude, model, gamma, replicates, seed)
-
-
-def estimate_alpha_n(model: DependenceModel, gamma: float, n: int, replicates: int, seed: int) -> EstimateResult:
-    """Exact inclusion-exclusion head of depth n (1: marginals, 2: also
-    pairs) plus the sampled alternating remainder.  The remainder vanishes
-    unless a replicate has more than n exceedances, so deep in the tail the
-    estimator degenerates to the matching Bonferroni bound."""
-    return _run(_alpha_n(_check_order(n)), model, gamma, replicates, seed)
-
-
-def estimate_alpha_1_is(model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
-    """First-order conditioning mixture: event i is picked with probability
-    ``P(A_i) / abar``, with ``abar`` the marginal sum, and the replicate
-    value is ``abar / E``.  The union has probability one under the
-    mixture, so no replicate is wasted."""
-    return _run(_alpha1_is, model, gamma, replicates, seed)
-
-
-def estimate_alpha_2_is(model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
-    """Second-order conditioning mixture: pair (i, j) is picked with
-    probability ``P(A_i A_j) / q``, with ``q`` the pairwise sum, and the
-    value is ``abar - 2 q / E``.  When ``q`` is exactly zero there is
-    nothing to sample: the value is the marginal sum, flagged degenerate."""
-    return _run(_alpha2_is, model, gamma, replicates, seed)
+# Public entry points
 
 
 def estimate_beta_n(
@@ -401,24 +398,10 @@ def estimate_beta_n(
     return _run(_beta_n(_check_order(n), payoff), model, gamma, replicates, seed)
 
 
-def estimate_beta_dagger_alpha(
-    model: DependenceModel, gamma: float, n: int, replicates: int, seed: int
-) -> EstimateResult:
-    """Union probability through the order-n partition estimator.
-
-    ``n=1``: the first cell's conditional expectation is identically one,
-    so its contribution is the exact ``P(A_1)`` and only the remaining
-    ``d - 1`` cells are sampled.  ``n=2``: the marginal layer is exact and
-    the pair cells estimate the alternating remainder with payoff
-    ``1 - E``; the cell constraint indicator keeps the partition cells
-    disjoint, which is what makes the estimator unbiased beyond two
-    dimensions.
-    """
-    return _run(_ESTIMATORS[f"beta{_check_order(n)}_alpha"], model, gamma, replicates, seed)
-
-
 def run_estimator(name: str, model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
-    """Run a Monte Carlo estimator by its registry name."""
+    """Run a union-probability estimator by its registry name: ``cmc``,
+    ``alpha1``, ``alpha2``, ``alpha1_is``, ``alpha2_is``, ``beta1_alpha``
+    or ``beta2_alpha``."""
     return _run(_lookup(name), model, gamma, replicates, seed)
 
 
@@ -432,7 +415,7 @@ def run_estimator(name: str, model: DependenceModel, gamma: float, replicates: i
 
 def _finite(model) -> FinitePatternModel:
     if not isinstance(model, FinitePatternModel):
-        raise TypeError("exhaustive expectations require a finite pattern model")
+        raise ModelSpecError("exhaustive expectations require a finite pattern model")
     return model
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "NormalModel",
     "LaplaceModel",
     "ArchimedeanModel",
-    "AR1Model",
     "FinitePatternModel",
     "build_model",
 ]
@@ -580,33 +579,6 @@ class ArchimedeanModel(DependenceModel):
 
 
 # ---------------------------------------------------------------------------
-# Stationary AR(1)
-
-
-class AR1Model(NormalModel):
-    """Stationary Gaussian AR(1) path observed at d consecutive times.
-
-    It is the centred normal with Toeplitz covariance
-    ``sigma_eps**2 / (1 - phi**2) * phi**|i - j|``, so every estimator,
-    oracle and efficiency rule treats it as the Gaussian law it is.
-    """
-
-    def __init__(self, phi: float, sigma_eps: float, d: int):
-        phi = _real(phi, "phi")
-        sigma_eps = _real(sigma_eps, "sigma_eps")
-        d = _dimension(d, "path length")
-        if not -1.0 < phi < 1.0:
-            raise ModelSpecError("autoregression coefficient must lie in (-1, 1)")
-        if sigma_eps <= 0.0:
-            raise ModelSpecError("innovation standard deviation must be positive")
-        lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        super().__init__(sigma_eps**2 / (1.0 - phi**2) * phi**lags)
-        self.phi = phi
-        self.sigma_eps = sigma_eps
-        self.sigma_marginal = sigma_eps / math.sqrt(1.0 - phi * phi)
-
-
-# ---------------------------------------------------------------------------
 # Finite pattern distributions (exhaustive test oracle)
 
 
@@ -669,7 +641,7 @@ class FinitePatternModel(DependenceModel):
         mask = self._given(required)
         total = float(self._pmf[mask].sum())
         if total <= 0.0:
-            raise ValueError(f"conditioning event {required} has probability zero")
+            raise ModelSpecError(f"conditioning event {required} has probability zero")
         return _FiniteConditional(self, np.where(mask)[0], self._pmf[mask] / total)
 
     def conditional_given_exceedance(self, i: int, gamma: float = 0.0):
@@ -726,8 +698,16 @@ def build_model(spec: dict) -> DependenceModel:
             return LaplaceModel(spec["d"])
         if kind == "archimedean":
             return ArchimedeanModel(spec["family"], spec["theta"], spec["d"])
-        if kind == "ar1":
-            return AR1Model(spec["phi"], spec["sigma_eps"], spec["d"])
+        if kind == "ar1":  # the stationary path at d consecutive times: a Toeplitz normal
+            phi, sigma_eps, d = spec["phi"], spec["sigma_eps"], spec["d"]
+            phi, sigma_eps = _real(phi, "phi"), _real(sigma_eps, "sigma_eps")
+            d = _dimension(d, "path length")
+            if not -1.0 < phi < 1.0:
+                raise ModelSpecError("autoregression coefficient must lie in (-1, 1)")
+            if sigma_eps <= 0.0:
+                raise ModelSpecError("innovation standard deviation must be positive")
+            lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+            return NormalModel(sigma_eps**2 / (1.0 - phi**2) * phi**lags)
         if kind == "finite":
             return FinitePatternModel(spec["pmf"], d=spec.get("d"))
     except ModelSpecError:

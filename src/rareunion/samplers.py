@@ -47,14 +47,15 @@ def row_blocks(n: int):
         start = stop
 
 
-def shifted_exponential_rate(gamma: float) -> float:
-    """Optimal rate of the shifted-exponential proposal for the tail beyond gamma.
+def shifted_exponential_rate(gamma):
+    """Optimal rate of the shifted-exponential proposal for the tail beyond
+    gamma, elementwise over an array of truncation points.
 
     Maximizes the acceptance probability of the rejection scheme; the
     acceptance stays above one half for any non-negative truncation point
     and tends to one deep in the tail.
     """
-    return 0.5 * (gamma + math.sqrt(gamma * gamma + 4.0))
+    return 0.5 * (gamma + np.sqrt(gamma * gamma + 4.0))
 
 
 def _trunc_std_normal_batch(gammas: np.ndarray, rng) -> np.ndarray:
@@ -77,7 +78,7 @@ def _trunc_std_normal_batch(gammas: np.ndarray, rng) -> np.ndarray:
         accept = np.zeros(n, dtype=bool)
         if pos.any():
             gp = g[pos]
-            lam = 0.5 * (gp + np.sqrt(gp * gp + 4.0))
+            lam = shifted_exponential_rate(gp)
             c = gp + rng.exponential(1.0, gp.size) / lam
             logu = np.log(rng.random(gp.size))
             cand[pos] = c

@@ -139,10 +139,10 @@ def test_criterion_05_degeneration_to_deterministic_bounds():
         model = ru.NormalModel.equicorrelated(4, 0.75)
         for gamma in (6.0, 8.0):
             bounds = ru.bonferroni_bounds(model, gamma)
-            r1 = ru.estimate_alpha_n(model, gamma, 1, 1_000_000, SEED + 1)
+            r1 = ru.run_estimator("alpha1", model, gamma, 1_000_000, SEED + 1)
             assert r1.degenerate and r1.sample_std == 0.0
             assert r1.estimate == bounds.upper
-            r2 = ru.estimate_alpha_n(model, gamma, 2, 1_000_000, SEED + 2)
+            r2 = ru.run_estimator("alpha2", model, gamma, 1_000_000, SEED + 2)
             assert r2.degenerate and r2.sample_std == 0.0
             assert r2.estimate == bounds.second
 
@@ -262,7 +262,8 @@ def test_criterion_10_classification_suites():
         # independence and a lone negatively correlated pair give.
         for phi, d, level in ((0.5, 5, ru.INEFFICIENT), (-0.5, 5, ru.INEFFICIENT),
                               (0.0, 5, ru.BRE), (-0.5, 2, ru.BRE)):
-            model = ru.AR1Model(phi, math.sqrt(1.0 - phi * phi), d)
+            sigma_eps = math.sqrt(1.0 - phi * phi)
+            model = ru.build_model({"type": "ar1", "phi": phi, "sigma_eps": sigma_eps, "d": d})
             assert ru.classify_model(model).level == level, (phi, d)
 
         for rule in ru.ARCHIMEDEAN_TABLE:

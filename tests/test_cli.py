@@ -361,6 +361,22 @@ class TestCommandLine:
         b = run_cli("table", "--config", str(small_config))
         assert strip_wall_ms(a.stdout) == strip_wall_ms(b.stdout)
 
+    def test_table_reads_output_and_replicates_from_config(self, tmp_path):
+        cfg = {
+            "model": {"type": "normal", "d": 2, "rho": 0.5},
+            "gamma_grid": [1.0],
+            "estimators": ["cmc", "alpha1_is"],
+            "replicates": 500,
+            "output": "json",
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("table", "--config", str(path))
+        assert proc.returncode == 0
+        rows = [row for row in json.loads(proc.stdout) if row["estimator"] != "oracle"]
+        assert [row["estimator"] for row in rows] == ["cmc", "alpha1_is"]
+        assert all(row["replicates"] == 500 for row in rows)
+
     def test_table_writes_file(self, small_config, tmp_path):
         out = tmp_path / "rows.csv"
         proc = run_cli("table", "--config", str(small_config), "--out", str(out))
@@ -382,9 +398,19 @@ class TestCommandLine:
         proc = run_cli("table", "--config", str(path))
         assert proc.returncode == 2
 
-    def test_missing_config_file_exits_two(self):
-        proc = run_cli("table", "--config", "/nonexistent/config.json")
+    def test_missing_config_file_exits_two(self, tmp_path):
+        # a directory and a file that is not UTF-8 once ended in a traceback
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"model": "\xe9"}')
+        for path in ("/nonexistent/config.json", str(tmp_path), str(not_utf8)):
+            proc = run_cli("table", "--config", path)
+            assert proc.returncode == 2, path
+            assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, path
+
+    def test_output_path_that_is_a_directory_exits_two(self, small_config, tmp_path):
+        proc = run_cli("table", "--config", str(small_config), "--out", str(tmp_path))
         assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
     def test_runtime_error_exits_one(self):
         # archimedean models have no deterministic union oracle

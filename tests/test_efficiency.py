@@ -5,7 +5,6 @@ import pytest
 
 from rareunion import (
     ARCHIMEDEAN_TABLE,
-    AR1Model,
     ArchimedeanModel,
     BRE,
     EllipticalInput,
@@ -32,6 +31,10 @@ from rareunion import (
     gaussian_copula_ledford_tawn,
     savage_condition,
 )
+
+
+def ar1_model(phi, sigma_eps, d):
+    return build_model({"type": "ar1", "phi": phi, "sigma_eps": sigma_eps, "d": d})
 
 
 class TestLedfordTawn:
@@ -233,14 +236,14 @@ class TestAr1Classification:
         ],
     )
     def test_gaussian_verdict_with_extremal_correlation(self, phi, d, level, rho_max):
-        v = classify_model(AR1Model(phi, math.sqrt(1.0 - phi * phi), d))
+        v = classify_model(ar1_model(phi, math.sqrt(1.0 - phi * phi), d))
         assert v.level == level
         assert v.diagnostics["rho_max"] == pytest.approx(rho_max, abs=1e-12)
 
     @pytest.mark.parametrize("phi,d", [(0.5, 5), (-0.5, 5), (0.0, 3), (-0.5, 2), (0.9, 8)])
     def test_same_verdict_as_the_toeplitz_normal(self, phi, d):
         lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        ar1 = classify_model(AR1Model(phi, math.sqrt(1.0 - phi * phi), d))
+        ar1 = classify_model(ar1_model(phi, math.sqrt(1.0 - phi * phi), d))
         normal = classify_model(NormalModel(phi**lags))
         assert (ar1.level, ar1.rules_fired) == (normal.level, normal.rules_fired)
 
@@ -386,7 +389,7 @@ class TestEmpiricalRatio:
 class TestClassifyModel:
     def test_ar1_dispatch(self):
         # the lag-two pair, correlation 0.25, carries the Gaussian tail rule
-        v = classify_model(AR1Model(-0.5, 1.0, 6))
+        v = classify_model(ar1_model(-0.5, 1.0, 6))
         assert v.level == INEFFICIENT and "eta_above_half" in v.rules_fired
         assert v.diagnostics["rho_max"] == pytest.approx(0.25, abs=1e-12)
         assert v.diagnostics["lt_eta"] == pytest.approx(0.625, abs=1e-12)
@@ -415,7 +418,7 @@ class TestClassifyModel:
         assert "use_empirical_ratio" in v.rules_fired
 
     def test_verdict_json(self):
-        obj = classify_model(AR1Model(0.5, math.sqrt(0.75), 5)).to_json()
+        obj = classify_model(ar1_model(0.5, math.sqrt(0.75), 5)).to_json()
         assert set(obj) == {"level", "diagnostics", "rules_fired"}
 
 
@@ -427,10 +430,10 @@ STRUCTURAL_CASES = [
     pytest.param(NormalModel.equicorrelated(4, 0.0), _NORMAL_GRID, id="equicorr0"),
     pytest.param(NormalModel.equicorrelated(4, 0.75), _NORMAL_GRID, id="equicorr0.75"),
     pytest.param(NormalModel(np.diag([4.0, 1.0, 1.0])), _NORMAL_GRID, id="diag411"),
-    pytest.param(AR1Model(0.5, math.sqrt(0.75), 5), _NORMAL_GRID, id="ar1-0.5-d5"),
-    pytest.param(AR1Model(-0.5, math.sqrt(0.75), 5), _NORMAL_GRID, id="ar1--0.5-d5"),
-    pytest.param(AR1Model(0.0, 1.0, 5), _NORMAL_GRID, id="ar1-0-d5"),
-    pytest.param(AR1Model(-0.5, math.sqrt(0.75), 2), _NORMAL_GRID, id="ar1--0.5-d2"),
+    pytest.param(ar1_model(0.5, math.sqrt(0.75), 5), _NORMAL_GRID, id="ar1-0.5-d5"),
+    pytest.param(ar1_model(-0.5, math.sqrt(0.75), 5), _NORMAL_GRID, id="ar1--0.5-d5"),
+    pytest.param(ar1_model(0.0, 1.0, 5), _NORMAL_GRID, id="ar1-0-d5"),
+    pytest.param(ar1_model(-0.5, math.sqrt(0.75), 2), _NORMAL_GRID, id="ar1--0.5-d2"),
     pytest.param(ArchimedeanModel("clayton", 2.0, 3), _UNIFORM_GRID, id="clayton2"),
     pytest.param(ArchimedeanModel("frank", 3.0, 3), _UNIFORM_GRID, id="frank3"),
     pytest.param(ArchimedeanModel("amh", 0.5, 3), _UNIFORM_GRID, id="amh0.5"),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rareunion import (
-    AR1Model,
     CapabilityError,
     DependenceModel,
     ModelSpecError,
@@ -17,12 +16,8 @@ from rareunion import (
     bonferroni_bounds,
     brute_force_tail_expectation,
     brute_force_union,
-    estimate_alpha_1_is,
-    estimate_alpha_2_is,
-    estimate_alpha_n,
-    estimate_beta_dagger_alpha,
+    build_model,
     estimate_beta_n,
-    estimate_cmc,
     exhaustive_estimator_mean,
     exhaustive_residual_second_moment,
     exhaustive_variance_components,
@@ -118,7 +113,7 @@ class TestAr1Coverage:
 
     @pytest.mark.parametrize("phi", [0.5, -0.5])
     def test_every_estimator_agrees_with_the_oracle(self, phi):
-        m = AR1Model(phi, math.sqrt(1.0 - phi * phi), 5)
+        m = build_model({"type": "ar1", "phi": phi, "sigma_eps": math.sqrt(1.0 - phi * phi), "d": 5})
         truth = oracle_for_model(m, 2.5, qmc_points=1 << 14)
         bounds = bonferroni_bounds(m, 2.5)
         bound_of = {"alpha1": bounds.upper, "alpha2": bounds.second}
@@ -135,28 +130,28 @@ class TestDegeneration:
     def test_alpha_n_degenerates_to_bounds(self):
         m = NormalModel.equicorrelated(4, 0.75)
         bounds = bonferroni_bounds(m, 6.0)
-        r1 = estimate_alpha_n(m, 6.0, 1, 2000, 5)
+        r1 = run_estimator("alpha1", m, 6.0, 2000, 5)
         assert r1.degenerate and r1.sample_std == 0.0 and r1.stderr == 0.0
         assert r1.estimate == bounds.upper
-        r2 = estimate_alpha_n(m, 6.0, 2, 2000, 5)
+        r2 = run_estimator("alpha2", m, 6.0, 2000, 5)
         assert r2.degenerate
         assert r2.estimate == bounds.second
 
     def test_cmc_degenerates_to_zero(self):
         m = NormalModel.equicorrelated(4, 0.75)
-        r = estimate_cmc(m, 8.0, 5000, 1)
+        r = run_estimator("cmc", m, 8.0, 5000, 1)
         assert r.degenerate and r.estimate == 0.0
 
     def test_two_events_second_order_is_forced(self):
         m = NormalModel.equicorrelated(2, 0.5)
         bounds = bonferroni_bounds(m, 1.0)
-        r = estimate_alpha_2_is(m, 1.0, 500, 9)
+        r = run_estimator("alpha2_is", m, 1.0, 500, 9)
         assert r.degenerate
         assert r.estimate == bounds.upper - (bounds.upper - bounds.second)
 
     def test_single_event_first_order_is_exact(self):
         m = NormalModel.equicorrelated(1, 0.0)
-        r = estimate_alpha_1_is(m, 2.0, 200, 3)
+        r = run_estimator("alpha1_is", m, 2.0, 200, 3)
         assert r.degenerate
         assert r.estimate == m.marginal_survival(0, 2.0)
 
@@ -164,7 +159,7 @@ class TestDegeneration:
         # only single-bit patterns have mass, so every pair probability is 0
         pmf = np.array([0.4, 0.2, 0.3, 0.0, 0.1, 0.0, 0.0, 0.0])
         model = FinitePatternModel(pmf)
-        r = estimate_alpha_2_is(model, 0.0, 100, 1)
+        r = run_estimator("alpha2_is", model, 0.0, 100, 1)
         assert r.degenerate and r.replicates == 0
         assert r.estimate == bonferroni_bounds(model, 0.0).upper
 
@@ -174,7 +169,7 @@ class TestReplicateRange:
         m = NormalModel.equicorrelated(4, 0.75)
         bounds = bonferroni_bounds(m, 2.0)
         q = bounds.upper - bounds.second
-        r = estimate_alpha_2_is(m, 2.0, 4000, 17)
+        r = run_estimator("alpha2_is", m, 2.0, 4000, 17)
         assert bounds.second - 1e-15 <= r.estimate <= bounds.upper - 2 * q / 4 + 1e-15
 
 
@@ -192,7 +187,7 @@ class TestReproducibility:
     def test_chunk_boundaries_do_not_change_results(self):
         # replicate counts straddling the chunk size keep prefix-consistent streams
         m = NormalModel.equicorrelated(2, 0.5)
-        big = estimate_cmc(m, 1.0, (1 << 16) + 500, 5)
+        big = run_estimator("cmc", m, 1.0, (1 << 16) + 500, 5)
         assert big.replicates == (1 << 16) + 500
 
 
@@ -200,24 +195,24 @@ class TestCapabilities:
     def test_laplace_has_no_pair_conditional(self):
         m = LaplaceModel(4)
         with pytest.raises(CapabilityError):
-            estimate_alpha_2_is(m, 6.0, 100, 1)
+            run_estimator("alpha2_is", m, 6.0, 100, 1)
         with pytest.raises(CapabilityError):
-            estimate_beta_dagger_alpha(m, 6.0, 2, 100, 1)
+            run_estimator("beta2_alpha", m, 6.0, 100, 1)
 
     def test_archimedean_has_no_conditionals(self):
         m = ArchimedeanModel("clayton", 2.0, 3)
         with pytest.raises(CapabilityError):
-            estimate_alpha_1_is(m, 0.9, 100, 1)
+            run_estimator("alpha1_is", m, 0.9, 100, 1)
         # but the partially deterministic estimators work
-        r = estimate_alpha_n(m, 0.9, 2, 5000, 1)
+        r = run_estimator("alpha2", m, 0.9, 5000, 1)
         assert r.replicates == 5000
 
     @pytest.mark.parametrize(
         "run, law",
         [
-            (lambda: estimate_alpha_1_is(ArchimedeanModel("clayton", 2.0, 3), 0.9, 100, 1), "one event"),
-            (lambda: estimate_alpha_2_is(LaplaceModel(4), 6.0, 100, 1), "event pairs"),
-            (lambda: estimate_beta_dagger_alpha(LaplaceModel(4), 6.0, 2, 100, 1), "event pairs"),
+            (lambda: run_estimator("alpha1_is", ArchimedeanModel("clayton", 2.0, 3), 0.9, 100, 1), "one event"),
+            (lambda: run_estimator("alpha2_is", LaplaceModel(4), 6.0, 100, 1), "event pairs"),
+            (lambda: run_estimator("beta2_alpha", LaplaceModel(4), 6.0, 100, 1), "event pairs"),
         ],
         ids=["archimedean-alpha1_is", "laplace-alpha2_is", "laplace-beta2_alpha"],
     )
@@ -233,10 +228,10 @@ class TestCapabilities:
                 return rng.standard_normal((1 if size is None else size, 3))
 
         m = SampleOnly()
-        assert estimate_cmc(m, 1.0, 1000, 1).replicates == 1000
+        assert run_estimator("cmc", m, 1.0, 1000, 1).replicates == 1000
         for run in (
-            lambda: estimate_alpha_n(m, 1.0, 1, 100, 1),
-            lambda: estimate_alpha_1_is(m, 1.0, 100, 1),
+            lambda: run_estimator("alpha1", m, 1.0, 100, 1),
+            lambda: run_estimator("alpha1_is", m, 1.0, 100, 1),
             lambda: empirical_efficiency_ratio(m, [1.0, 2.0]),
         ):
             with pytest.raises(CapabilityError, match="cannot compute marginal probabilities"):
@@ -250,23 +245,25 @@ class TestCapabilities:
         assert [m.pair_survival(i, j, 0.9) for i, j in [(0, 1), (0, 2), (1, 2)]] == [0.0] * 3
         upper = bonferroni_bounds(m, 0.9).upper
         assert upper == 0.29999999999999993
-        for r in (estimate_alpha_2_is(m, 0.9, 1000, 1), estimate_beta_dagger_alpha(m, 0.9, 2, 1000, 1)):
+        for r in (run_estimator("alpha2_is", m, 0.9, 1000, 1), run_estimator("beta2_alpha", m, 0.9, 1000, 1)):
             assert r.degenerate and r.estimate == upper
 
     def test_invalid_inputs(self):
         m = NormalModel.equicorrelated(2, 0.5)
         with pytest.raises(ModelSpecError):
-            estimate_alpha_n(m, 1.0, 3, 100, 1)
+            run_estimator("alpha3", m, 1.0, 100, 1)
         with pytest.raises(ModelSpecError):
             estimate_beta_n(m, 1.0, 3, Payoff.constant_one(), 100, 1)
         with pytest.raises(ModelSpecError):
-            estimate_cmc(m, 1.0, 0, 1)
+            run_estimator("cmc", m, 1.0, 0, 1)
         with pytest.raises(ModelSpecError, match="replicates must be an integer"):
-            estimate_cmc(m, 1.0, 2.7, 1)
+            run_estimator("cmc", m, 1.0, 2.7, 1)
         with pytest.raises(ModelSpecError):
             run_estimator("nope", m, 1.0, 10, 1)
         with pytest.raises(ModelSpecError):
             exhaustive_estimator_mean("nope", random_finite(1, 2))
+        with pytest.raises(ModelSpecError, match="finite pattern model"):
+            exhaustive_estimator_mean("cmc", m)  # once a TypeError
         with pytest.raises(ModelSpecError, match="gamma"):
             run_estimator("alpha1", m, "2.5", 1000, 1)  # once ran at 2.5
 
@@ -304,7 +301,7 @@ class TestBonferroni:
 
     def test_result_fields(self):
         m = NormalModel.equicorrelated(3, 0.5)
-        r = estimate_cmc(m, 1.0, 5000, 99)
+        r = run_estimator("cmc", m, 1.0, 5000, 99)
         assert r.stderr == pytest.approx(r.sample_std / math.sqrt(r.replicates))
         assert r.seed == 99
         assert r.wall_ms >= 0.0
@@ -335,11 +332,11 @@ class TestInputBoundary:
     def test_mixture_with_nothing_to_weigh(self):
         # every marginal probability underflows to zero
         with pytest.raises(ModelSpecError):
-            estimate_alpha_1_is(NormalModel.equicorrelated(4, 0.75), 40.0, 100, 1)
+            run_estimator("alpha1_is", NormalModel.equicorrelated(4, 0.75), 40.0, 100, 1)
 
     def test_laplace_conditional_needs_positive_threshold(self):
         with pytest.raises(ModelSpecError):
-            estimate_alpha_1_is(LaplaceModel(4), -1.0, 100, 1)
+            run_estimator("alpha1_is", LaplaceModel(4), -1.0, 100, 1)
 
     @pytest.mark.parametrize("name", ["bonferroni", "zeta"])
     def test_unknown_estimator_lists_only_runnable_names(self, name):
@@ -378,13 +375,13 @@ class TestLayersAndLaws:
         # only single-bit patterns have mass, so every pair cell has weight zero
         pmf = np.array([0.4, 0.2, 0.3, 0.0, 0.1, 0.0, 0.0, 0.0])
         model = FinitePatternModel(pmf)
-        r = estimate_beta_dagger_alpha(model, 0.0, 2, 90, 1)
+        r = run_estimator("beta2_alpha", model, 0.0, 90, 1)
         assert r.degenerate and r.replicates == 30
         assert r.estimate == bonferroni_bounds(model, 0.0).upper
 
     def test_order_beyond_dimension_is_exact(self):
         m = NormalModel.equicorrelated(1, 0.0)
-        r = estimate_beta_dagger_alpha(m, 1.0, 2, 100, 1)
+        r = run_estimator("beta2_alpha", m, 1.0, 100, 1)
         assert r.degenerate and r.replicates == 0
         assert r.estimate == m.marginal_survival(0, 1.0)
         r = estimate_beta_n(m, 1.0, 2, Payoff.constant_one(), 100, 1)

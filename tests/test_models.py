@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rareunion import (
-    AR1Model,
     ArchimedeanModel,
     CapabilityError,
     FinitePatternModel,
@@ -62,7 +61,7 @@ class TestBuildModel:
             build_model({"type": "student"})
 
     def test_ar1_and_finite(self):
-        assert isinstance(build_model({"type": "ar1", "phi": 0.5, "sigma_eps": 1.0, "d": 5}), AR1Model)
+        assert isinstance(build_model({"type": "ar1", "phi": 0.5, "sigma_eps": 1.0, "d": 5}), NormalModel)
         assert isinstance(build_model({"type": "finite", "pmf": [0.25] * 4}), FinitePatternModel)
 
     @pytest.mark.parametrize(
@@ -180,7 +179,9 @@ def test_numpy_scalars_accepted():
     assert m.check_threshold(np.float32(2.5)) == 2.5
     assert m.check_threshold(np.int64(3)) == 3.0
     assert ArchimedeanModel("clayton", np.int64(2), 3).check_threshold(np.float64(0.5)) == 0.5
-    assert AR1Model(np.float64(0.5), 1, 4).phi == 0.5
+    lags = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    ar1 = build_model({"type": "ar1", "phi": np.float64(0.5), "sigma_eps": 1, "d": 4})
+    assert np.array_equal(ar1.sigma, 1.0 / 0.75 * 0.5**lags)
 
 
 class TestNormalModel:
@@ -348,10 +349,14 @@ class TestArchimedeanModel:
             m.marginal_survival(0, 1.5)
 
 
+def ar1_model(phi, sigma_eps, d):
+    return build_model({"type": "ar1", "phi": phi, "sigma_eps": sigma_eps, "d": d})
+
+
 class TestAR1Model:
     def test_stationary_moments(self):
-        m = AR1Model(phi=0.5, sigma_eps=math.sqrt(0.75), d=6)
-        assert m.sigma_marginal == pytest.approx(1.0, rel=1e-12)
+        m = ar1_model(phi=0.5, sigma_eps=math.sqrt(0.75), d=6)
+        assert m.sigma[0, 0] == pytest.approx(1.0, rel=1e-12)
         x = m.sample(rng_for("ar1"), 100_000)
         assert x.var(axis=0, ddof=1) == pytest.approx(np.ones(6), abs=0.03)
         lag1 = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
@@ -359,7 +364,7 @@ class TestAR1Model:
 
     def test_pair_survival_matches_explicit_covariance(self):
         phi, se, d = 0.6, 0.8, 4
-        m = AR1Model(phi, se, d)
+        m = ar1_model(phi, se, d)
         var = se**2 / (1 - phi**2)
         cov = var * phi ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
         n = NormalModel(cov)
@@ -371,19 +376,19 @@ class TestAR1Model:
 
     def test_is_the_toeplitz_normal(self):
         phi, se, d = -0.6, 0.8, 4
-        m = AR1Model(phi, se, d)
+        m = ar1_model(phi, se, d)
         lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
         assert isinstance(m, NormalModel)
         assert np.array_equal(m.sigma, se**2 / (1 - phi**2) * phi**lags)
         assert np.array_equal(m.mu, np.zeros(d))
         assert m.conditional_given_pair_exceedance(0, 2, 1.0).draw(rng_for("ar1pair"), 3).shape == (3, d)
-        assert (m.phi, m.sigma_eps, m.d) == (phi, se, d)
+        assert m.d == d
 
     def test_invalid_parameters(self):
         with pytest.raises(ModelSpecError):
-            AR1Model(1.0, 1.0, 4)
+            ar1_model(1.0, 1.0, 4)
         with pytest.raises(ModelSpecError):
-            AR1Model(0.5, 0.0, 4)
+            ar1_model(0.5, 0.0, 4)
 
 
 class TestFinitePatternModel:
@@ -412,6 +417,11 @@ class TestFinitePatternModel:
             FinitePatternModel([0.5, 0.5 + 1e-9])
         FinitePatternModel([0.5, 0.5 + 1e-14])  # inside tolerance
 
+    def test_conditioning_on_a_null_event_is_a_spec_error(self):
+        # once a bare ValueError
+        with pytest.raises(ModelSpecError, match="probability zero"):
+            FinitePatternModel([1.0, 0.0, 0.0, 0.0]).conditional_given_exceedance(0)
+
     def test_gamma_ignored(self):
         m = FinitePatternModel([0.25] * 4)
         assert m.marginal_survival(0, gamma=123.0) == pytest.approx(0.5)
@@ -423,7 +433,7 @@ MODEL_ZOO = [
     (LaplaceModel(4), 1.0),
     (ArchimedeanModel("clayton", 2.0, 3), 0.8),
     (ArchimedeanModel("gumbel", 2.0, 3), 0.8),
-    (AR1Model(0.5, math.sqrt(0.75), 5), 1.0),
+    pytest.param(ar1_model(0.5, math.sqrt(0.75), 5), 1.0, id="AR1Model-1.0"),
     (
         FinitePatternModel(np.random.default_rng(7).dirichlet(np.ones(16))),
         0.0,

@@ -355,11 +355,11 @@ class TestOracleDispatch:
         assert oracle_for_model(FinitePatternModel(pmf), 0.0) == pytest.approx(0.75)
 
     def test_ar1_routes_through_gaussian_qmc(self):
-        from rareunion import AR1Model, estimate_cmc
+        from rareunion import build_model, run_estimator
 
-        m = AR1Model(0.5, math.sqrt(0.75), 5)
+        m = build_model({"type": "ar1", "phi": 0.5, "sigma_eps": math.sqrt(0.75), "d": 5})
         v = oracle_for_model(m, 1.5, qmc_points=1 << 15)
-        r = estimate_cmc(m, 1.5, 200_000, 31)
+        r = run_estimator("cmc", m, 1.5, 200_000, 31)
         assert abs(r.estimate - v) < 4 * r.stderr
 
     def test_non_finite_threshold_rejected(self):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareunion import (
-    AR1Model,
     ESTIMATOR_NAMES,
     FinitePatternModel,
     LaplaceModel,
@@ -76,7 +75,8 @@ def sampled_models(draw):
         return NormalModel.equicorrelated(d, rho), draw(st.sampled_from([0.5, 1.5, 2.5]))
     if kind == "ar1":
         phi = draw(st.sampled_from([-0.5, 0.5, 0.9]))
-        return AR1Model(phi, math.sqrt(1.0 - phi * phi), d), draw(st.sampled_from([0.5, 1.5, 2.5]))
+        model = build_model({"type": "ar1", "phi": phi, "sigma_eps": math.sqrt(1.0 - phi * phi), "d": d})
+        return model, draw(st.sampled_from([0.5, 1.5, 2.5]))
     if kind == "laplace":
         return LaplaceModel(d), draw(st.sampled_from([1.0, 2.0]))
     return draw(finite_models(max_d=4)), 0.0
