@@ -10,6 +10,7 @@ to the wall-time column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -277,13 +278,16 @@ def _cmd_table(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     config = ExperimentConfig.from_dict(obj)
-    rows = run_experiment(config)
-    text = rows_to_csv(rows) if config.output == "csv" else rows_to_json(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # --out is opened before the run, so a path that cannot be written fails
+    # first, and emptied only once the rows exist, so a failed run leaves an
+    # existing file as it was
+    out_file = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out_file as out:
+        rows = run_experiment(config)
+        text = rows_to_csv(rows) if config.output == "csv" else rows_to_json(rows)
+        if args.out:
+            out.truncate(0)
+        out.write(text)
     return 0
 
 

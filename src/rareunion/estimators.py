@@ -118,7 +118,6 @@ class Payoff:
         return Payoff(kind="custom", fn=fn)
 
     def values(self, x, patterns) -> np.ndarray:
-        patterns = np.atleast_2d(patterns)
         if self.kind == "constant_one":
             return np.ones(patterns.shape[0])
         if self.kind == "residual_alternating":
@@ -167,7 +166,7 @@ class _Stats:
 def _result(estimate: float, std: float, replicates: int, degenerate: bool, seed: int, t0: float):
     stderr = std / math.sqrt(replicates) if replicates else 0.0
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return EstimateResult(float(estimate), std, stderr, replicates, degenerate, int(seed), wall_ms)
+    return EstimateResult(float(estimate), std, stderr, replicates, degenerate, seed, wall_ms)
 
 
 class _Layers:
@@ -269,6 +268,8 @@ def _partition(lay: _Layers, n: int, head: float, z: Callable, first: int = 0) -
 
 
 def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0):
+    if not isinstance(payoff, Payoff):
+        raise ModelSpecError(f"payoff must be a Payoff, got {payoff!r}")
     return lambda lay: _partition(lay, n, head(lay), lambda c, x, p: payoff.values(x, p) * c.blocked_clear(p))
 
 
@@ -323,6 +324,7 @@ def _sampler(model: DependenceModel, gamma: float, events: tuple):
 def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
     """Monte Carlo over the record ``build`` describes for (model, gamma)."""
     replicates = _dimension(replicates, "replicates")
+    seed = _dimension(seed, "seed", least=None)
     gamma = model.check_threshold(gamma)
     t0 = time.perf_counter()
     est = build(_Layers(model, gamma))

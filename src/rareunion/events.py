@@ -37,9 +37,6 @@ __all__ = [
     "brute_force_tail_expectation",
 ]
 
-MAX_EVENTS = 64
-
-
 def _as_pattern(pattern) -> np.ndarray:
     arr = np.asarray(pattern, dtype=bool)
     if arr.ndim != 1 or arr.size < 1:
@@ -63,8 +60,6 @@ def binomial_term(count: int, order: int) -> int:
     order = int(order)
     if count < 0 or order < 0:
         raise ValueError("count and order must be non-negative")
-    if count > MAX_EVENTS:
-        raise ValueError(f"supported up to {MAX_EVENTS} events, got count={count}")
     if count < order:
         return 0
     return math.comb(count, order)
@@ -145,12 +140,10 @@ class PartitionCell:
 
     def required_mask(self, patterns: np.ndarray) -> np.ndarray:
         """1{B_I}: all events in the cell's index set occurred."""
-        patterns = np.atleast_2d(patterns)
         return patterns[:, list(self.events)].all(axis=1)
 
     def blocked_clear(self, patterns: np.ndarray) -> np.ndarray:
         """1{C_I}: none of the blocked indices occurred."""
-        patterns = np.atleast_2d(patterns)
         if not self.blocked:
             return np.ones(patterns.shape[0], dtype=bool)
         return ~patterns[:, list(self.blocked)].any(axis=1)

@@ -94,12 +94,12 @@ class DependenceModel(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def sample(self, rng, size=None) -> np.ndarray:
-        """One draw (shape ``(d,)``) or ``size`` draws (shape ``(size, d)``)."""
+    def sample(self, rng, size) -> np.ndarray:
+        """``size`` draws, one row each (shape ``(size, d)``)."""
 
     def exceedance_patterns(self, x, gamma) -> np.ndarray:
-        """Boolean event indicators for sampled vectors."""
-        return np.atleast_2d(np.asarray(x, dtype=float)) > gamma
+        """Boolean event indicators for sampled rows ``x`` of shape ``(n, d)``."""
+        return np.asarray(x, dtype=float) > gamma
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         raise CapabilityError(f"{type(self).__name__} cannot compute marginal probabilities")
@@ -219,17 +219,17 @@ class NormalModel(DependenceModel):
     def correlation(self, i: int, j: int) -> float:
         return float(self._sigma[i, j] / (self._sd[i] * self._sd[j]))
 
-    def sample(self, rng, size=None) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         """Rows are drawn block by block, with the bits of
         ``mu + z @ chol.T`` on one ``(n, d)`` normal draw."""
-        n = 1 if size is None else int(size)
+        n = int(size)
         x = np.empty((n, self.d))
         z_buf = np.empty((min(n, samplers.ROW_BLOCK), self.d))
         for start, stop in samplers.row_blocks(n):
             z = rng.standard_normal(out=z_buf[:stop - start])
             np.matmul(z, self._chol.T, out=x[start:stop])
             x[start:stop] += self._mu
-        return x[0] if size is None else x
+        return x
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         i = self._check_index(i)
@@ -284,8 +284,8 @@ class _NormalTail:
             else None
         )
 
-    def draw(self, rng, size=None) -> np.ndarray:
-        n = 1 if size is None else int(size)
+    def draw(self, rng, size) -> np.ndarray:
+        n = int(size)
         if len(self.given) == 1:
             z = (samplers.sample_truncated_std_normal(self._t[0], rng, n),)
         else:
@@ -297,7 +297,7 @@ class _NormalTail:
         out[:, list(self.given)] = x
         if self._cond is not None:
             self._cond.draw(x, rng, out=out)
-        return out[0] if size is None else out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +320,11 @@ class LaplaceModel(DependenceModel):
     def d(self) -> int:
         return self._d
 
-    def sample(self, rng, size=None) -> np.ndarray:
-        n = 1 if size is None else int(size)
+    def sample(self, rng, size) -> np.ndarray:
+        n = int(size)
         r = rng.exponential(1.0, n)
         y = rng.standard_normal((n, self._d))
-        x = np.sqrt(r)[:, None] * y
-        return x[0] if size is None else x
+        return np.sqrt(r)[:, None] * y
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         self._check_index(i)
@@ -365,8 +364,8 @@ class _LaplaceTail:
         self.i = i
         self.gamma = gamma
 
-    def draw(self, rng, size=None) -> np.ndarray:
-        return samplers.laplace_conditional_exceedance(self.d, self.i, self.gamma, rng, size=size)
+    def draw(self, rng, size) -> np.ndarray:
+        return samplers.laplace_conditional_exceedance(self.d, self.i, self.gamma, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +550,16 @@ class ArchimedeanModel(DependenceModel):
             )
         return u
 
-    def sample(self, rng, size=None) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         if not self._gen.sampleable.contains(self.theta):
             raise CapabilityError(
                 f"no frailty construction for {self.family} with theta={self.theta}; "
                 "sampling supports the non-negative-association range only"
             )
-        n = 1 if size is None else int(size)
+        n = int(size)
         v = self._gen.frailty(rng, n)
         e = rng.exponential(1.0, (n, self._d))
-        u = self._gen.psi_inv(e / v[:, None])
-        return u[0] if size is None else u
+        return self._gen.psi_inv(e / v[:, None])
 
     def diagonal(self, u: float) -> float:
         """Copula diagonal ``C(u, u)``."""
@@ -621,9 +619,9 @@ class FinitePatternModel(DependenceModel):
         return ev.enumerate_patterns(self._d)
 
     def exceedance_patterns(self, x, gamma) -> np.ndarray:
-        return np.atleast_2d(np.asarray(x, dtype=float)) > 0.5
+        return np.asarray(x, dtype=float) > 0.5
 
-    def sample(self, rng, size=None) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         # the pmf as given, not renormalised: the draw sees the model's own p
         return _FiniteConditional(self, np.arange(self._pmf.size), self._pmf).draw(rng, size)
 
@@ -661,11 +659,9 @@ class _FiniteConditional:
         self.indices = indices
         self.probs = probs
 
-    def draw(self, rng, size=None) -> np.ndarray:
-        n = 1 if size is None else int(size)
-        pick = rng.choice(self.indices.size, size=n, p=self.probs)
-        x = self.model.patterns[self.indices[pick]].astype(float)
-        return x[0] if size is None else x
+    def draw(self, rng, size) -> np.ndarray:
+        pick = rng.choice(self.indices.size, size=int(size), p=self.probs)
+        return self.model.patterns[self.indices[pick]].astype(float)
 
 
 # ---------------------------------------------------------------------------

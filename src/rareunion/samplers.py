@@ -2,8 +2,8 @@
 
 All routines are pure functions of their parameters and the supplied
 generator; thread safety is the caller's stream discipline (one derived
-stream per worker).  Scalar and batched forms share one code path: pass
-``size=None`` for a single draw.
+stream per worker).  Every draw is a batch: ``size`` is a required row
+count, and a draw returns ``size`` rows (or ``size`` values per coordinate).
 """
 
 from __future__ import annotations
@@ -93,12 +93,10 @@ def _trunc_std_normal_batch(gammas: np.ndarray, rng) -> np.ndarray:
     return out
 
 
-def sample_truncated_std_normal(gamma: float, rng, size=None):
-    """Draw from N(0,1) conditioned on being greater than ``gamma``."""
+def sample_truncated_std_normal(gamma: float, rng, size):
+    """``size`` draws from N(0,1) conditioned on being greater than ``gamma``."""
     if not math.isfinite(gamma):
         raise ModelSpecError(f"the truncation point must be finite, got {gamma}")
-    if size is None:
-        return float(_trunc_std_normal_batch(np.array([gamma]), rng)[0])
     return _trunc_std_normal_batch(np.full(int(size), float(gamma)), rng)
 
 
@@ -155,7 +153,7 @@ class GaussianConditional:
         the bits of ``mu_rest + (values - mu_given) @ coef.T + z @ chol.T``
         on one ``(n, d-k)`` normal draw.
         """
-        values = np.atleast_2d(np.asarray(values, dtype=float))
+        values = np.asarray(values, dtype=float)
         n, width = values.shape[0], len(self.rest)
         runs = self._runs if out is not None else ((0, 0, width),)
         target = out if out is not None else np.empty((n, width))
@@ -216,9 +214,9 @@ def _pair_tilt(ti: float, tj: float, rho: float) -> tuple[float, float]:
     return mu, _pair_log_ratio(hi, ti, tj, rho, s, mu)
 
 
-def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size=None, tilt=None):
-    """Exact draw of a standard bivariate normal pair with correlation ``rho``
-    conditioned on ``Z_i > ti`` and ``Z_j > tj``.
+def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size, tilt=None):
+    """``size`` exact draws of a standard bivariate normal pair with
+    correlation ``rho`` conditioned on ``Z_i > ti`` and ``Z_j > tj``.
 
     The coordinate with the larger threshold is drawn first; call it ``Z_i``.
     With ``Z_j = rho Z_i + s Y`` and ``s = sqrt(1 - rho**2)``, ``Z_i`` comes
@@ -236,7 +234,7 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
         ti, tj = tj, ti
     mu, psi_star = _pair_tilt(ti, tj, rho) if tilt is None else tilt
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    n = 1 if size is None else int(size)
+    n = int(size)
     zi = np.empty(n)
     pending = np.arange(n)
     while pending.size:
@@ -248,13 +246,11 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
     zj = rho * zi + s * _trunc_std_normal_batch((tj - rho * zi) / s, rng)
     if swap:
         zi, zj = zj, zi
-    if size is None:
-        return float(zi[0]), float(zj[0])
     return zi, zj
 
 
-def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, rng, size=None):
-    """Approximate draw from ``(X_i, X_j)`` given both exceed ``gamma``.
+def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, rng, size):
+    """``size`` approximate draws from ``(X_i, X_j)`` given both exceed ``gamma``.
 
     Alternates the two univariate truncated-normal full conditionals.  One
     independent chain per requested draw, each burned in from an
@@ -266,7 +262,7 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
     """
     if burnin < 1:
         raise ValueError("burnin must be at least 1")
-    n = 1 if size is None else int(size)
+    n = int(size)
     mu = np.asarray(model.mu, dtype=float)
     sigma = np.asarray(model.sigma, dtype=float)
     si = math.sqrt(sigma[i, i])
@@ -284,23 +280,21 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
         zi = rho * zj + s * _trunc_std_normal_batch((ti - rho * zj) / s, rng)
     xi = mu[i] + si * zi
     xj = mu[j] + sj * zj
-    if size is None:
-        return float(xi[0]), float(xj[0])
     return xi, xj
 
 
-def sample_inverse_gaussian(mu, lam, rng, size=None):
-    """Inverse Gaussian draws by the transform-with-rejection method.
+def sample_inverse_gaussian(mu, lam, rng, size):
+    """``size`` inverse Gaussian draws by the transform-with-rejection method.
 
     Solves the quadratic for the transformed chi-square variate and picks
     the root with the correct probability.  Parameters may be scalars or
-    arrays (broadcast elementwise).
+    arrays of ``size`` values (broadcast elementwise).
     """
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if (mu <= 0).any() or (lam <= 0).any():
         raise ValueError("inverse Gaussian parameters must be strictly positive")
-    shape = np.broadcast_shapes(mu.shape, lam.shape, () if size is None else (int(size),))
+    shape = np.broadcast_shapes(mu.shape, lam.shape, (int(size),))
     mu = np.broadcast_to(mu, shape)
     lam = np.broadcast_to(lam, shape)
     nu = rng.standard_normal(shape)
@@ -310,14 +304,11 @@ def sample_inverse_gaussian(mu, lam, rng, size=None):
     denom = 1.0 + 0.5 * w + 0.5 * np.sqrt(w * (4.0 + w))
     x = mu / denom
     take_root = rng.random(shape) <= mu / (mu + x)
-    out = np.where(take_root, x, mu * denom)
-    if size is None and out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(take_root, x, mu * denom)
 
 
-def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size=None):
-    """Sample the common-factor Laplace vector given ``X_i > gamma``.
+def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size):
+    """``size`` draws of the common-factor Laplace vector given ``X_i > gamma``.
 
     Exploits memorylessness of the exponential tail of component i and the
     exact conditional law of the underlying Gaussian coordinate given the
@@ -330,13 +321,13 @@ def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size=None)
         )
     if not 0 <= i < d:
         raise ValueError(f"index {i} out of range for dimension {d}")
-    n = 1 if size is None else int(size)
+    n = int(size)
     x_i = gamma + rng.exponential(1.0 / SQRT2, n)
-    y_i = np.sqrt(sample_inverse_gaussian(SQRT2 * x_i, 2.0 * x_i * x_i, rng))
+    y_i = np.sqrt(sample_inverse_gaussian(SQRT2 * x_i, 2.0 * x_i * x_i, rng, n))
     out = np.empty((n, d))
     out[:, i] = x_i
     rest = [k for k in range(d) if k != i]
     if rest:
         y_rest = rng.standard_normal((n, d - 1))
         out[:, rest] = (x_i / y_i)[:, None] * y_rest
-    return out[0] if size is None else out
+    return out

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import traceback
 import numpy as np
 import pytest
 
+from rareunion import cli
 from rareunion.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -19,7 +21,7 @@ from rareunion.cli import (
     rows_to_csv,
     rows_to_json,
 )
-from rareunion.errors import ModelSpecError
+from rareunion.errors import CapabilityError, ModelSpecError
 
 NORMAL4 = '{"type":"normal","d":4,"rho":0.75}'
 
@@ -407,10 +409,43 @@ class TestCommandLine:
             assert proc.returncode == 2, path
             assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, path
 
-    def test_output_path_that_is_a_directory_exits_two(self, small_config, tmp_path):
-        proc = run_cli("table", "--config", str(small_config), "--out", str(tmp_path))
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    def test_output_path_that_is_a_directory_exits_two(self, small_config, tmp_path, monkeypatch):
+        # a directory or a missing parent once failed only after the whole table ran
+        def run_experiment(config):
+            raise AssertionError("the table ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        for out in (tmp_path, tmp_path / "missing" / "rows.csv"):
+            proc = run_cli("table", "--config", str(small_config), "--out", str(out))
+            assert proc.returncode == 2, out
+            assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, out
+
+    def test_failed_run_leaves_existing_output(self, small_config, tmp_path, monkeypatch):
+        out = tmp_path / "rows.csv"
+        old = "previous rows\n" * 1000
+        out.write_text(old)
+
+        def run_experiment(config):
+            raise CapabilityError("no sampler")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_experiment", run_experiment)
+            proc = run_cli("table", "--config", str(small_config), "--out", str(out))
+        assert proc.returncode == 1
+        assert out.read_text() == old
+        # a run that succeeds replaces the longer old contents entirely
+        assert run_cli("table", "--config", str(small_config), "--out", str(out)).returncode == 0
+        written = out.read_text()
+        assert written.startswith(CSV_HEADER) and "previous rows" not in written
+
+    def test_estimate_beyond_sixty_four_events_exits_zero(self):
+        # once a traceback from the binomial terms' 64-event cap
+        proc = run_cli(
+            "estimate", "--model", '{"type":"ar1","phi":0.5,"sigma_eps":0.866,"d":65}',
+            "--estimator", "alpha1", "--gamma", "4", "--replicates", "2000",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert math.isfinite(json.loads(proc.stdout)["estimate"])
 
     def test_runtime_error_exits_one(self):
         # archimedean models have no deterministic union oracle

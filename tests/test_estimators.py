@@ -352,6 +352,51 @@ class TestInputBoundary:
         with pytest.raises(ModelSpecError, match="order"):
             Payoff.residual_alternating(order)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "s"])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 and True once ran as seed 1, and "s" raised a bare ValueError
+        with pytest.raises(ModelSpecError, match="seed"):
+            run_estimator("cmc", NormalModel.equicorrelated(3, 0.5), 2.0, 1000, seed)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda m: estimate_beta_n(m, 2.0, 2, "x", 100, 1),
+            lambda m: exhaustive_estimator_mean("beta_n", m, n=2, payoff="x"),
+        ],
+        ids=["estimate_beta_n", "exhaustive_estimator_mean"],
+    )
+    def test_payoff_must_be_a_payoff(self, run):
+        # once an AttributeError from inside the runner, after the pair layer
+        m = CountingFinite(random_finite(4, 3).pmf)
+        with pytest.raises(ModelSpecError, match="Payoff"):
+            run(m)
+        assert m.pair_calls == 0
+
+
+class TestBeyondSixtyFourEvents:
+    """Exceedance counts above 64 once raised a bare ValueError in the
+    binomial terms, so only the estimators without count tables ran."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_model({"type": "ar1", "phi": 0.5, "sigma_eps": 0.866, "d": 65})
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_count_table_estimators_stay_within_the_bounds(self, model, seed):
+        bounds = bonferroni_bounds(model, 3.0)
+        # E[(1 - E) 1{E >= 1}] = P(union) - sum P(A_i), so adding the upper
+        # bound makes the beta_1 estimate a union estimate
+        results = {
+            "alpha1": (run_estimator("alpha1", model, 3.0, 20_000, seed), 0.0),
+            "alpha2": (run_estimator("alpha2", model, 3.0, 20_000, seed), 0.0),
+            "beta_n": (estimate_beta_n(model, 3.0, 1, Payoff.residual_alternating(1), 20_000, seed), bounds.upper),
+        }
+        for name, (r, shift) in results.items():
+            assert math.isfinite(r.estimate), name
+            union = r.estimate + shift
+            assert bounds.second - 5 * r.stderr <= union <= bounds.upper + 5 * r.stderr, (name, union, bounds)
+
 
 class CountingFinite(FinitePatternModel):
     """Finite model that counts its pairwise probability calls."""

@@ -220,7 +220,7 @@ class TestNormalModel:
 
     def test_scalar_sample_shape(self):
         m = NormalModel.equicorrelated(3, 0.5)
-        assert m.sample(rng_for("shape")).shape == (3,)
+        assert m.sample(rng_for("shape"), 1).shape == (1, 3)
         assert m.sample(rng_for("shape"), 7).shape == (7, 3)
 
     def test_conditional_single_tail_mean(self):

@@ -1,10 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import invgauss, kstest
 
-from rareunion import ModelSpecError, NormalModel
+from rareunion import ModelSpecError, NormalModel, models
 from rareunion.samplers import (
     ROW_BLOCK,
     GaussianConditional,
@@ -31,6 +32,32 @@ def rng_for(tag):
 
 def mills_mean(gamma):
     return norm_pdf(gamma) / norm_sf(gamma)
+
+
+def test_every_draw_takes_a_required_size():
+    # every draw is a batch of ``size`` rows; a default would bring back a
+    # second, single-draw mode that no estimator uses
+    entry_points = [
+        models.DependenceModel.sample,
+        models.NormalModel.sample,
+        models.LaplaceModel.sample,
+        models.ArchimedeanModel.sample,
+        models.FinitePatternModel.sample,
+        models._NormalTail.draw,
+        models._LaplaceTail.draw,
+        models._FiniteConditional.draw,
+        sample_truncated_std_normal,
+        sample_truncated_std_normal_pair,
+        gibbs_bivariate_truncated,
+        laplace_conditional_exceedance,
+        sample_inverse_gaussian,
+    ]
+    with_default = [
+        fn.__qualname__
+        for fn in entry_points
+        if inspect.signature(fn).parameters["size"].default is not inspect.Parameter.empty
+    ]
+    assert not with_default, f"size has a default in {with_default}"
 
 
 class TestTruncatedNormal:
@@ -71,8 +98,9 @@ class TestTruncatedNormal:
         assert acc >= 0.5
 
     def test_scalar_form(self):
-        v = sample_truncated_std_normal(2.0, rng_for("scalar"))
-        assert isinstance(v, float) and v > 2.0
+        # a single draw is a batch of one row
+        v = sample_truncated_std_normal(2.0, rng_for("scalar"), 1)
+        assert v.shape == (1,) and v[0] > 2.0
 
     def test_non_finite_threshold_rejected_promptly(self):
         # a nan threshold never satisfies the accept test, so the loop would spin
@@ -196,7 +224,7 @@ class TestGibbs:
     def test_burnin_validation(self):
         m = NormalModel.equicorrelated(2, 0.5)
         with pytest.raises(ValueError):
-            gibbs_bivariate_truncated(m, 0, 1, 1.0, 0, rng_for("x"))
+            gibbs_bivariate_truncated(m, 0, 1, 1.0, 0, rng_for("x"), 1)
 
 
 def scaled_pair_model(rho):
@@ -283,8 +311,8 @@ class TestExactPair:
         a = sample_truncated_std_normal_pair(2.0, 1.0, 0.5, derive_generator(7, 0), 1000)
         b = sample_truncated_std_normal_pair(2.0, 1.0, 0.5, derive_generator(7, 0), 1000)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        zi, zj = sample_truncated_std_normal_pair(2.0, 1.0, 0.5, rng_for("pair-scalar"))
-        assert isinstance(zi, float) and zi > 2.0 and zj > 1.0
+        zi, zj = sample_truncated_std_normal_pair(2.0, 1.0, 0.5, rng_for("pair-scalar"), 1)
+        assert zi.shape == zj.shape == (1,) and zi[0] > 2.0 and zj[0] > 1.0
 
 
 class TestInverseGaussian:
@@ -311,7 +339,7 @@ class TestInverseGaussian:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            sample_inverse_gaussian(-1.0, 1.0, rng_for("bad"))
+            sample_inverse_gaussian(-1.0, 1.0, rng_for("bad"), 1)
 
 
 class TestLaplaceConditional:
@@ -359,7 +387,7 @@ class TestLaplaceConditional:
 
     def test_gamma_validation(self):
         with pytest.raises(ModelSpecError):
-            laplace_conditional_exceedance(3, 0, 0.0, rng_for("bad"))
+            laplace_conditional_exceedance(3, 0, 0.0, rng_for("bad"), 1)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma_rejected(self, gamma):
