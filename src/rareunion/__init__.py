@@ -19,7 +19,6 @@ from .events import (
     brute_force_tail_expectation,
     brute_force_union,
     cell_for_pattern,
-    count_exceedances,
     enumerate_patterns,
     partition_cells,
     residual_term,

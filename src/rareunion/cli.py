@@ -20,10 +20,10 @@ from typing import Optional
 
 from ._rng import stable_cell_seed
 from ._workers import ordered_map
-from .errors import CapabilityError, ModelSpecError, RareUnionError
+from .errors import CapabilityError, ModelSpecError, RareUnionError, _dimension, _real
 from .estimators import ESTIMATOR_NAMES, bonferroni_bounds, run_estimator
 from .efficiency import classify_archimedean, classify_model, empirical_efficiency_ratio
-from .models import _dimension, _real, build_model
+from .models import build_model
 # oracle_union_normal_qmc stays importable here: perfbench's tracer patches this lookup
 from .oracles import oracle_for_model, oracle_union_normal_qmc  # noqa: F401
 

@@ -29,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelSpecError
+from .errors import ModelSpecError, _dimension, _real
 from .estimators import _Layers
-from .models import ArchimedeanModel, DependenceModel, Interval, NormalModel, _arch_family, _dimension, _real
+from .models import ArchimedeanModel, DependenceModel, Interval, NormalModel, _arch_family
 
 __all__ = [
     "BRE",
@@ -81,7 +81,7 @@ class EfficiencyVerdict:
 
     def __post_init__(self):
         if self.level not in _LEVELS:
-            raise ValueError(f"level must be one of {_LEVELS}")
+            raise ModelSpecError(f"level must be one of {_LEVELS}")
 
     def to_json(self) -> dict:
         return {
@@ -145,7 +145,7 @@ class LedfordTawnParams:
 def gaussian_copula_ledford_tawn(rho: float) -> LedfordTawnParams:
     """Residual tail parameters of a Gaussian copula pair: ``eta = (1+rho)/2``
     with a log-power slowly-varying factor of exponent ``-rho/(1+rho)``."""
-    rho = float(rho)
+    rho = _real(rho, "correlation")
     if not -1.0 < rho < 1.0:
         raise ModelSpecError("correlation must lie in (-1, 1)")
     return LedfordTawnParams(eta=(1.0 + rho) / 2.0, L=SlowlyVarying.log_power(-rho / (1.0 + rho)))
@@ -321,7 +321,7 @@ class KotzRadial:
 
     def sf(self, x: float) -> float:
         if x <= 0:
-            raise ValueError("the radial tail approximation needs x > 0")
+            raise ModelSpecError("the radial tail approximation needs x > 0")
         return self.K * x**self.N * math.exp(-self.r * x**self.delta)
 
     def w(self, x: float) -> float:
@@ -370,6 +370,8 @@ class EllipticalInput:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or mu.shape != (sigma.shape[0],):
             raise ModelSpecError("need a mean vector and a matching square covariance")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ModelSpecError("mean and covariance entries must be finite")
         if (np.diag(sigma) <= 0).any():
             raise ModelSpecError("covariance diagonal must be positive")
         self.mu = mu
@@ -382,8 +384,9 @@ class EllipticalInput:
         return self.mu.size
 
     def pair_params(self, i: int, j: int) -> PairTailParams:
-        if i == j:
-            raise ValueError("pair indices must differ")
+        i, j = _dimension(i, "pair index", least=0), _dimension(j, "pair index", least=0)
+        if max(i, j) >= self.d or i == j:
+            raise ModelSpecError(f"need two different pair indices below d={self.d}, got {i}, {j}")
         # order so the first index carries the larger scale
         if (self.sd[i], self.mu[i], -i) < (self.sd[j], self.mu[j], -j):
             i, j = j, i
@@ -543,12 +546,12 @@ def berman_univariate_asymptotic(radial: KotzRadial, mu_i: float, sigma_i: float
     """
     if sigma_i <= 0:
         raise ModelSpecError("the marginal scale must be positive")
-    v = (float(gamma) - float(mu_i)) / float(sigma_i)
+    v = (_real(gamma, "gamma") - float(mu_i)) / float(sigma_i)
     if v <= 0:
-        raise ValueError("the tail approximation needs a standardized level above zero")
+        raise ModelSpecError("the tail approximation needs a standardized level above zero")
     wv = radial.w(v)
     if wv <= 0:
-        raise ValueError("the scaling function must be positive at the evaluation point")
+        raise ModelSpecError("the scaling function must be positive at the evaluation point")
     return radial.sf(v) / math.sqrt(2.0 * math.pi * v * wv)
 
 
@@ -563,9 +566,9 @@ def bivariate_type1_asymptotic_rate(ell: EllipticalInput, i: int, j: int, gamma:
     never fabricated: compare rates on a log scale only.
     """
     p = ell.pair_params(i, j)
-    v = (float(gamma) - p.mu_ij) / p.kappa_ij
+    v = (_real(gamma, "gamma") - p.mu_ij) / p.kappa_ij
     if v <= 0:
-        raise ValueError("the joint tail approximation needs a standardized level above zero")
+        raise ModelSpecError("the joint tail approximation needs a standardized level above zero")
     wv = ell.radial.w(v)
     base = 2.0 * math.pi * v * wv
     if abs(p.rho - p.a) <= _REL_TOL:

@@ -61,8 +61,8 @@ import numpy as np
 from . import events as ev
 from ._rng import derive_generator, iter_chunks
 from ._workers import ordered_map
-from .errors import ModelSpecError
-from .models import DependenceModel, FinitePatternModel, _dimension
+from .errors import ModelSpecError, _dimension
+from .models import DependenceModel, FinitePatternModel
 
 __all__ = [
     "EstimateResult", "BonferroniBounds", "Payoff", "bonferroni_bounds", "estimate_beta_n",
@@ -123,7 +123,12 @@ class Payoff:
         if self.kind == "residual_alternating":
             table = ev.payoff_alternating_table(patterns.shape[1], self.order)
             return table[patterns.sum(axis=1)]
-        return np.asarray(self.fn(x, patterns), dtype=float)
+        values = np.asarray(self.fn(x, patterns), dtype=float)
+        if values.shape != (patterns.shape[0],):
+            raise ModelSpecError(
+                f"a custom payoff must return one value per row, got shape {values.shape}"
+            )
+        return values
 
     __call__ = values
 

@@ -22,32 +22,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ModelSpecError, _dimension
+
 __all__ = [
-    "count_exceedances",
     "binomial_term",
     "residual_term",
     "residual_term_table",
     "payoff_alternating_table",
     "enumerate_patterns",
-    "pattern_lex_index",
     "PartitionCell",
     "partition_cells",
     "cell_for_pattern",
     "brute_force_union",
     "brute_force_tail_expectation",
 ]
-
-def _as_pattern(pattern) -> np.ndarray:
-    arr = np.asarray(pattern, dtype=bool)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("a pattern must be a non-empty boolean vector")
-    return arr
-
-
-def count_exceedances(pattern) -> int:
-    """Number of events that occurred in ``pattern``."""
-    return int(_as_pattern(pattern).sum())
-
 
 def binomial_term(count: int, order: int) -> int:
     """``C(E, i) * 1{E >= i}`` with exact integer arithmetic.
@@ -59,7 +47,7 @@ def binomial_term(count: int, order: int) -> int:
     count = int(count)
     order = int(order)
     if count < 0 or order < 0:
-        raise ValueError("count and order must be non-negative")
+        raise ModelSpecError("count and order must be non-negative")
     if count < order:
         return 0
     return math.comb(count, order)
@@ -74,10 +62,8 @@ def residual_term(count: int, order: int) -> int:
     """
     count = int(count)
     order = int(order)
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    if count < 0 or order < 0:
+        raise ModelSpecError("count and order must be non-negative")
     if count <= order:
         return 0
     total = 0
@@ -105,8 +91,6 @@ def payoff_alternating_table(d: int, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _patterns_cached(d: int) -> np.ndarray:
-    if not 1 <= d <= 20:
-        raise ValueError(f"pattern enumeration supports 1 <= d <= 20, got {d}")
     idx = np.arange(1 << d, dtype=np.uint32)
     cols = [(idx >> (d - 1 - i)) & 1 for i in range(d)]
     out = np.stack(cols, axis=1).astype(bool)
@@ -116,14 +100,10 @@ def _patterns_cached(d: int) -> np.ndarray:
 
 def enumerate_patterns(d: int) -> np.ndarray:
     """All ``2**d`` patterns as a read-only boolean array in lexicographic order."""
+    d = _dimension(d)
+    if d > 20:
+        raise ModelSpecError(f"pattern enumeration supports 1 <= d <= 20, got {d}")
     return _patterns_cached(d)
-
-
-def pattern_lex_index(pattern) -> int:
-    """Position of ``pattern`` in the lexicographic enumeration."""
-    arr = _as_pattern(pattern)
-    d = arr.size
-    return int(sum(int(b) << (d - 1 - i) for i, b in enumerate(arr)))
 
 
 @dataclass(frozen=True)
@@ -159,8 +139,9 @@ def partition_cells(d: int, m: int) -> list[PartitionCell]:
     Events are scanned in index order: the cell of an index set I blocks
     every index below max(I) that is not in I.
     """
-    if not 1 <= m <= d:
-        raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
+    d, m = _dimension(d), _dimension(m, "m")
+    if m > d:
+        raise ModelSpecError(f"need 1 <= m <= d, got m={m}, d={d}")
     cells = []
     for combo in itertools.combinations(range(d), m):
         blocked = tuple(e for e in range(combo[-1]) if e not in combo)
@@ -174,9 +155,10 @@ def cell_for_pattern(pattern, m: int) -> Optional[PartitionCell]:
     The containing cell's index set consists of the first m occurred events
     in index order; all earlier non-occurrences are then blocked indices.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
-    arr = _as_pattern(pattern)
+    m = _dimension(m, "m")
+    arr = np.asarray(pattern, dtype=bool)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ModelSpecError("a pattern must be a non-empty boolean vector")
     hits = np.flatnonzero(arr)
     if hits.size < m:
         return None
@@ -186,14 +168,16 @@ def cell_for_pattern(pattern, m: int) -> Optional[PartitionCell]:
 
 
 def _model_pmf(model) -> tuple[int, np.ndarray]:
+    if not hasattr(model, "pmf"):
+        raise ModelSpecError(f"exhaustive enumeration needs a finite pattern law, got {type(model).__name__}")
     d = int(model.d)
     pmf = np.asarray(model.pmf, dtype=float)
     if d > 20:
-        raise ValueError("exhaustive enumeration supports d <= 20")
+        raise ModelSpecError("exhaustive enumeration supports d <= 20")
     if pmf.shape != (1 << d,):
-        raise ValueError("pmf length must be 2**d")
+        raise ModelSpecError("pmf length must be 2**d")
     if abs(pmf.sum() - 1.0) > 1e-12 or (pmf < 0).any():
-        raise ValueError("pmf must be a probability vector summing to 1 within 1e-12")
+        raise ModelSpecError("pmf must be a probability vector summing to 1 within 1e-12")
     return d, pmf
 
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 import abc
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import events as ev
 from . import samplers
-from .errors import CapabilityError, ModelSpecError
+from .errors import CapabilityError, ModelSpecError, _dimension, _real
 from .special import bivariate_normal_orthant, integrate, norm_sf
 
 __all__ = [
@@ -36,33 +35,6 @@ __all__ = [
     "FinitePatternModel",
     "build_model",
 ]
-
-
-def _dimension(d, what: str = "dimension", least=1) -> int:
-    """``d`` as an int of at least ``least`` (None: any int); a non-integral
-    value or a boolean is an error, not a truncation."""
-    try:
-        n = int(d)
-        integral = n == d and not isinstance(d, (bool, np.bool_))
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ModelSpecError(f"{what} must be an integer, got {d!r}")
-    if least is not None and n < least:
-        raise ModelSpecError(f"{what} must be at least {least}")
-    return n
-
-
-def _real(x, what: str) -> float:
-    """``x`` as a finite float; a string, a boolean or a non-finite value
-    is an error, not a conversion."""
-    try:
-        value = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
-    except OverflowError:  # an int beyond the float range
-        value = math.nan
-    if not math.isfinite(value):
-        raise ModelSpecError(f"{what} must be a finite number, got {x!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -264,25 +236,20 @@ class _NormalTail:
 
     One conditioned coordinate is a truncated-normal draw; a pair is an
     exact minimax-tilted accept-reject draw, whose tilt is computed once
-    here.  The remaining coordinates are exact Gaussian conditionals given
-    the conditioned ones.
+    here.  The whole vector is then drawn given those values by kriging
+    (``samplers.GaussianConditional``): one unconditional model draw, moved
+    by the gain ``K = sigma[:, given] sigma[given, given]^-1``.
     """
 
     def __init__(self, model: NormalModel, given: tuple, gamma: float):
-        self.model = model
         self.given = given
-        self.gamma = gamma
         self._mu = model.mu[list(given)]
         self._sd = model._sd[list(given)]
         self._t = (gamma - self._mu) / self._sd
         if len(given) == 2:
             self._rho = model.correlation(*given)
             self._tilt = samplers._pair_tilt(*self._t, self._rho)
-        self._cond = (
-            samplers.GaussianConditional(model.mu, model.sigma, given)
-            if model.d > len(given)
-            else None
-        )
+        self._cond = samplers.GaussianConditional(model, given)
 
     def draw(self, rng, size) -> np.ndarray:
         n = int(size)
@@ -292,12 +259,7 @@ class _NormalTail:
             z = samplers.sample_truncated_std_normal_pair(
                 *self._t, self._rho, rng, size=n, tilt=self._tilt
             )
-        x = self._mu + self._sd * np.column_stack(z)
-        out = np.empty((n, self.model.d))
-        out[:, list(self.given)] = x
-        if self._cond is not None:
-            self._cond.draw(x, rng, out=out)
-        return out
+        return self._cond.draw(self._mu + self._sd * np.column_stack(z), rng)
 
 
 # ---------------------------------------------------------------------------

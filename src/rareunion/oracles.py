@@ -26,8 +26,8 @@ from . import _qmc as qmc  # a module attribute, so the engine source can be swa
 from . import events as ev
 from ._qmc import BITS as _SOBOL_BITS
 from ._workers import ordered_map
-from .errors import ModelSpecError
-from .models import FinitePatternModel, LaplaceModel, NormalModel, _dimension, _real
+from .errors import ModelSpecError, _dimension, _real
+from .models import FinitePatternModel, LaplaceModel, NormalModel
 from .special import _NORMAL_CUTOFF, SQRT2, integrate, norm_pdf, norm_sf
 
 __all__ = [

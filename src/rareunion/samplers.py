@@ -4,6 +4,9 @@ All routines are pure functions of their parameters and the supplied
 generator; thread safety is the caller's stream discipline (one derived
 stream per worker).  Every draw is a batch: ``size`` is a required row
 count, and a draw returns ``size`` rows (or ``size`` values per coordinate).
+A Gaussian model given some of its coordinates is drawn by kriging: one
+unconditional draw from the model, corrected by a per-law gain, so no law
+factors a covariance of its own.
 """
 
 from __future__ import annotations
@@ -100,74 +103,40 @@ def sample_truncated_std_normal(gamma: float, rng, size):
     return _trunc_std_normal_batch(np.full(int(size), float(gamma)), rng)
 
 
-def _column_runs(columns) -> tuple:
-    """``(first column, position in columns, length)`` of each run of consecutive columns."""
-    runs = []
-    for pos, col in enumerate(columns):
-        if runs and runs[-1][0] + runs[-1][2] == col:
-            runs[-1][2] += 1
-        else:
-            runs.append([col, pos, 1])
-    return tuple(tuple(run) for run in runs)
-
-
 class GaussianConditional:
-    """Conditional law of the remaining coordinates of a Gaussian vector.
+    """Law of a Gaussian model given the values of some of its coordinates, by kriging.
 
-    Precomputes the regression coefficients and the Cholesky factor of the
-    Schur complement for a fixed set of conditioning indices, so repeated
-    draws are a matrix multiply plus white noise.
+    Only the ``(d, k)`` gain ``K = sigma[:, given] sigma[given, given]^-1``
+    is stored.  A draw takes unconditional vectors ``X`` from the model and
+    moves each by ``(values - X[:, given]) @ K.T``: the exact conditioning
+    identity (Hoffman & Ribak 1991), which needs no factor of the
+    conditional covariance.
     """
 
-    def __init__(self, mu, sigma, given):
-        mu = np.asarray(mu, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        d = mu.size
+    def __init__(self, model, given):
         given = tuple(int(i) for i in given)
         if len(set(given)) != len(given):
-            raise ValueError("conditioning indices must be distinct")
-        rest = tuple(k for k in range(d) if k not in given)
+            raise ModelSpecError("conditioning indices must be distinct")
+        sigma = model.sigma
+        self.model = model
         self.given = given
-        self.rest = rest
-        self._runs = _column_runs(rest)
-        self.mu_given = mu[list(given)]
-        self.mu_rest = mu[list(rest)]
-        s_gg = sigma[np.ix_(given, given)]
-        s_rg = sigma[np.ix_(rest, given)]
-        self.coef = np.linalg.solve(s_gg, s_rg.T).T  # (len(rest), len(given))
-        cond_cov = sigma[np.ix_(rest, rest)] - self.coef @ s_rg.T
-        # symmetrize before factoring; tiny asymmetry comes from the solve
-        cond_cov = 0.5 * (cond_cov + cond_cov.T)
-        if rest:
-            self.chol = np.linalg.cholesky(cond_cov + 0.0)
-        else:
-            self.chol = np.zeros((0, 0))
+        self.gain = np.linalg.solve(sigma[np.ix_(given, given)], sigma[list(given)]).T
 
-    def draw(self, values, rng, out=None):
-        """Sample the remaining coordinates given the conditioned values.
+    def draw(self, values, rng):
+        """Whole ``(n, d)`` vectors given the ``(n, k)`` conditioned values.
 
-        ``values`` has shape (n, k) for k conditioning indices; returns
-        (n, d-k) in the order of the non-conditioned indices.  With ``out``,
-        an (n, d) array of whole vectors, the draw fills its non-conditioned
-        columns instead and returns it.  Rows are drawn block by block, with
-        the bits of ``mu_rest + (values - mu_given) @ coef.T + z @ chol.T``
-        on one ``(n, d-k)`` normal draw.
+        Rows are corrected block by block, with the bits of
+        ``X + (values - X[:, given]) @ K.T`` on one ``model.sample`` draw;
+        the conditioned columns are then exactly ``values``.
         """
         values = np.asarray(values, dtype=float)
-        n, width = values.shape[0], len(self.rest)
-        runs = self._runs if out is not None else ((0, 0, width),)
-        target = out if out is not None else np.empty((n, width))
-        z_buf = np.empty((min(n, ROW_BLOCK), width))
-        x_buf = np.empty_like(z_buf)
-        for start, stop in row_blocks(n):
-            z = rng.standard_normal(out=z_buf[:stop - start])
-            x = np.matmul(z, self.chol.T, out=x_buf[:stop - start])
-            mean = (values[start:stop] - self.mu_given) @ self.coef.T
-            mean += self.mu_rest
-            x += mean
-            for dst, src, length in runs:
-                target[start:stop, dst:dst + length] = x[:, src:src + length]
-        return target
+        x = self.model.sample(rng, values.shape[0])
+        cols = list(self.given)
+        for start, stop in row_blocks(x.shape[0]):
+            block, v = x[start:stop], values[start:stop]
+            block += (v - block[:, cols]) @ self.gain.T
+            block[:, cols] = v
+        return x
 
 
 def _pair_log_ratio(x, ti, tj, rho, s, mu):
@@ -189,7 +158,7 @@ def _pair_tilt(ti: float, tj: float, rho: float) -> tuple[float, float]:
     ``ti - excess(ti)``, so bisection on that bracket converges.
     """
     if not (math.isfinite(ti) and math.isfinite(tj) and -1.0 < rho < 1.0):
-        raise ValueError(
+        raise ModelSpecError(
             f"the pair sampler needs finite thresholds and a correlation inside (-1, 1), "
             f"got {ti}, {tj}, {rho}"
         )
@@ -261,7 +230,7 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
     estimators use.
     """
     if burnin < 1:
-        raise ValueError("burnin must be at least 1")
+        raise ModelSpecError("burnin must be at least 1")
     n = int(size)
     mu = np.asarray(model.mu, dtype=float)
     sigma = np.asarray(model.sigma, dtype=float)
@@ -272,7 +241,7 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
     tj = (gamma - mu[j]) / sj
     s = math.sqrt(max(1.0 - rho * rho, 0.0))
     if s == 0.0:
-        raise ValueError("degenerate pair correlation; the chain cannot move")
+        raise ModelSpecError("degenerate pair correlation; the chain cannot move")
     zi = _trunc_std_normal_batch(np.full(n, ti), rng)
     zj = _trunc_std_normal_batch(np.full(n, tj), rng)
     for _ in range(int(burnin)):
@@ -293,7 +262,7 @@ def sample_inverse_gaussian(mu, lam, rng, size):
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if (mu <= 0).any() or (lam <= 0).any():
-        raise ValueError("inverse Gaussian parameters must be strictly positive")
+        raise ModelSpecError("inverse Gaussian parameters must be strictly positive")
     shape = np.broadcast_shapes(mu.shape, lam.shape, (int(size),))
     mu = np.broadcast_to(mu, shape)
     lam = np.broadcast_to(lam, shape)
@@ -320,7 +289,7 @@ def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size):
             f"the conditional exceedance sampler needs a finite gamma > 0, got {gamma}"
         )
     if not 0 <= i < d:
-        raise ValueError(f"index {i} out of range for dimension {d}")
+        raise ModelSpecError(f"index {i} out of range for dimension {d}")
     n = int(size)
     x_i = gamma + rng.exponential(1.0 / SQRT2, n)
     y_i = np.sqrt(sample_inverse_gaussian(SQRT2 * x_i, 2.0 * x_i * x_i, rng, n))

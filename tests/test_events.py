@@ -12,17 +12,6 @@ def all_patterns(d):
 
 
 class TestCountAndBinomial:
-    @pytest.mark.parametrize(
-        "pattern,expected",
-        [((True, False, True), 2), ((False,) * 4, 0), ((True, True, True), 3)],
-    )
-    def test_count(self, pattern, expected):
-        assert ev.count_exceedances(pattern) == expected
-
-    def test_count_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ev.count_exceedances([])
-
     @pytest.mark.parametrize("count,order,expected", [(2, 2, 1), (1, 2, 0), (5, 2, 10)])
     def test_binomial_term_examples(self, count, order, expected):
         assert ev.binomial_term(count, order) == expected
@@ -135,8 +124,6 @@ class TestEnumeration:
         assert list(pats[0]) == [False, False, False]
         assert list(pats[1]) == [False, False, True]
         assert list(pats[4]) == [True, False, False]
-        for k in range(8):
-            assert ev.pattern_lex_index(pats[k]) == k
 
     def test_read_only(self):
         pats = ev.enumerate_patterns(4)

@@ -5,7 +5,11 @@ record each, read by one chunked runner; it pins ``float.hex`` of
 ``(estimate, sample_std)`` plus ``replicates`` and ``degenerate``.  The
 four ``alpha2_is``/``beta2_alpha`` rows on the normal model were
 recorded again when the exact tilted pair sampler replaced the Gibbs
-chain, which changed both their law and their random stream.  The
+chain, which changed both their law and their random stream.  Every
+conditioning row on a normal model (``alpha1_is``, ``alpha2_is``,
+``beta1_alpha``, ``beta2_alpha``) was recorded again when Gaussian
+conditionals moved to kriging, which draws the whole vector from the
+model's own factor and so gives those draws a new random stream.  The
 values also pin numpy's Philox streams under ``SeedSequence`` spawn keys
 and the substream keys ``(seed, chunk)`` and ``(seed, k + 1, chunk)``: a
 numpy release that changes the streams changes them too.
@@ -52,14 +56,14 @@ GOLDEN = {
     ('alpha1', 'normal', 2000, 2024): ('0x1.436c66dd72e77p-3', '0x1.d1c14aef39921p-3', 2000, False),
     ('alpha2', 'normal', 2000, 11): ('0x1.2f01b56d25275p-3', '0x1.9930a32d6039fp-5', 2000, False),
     ('alpha2', 'normal', 2000, 2024): ('0x1.3526929c3fc71p-3', '0x1.2f01b9a24b420p-4', 2000, False),
-    ('alpha1_is', 'normal', 2000, 11): ('0x1.36c149d5257c6p-3', '0x1.c5e9f4b0b470dp-5', 2000, False),
-    ('alpha1_is', 'normal', 2000, 2024): ('0x1.3c05cc327aaf3p-3', '0x1.c7317fa6eb685p-5', 2000, False),
-    ('alpha2_is', 'normal', 2000, 11): ('0x1.3a4ddad2a48bap-3', '0x1.29ecb45fc7362p-7', 2000, False),
-    ('alpha2_is', 'normal', 2000, 2024): ('0x1.3acf8b102f033p-3', '0x1.2ad599b9941f2p-7', 2000, False),
-    ('beta1_alpha', 'normal', 2000, 11): ('0x1.3c0e8ddff7e9cp-3', '0x1.6b2afbb8b856dp-5', 1000, False),
-    ('beta1_alpha', 'normal', 2000, 2024): ('0x1.3839d1f92e506p-3', '0x1.6d0d4a8ffae11p-5', 1000, False),
-    ('beta2_alpha', 'normal', 2000, 11): ('0x1.39955236466cap-3', '0x1.09578d6738a8dp-6', 667, False),
-    ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3a98918257c40p-3', '0x1.023914a779356p-6', 667, False),
+    ('alpha1_is', 'normal', 2000, 11): ('0x1.3b4de8f734e27p-3', '0x1.c1edd8215c35cp-5', 2000, False),
+    ('alpha1_is', 'normal', 2000, 2024): ('0x1.3914bbea69073p-3', '0x1.c2c364393f2abp-5', 2000, False),
+    ('alpha2_is', 'normal', 2000, 11): ('0x1.3b1797a4269afp-3', '0x1.2b3e62feee9c2p-7', 2000, False),
+    ('alpha2_is', 'normal', 2000, 2024): ('0x1.3a490d2f2da3bp-3', '0x1.29e2faf5ba4dbp-7', 2000, False),
+    ('beta1_alpha', 'normal', 2000, 11): ('0x1.3eee1acd0f1cbp-3', '0x1.6fe6730a736a0p-5', 1000, False),
+    ('beta1_alpha', 'normal', 2000, 2024): ('0x1.385cd8af233a7p-3', '0x1.6faf5b0e43e8ep-5', 1000, False),
+    ('beta2_alpha', 'normal', 2000, 11): ('0x1.381073442c699p-3', '0x1.045221f3f9361p-6', 667, False),
+    ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3b8d69bbf65dap-3', '0x1.fcc07dc13772ap-7', 667, False),
     ('cmc', 'laplace', 2000, 11): ('0x1.45a1cac083127p-3', '0x1.768bc4103c8a1p-2', 2000, False),
     ('cmc', 'laplace', 2000, 2024): ('0x1.4bc6a7ef9db23p-3', '0x1.79635340a13bcp-2', 2000, False),
     ('alpha1', 'laplace', 2000, 11): ('0x1.3c06d0d9f256dp-3', '0x1.5bf1b5f826433p-3', 2000, False),
@@ -71,7 +75,7 @@ GOLDEN = {
     ('beta1_alpha', 'laplace', 2000, 11): ('0x1.42d54296d107cp-3', '0x1.0e74124e48ae1p-5', 1000, False),
     ('beta1_alpha', 'laplace', 2000, 2024): ('0x1.42f4af25926c9p-3', '0x1.0803a72dc2ad9p-5', 1000, False),
     ('cmc', 'normal2', 66036, 5): ('0x1.06e28d839af56p-2', '0x1.bf50130d5f393p-2', 66036, False),
-    ('beta1_alpha', 'normal2', 66036, 5): ('0x1.0464f9840767bp-2', '0x1.3dfcdb4dd8e50p-4', 66036, False),
+    ('beta1_alpha', 'normal2', 66036, 5): ('0x1.047e2ad4a058ep-2', '0x1.3de79f4d3e240p-4', 66036, False),
     ('beta1_alpha', 'normal1', 100, 3): ('0x1.44ed0bb7cb20cp-3', '0x0.0p+0', 0, True),
     ('alpha2_is', 'disjoint', 100, 1): ('0x1.3333333333334p-1', '0x0.0p+0', 0, True),
 }
@@ -89,22 +93,29 @@ def test_bit_identical_to_recorded_values(case):
 # Multi-chunk outputs, recorded before one estimator's chunks and strata ran
 # on the worker pool and before Gaussian draws were made in row blocks; they
 # must hold for any thread count.  The two equicorr4 rows read the pair layer
-# and were recorded again when it moved to the batched Gauss-Kronrod rule.  131,073 replicates are chunks of 65,536 +
-# 65,536 + 1, so the last chunk is a 1-row draw; beta2_alpha's 65,537 sweeps
-# end in a 1-row chunk too.
+# and were recorded again when it moved to the batched Gauss-Kronrod rule;
+# the conditioning rows were recorded again when Gaussian conditionals moved
+# to kriging.  131,073 replicates are chunks of 65,536 + 65,536 + 1, so the
+# last chunk is a 1-row draw; beta2_alpha's 65,537 sweeps on equicorr4 end in
+# a 1-row chunk too.  The toeplitz16 pair rows condition on non-adjacent
+# columns; its beta2_alpha runs 1,093 sweeps of 120 pair strata, so it is one
+# chunk of many pool units (two chunks would be 7.9M draws).
 MULTI_CHUNK_MODELS = {
     "toeplitz64": (lambda: ru.NormalModel(0.5 ** abs(np.subtract.outer(np.arange(64), np.arange(64)))), 4.0),
     "equicorr4": (lambda: ru.NormalModel.equicorrelated(4, 0.75), 2.0),
+    "toeplitz16": (lambda: ru.NormalModel(0.5 ** abs(np.subtract.outer(np.arange(16), np.arange(16)))), 4.0),
 }
 
 # (estimator, model, replicates): (estimate, sample_std), all at seed 2026
 MULTI_CHUNK = {
     ("cmc", "toeplitz64", 131073): ("0x1.07ff7c0041ffep-9", "0x1.6f481502327e5p-5"),
     ("alpha1", "toeplitz64", 131073): ("0x1.04ad7bd4aec00p-9", "0x1.94c389b681dc7p-8"),
-    ("alpha1_is", "toeplitz64", 131073): ("0x1.051b5c15de224p-9", "0x1.8623c743e7612p-13"),
-    ("beta1_alpha", "toeplitz64", 131073): ("0x1.05187542a5f9cp-9", "0x1.16bdc2517440dp-15"),
-    ("alpha2_is", "equicorr4", 393222): ("0x1.cd9677143213bp-5", "0x1.44663bc90837fp-7"),
-    ("beta2_alpha", "equicorr4", 393222): ("0x1.cdecf593e2abbp-5", "0x1.a96dbbf111625p-7"),
+    ("alpha1_is", "toeplitz64", 131073): ("0x1.0513724f15dffp-9", "0x1.86f47e864e301p-13"),
+    ("beta1_alpha", "toeplitz64", 131073): ("0x1.05197ab994b5bp-9", "0x1.0edd0eadb11f6p-15"),
+    ("alpha2_is", "equicorr4", 393222): ("0x1.cd7df0ba96f2dp-5", "0x1.445a790e2bc1dp-7"),
+    ("beta2_alpha", "equicorr4", 393222): ("0x1.cdefade1f6b6fp-5", "0x1.ac9e5609c2ce4p-7"),
+    ("alpha2_is", "toeplitz16", 131073): ("0x1.05883210dd198p-11", "0x1.486ee84101666p-21"),
+    ("beta2_alpha", "toeplitz16", 131073): ("0x1.05898501a905cp-11", "0x1.8fecdee639d40p-22"),
 }
 
 

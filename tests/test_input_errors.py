@@ -1,0 +1,59 @@
+"""Invalid input to the public entry points ends in the package's own
+``ModelSpecError`` (a ``ValueError``), never in a bare exception from deep
+inside, a silent ``nan`` or an empty-sequence error."""
+
+import math
+
+import numpy as np
+import pytest
+
+from rareunion import ModelSpecError, NormalModel, Payoff, estimate_beta_n
+from rareunion import events as ev
+from rareunion import samplers
+from rareunion.efficiency import (
+    NORMAL_RADIAL,
+    EllipticalInput,
+    berman_univariate_asymptotic,
+    bivariate_type1_asymptotic_rate,
+    gaussian_copula_ledford_tawn,
+)
+
+
+def _rng():
+    return np.random.default_rng(1)
+
+
+def _ellipse(mu=(0.0, 0.0, 0.0), sigma=None):
+    return EllipticalInput(np.asarray(mu), np.eye(3) if sigma is None else np.asarray(sigma))
+
+
+CASES = {
+    "binomial_term_negative_count": lambda: ev.binomial_term(-1, 0),
+    "partition_cells_zero_order": lambda: ev.partition_cells(3, 0),
+    "partition_cells_fractional_order": lambda: ev.partition_cells(3, 2.5),
+    "enumerate_patterns_beyond_twenty": lambda: ev.enumerate_patterns(21),
+    "enumerate_patterns_fractional": lambda: ev.enumerate_patterns(2.5),
+    "cell_for_empty_pattern": lambda: ev.cell_for_pattern([], 1),
+    "brute_force_union_without_pmf": lambda: ev.brute_force_union(NormalModel.equicorrelated(3, 0.5)),
+    "elliptical_nan_mean": lambda: _ellipse(mu=(0.0, math.nan, 0.0)),
+    "elliptical_inf_covariance": lambda: _ellipse(sigma=[[1.0, math.inf, 0.0], [math.inf, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "pair_params_index_out_of_range": lambda: _ellipse().pair_params(0, 5),
+    "pair_params_same_index": lambda: _ellipse().pair_params(0, 0),
+    "berman_level_at_zero": lambda: berman_univariate_asymptotic(NORMAL_RADIAL, 0.0, 1.0, 0.0),
+    "berman_level_below_zero": lambda: berman_univariate_asymptotic(NORMAL_RADIAL, 0.0, 1.0, -1.0),
+    "type1_rate_level_below_zero": lambda: bivariate_type1_asymptotic_rate(_ellipse(), 0, 1, -1.0),
+    "ledford_tawn_string_correlation": lambda: gaussian_copula_ledford_tawn("a"),
+    "laplace_index_out_of_range": lambda: samplers.laplace_conditional_exceedance(3, 5, 2.0, _rng(), 10),
+    "inverse_gaussian_negative_mean": lambda: samplers.sample_inverse_gaussian(-1.0, 1.0, _rng(), 10),
+    "pair_sampler_rho_one": lambda: samplers.sample_truncated_std_normal_pair(2.0, 2.0, 1.0, _rng(), 10),
+    "pair_sampler_rho_minus_one": lambda: samplers.sample_truncated_std_normal_pair(2.0, 2.0, -1.0, _rng(), 10),
+    "custom_payoff_two_columns": lambda: estimate_beta_n(
+        NormalModel.equicorrelated(3, 0.5), 1.0, 1, Payoff.custom(lambda x, p: np.ones((len(p), 2))), 1000, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_invalid_input_raises_the_package_error(case):
+    with pytest.raises(ModelSpecError):
+        CASES[case]()

@@ -126,25 +126,25 @@ class TestTruncatedNormal:
 class TestConditionalMvn:
     def test_independence_ignores_condition(self):
         m = NormalModel.equicorrelated(3, 0.0)
-        cond = GaussianConditional(m.mu, m.sigma, (0,))
+        cond = GaussianConditional(m, (0,))
         out = cond.draw(np.full((50_000, 1), 5.0), rng_for("ind"))
-        assert out.shape == (50_000, 2)
-        assert abs(out.mean()) < 0.02
+        assert out.shape == (50_000, 3)
+        assert (out[:, 0] == 5.0).all()
+        assert abs(out[:, 1:].mean()) < 0.02
 
     def test_bivariate_conditional_law(self):
         m = NormalModel.equicorrelated(2, 0.75)
-        cond = GaussianConditional(m.mu, m.sigma, (0,))
+        cond = GaussianConditional(m, (0,))
         out = cond.draw(np.full((100_000, 1), 4.0), rng_for("cond"))
         # law given the first coordinate at 4: centre 3, spread 1 - 0.75^2
-        assert out[:, 0].mean() == pytest.approx(3.0, abs=0.01)
-        assert out[:, 0].var(ddof=1) == pytest.approx(0.4375, abs=0.01)
+        assert out[:, 1].mean() == pytest.approx(3.0, abs=0.01)
+        assert out[:, 1].var(ddof=1) == pytest.approx(0.4375, abs=0.01)
 
     def test_composition_reproduces_joint_moments(self):
         m = NormalModel(np.eye(3))
         rng = rng_for("compose")
         x0 = rng.standard_normal(50_000)
-        rest = GaussianConditional(m.mu, m.sigma, (0,)).draw(x0[:, None], rng)
-        joint = np.column_stack([x0, rest])
+        joint = GaussianConditional(m, (0,)).draw(x0[:, None], rng)
         cov = np.cov(joint.T)
         assert np.allclose(cov, np.eye(3), atol=0.03)
 
@@ -162,9 +162,38 @@ class TestConditionalMvn:
 
     def test_pair_form(self):
         m = NormalModel.equicorrelated(4, 0.5)
-        cond = GaussianConditional(m.mu, m.sigma, (0, 2))
+        cond = GaussianConditional(m, (0, 2))
         out = cond.draw(np.tile([1.0, 2.0], (1000, 1)), rng_for("pairform"))
-        assert out.shape == (1000, 2)
+        assert out.shape == (1000, 4)
+
+    def test_kriging_matches_the_exact_conditional_law(self):
+        # a non-zero mean and a dense covariance, conditioned on two
+        # non-adjacent coordinates: the rest has mean
+        # mu_R + (x_S - mu_S) K_R^T and covariance sigma_RR - K_R sigma_SR
+        a = rng_for("krig-model").standard_normal((6, 6))
+        sigma = a @ a.T + 0.5 * np.eye(6)
+        mu = rng_for("krig-mean").standard_normal(6)
+        given, rest, x_s, n = [1, 4], [0, 2, 3, 5], np.array([2.7, 3.1]), 2_000_000
+        k_rest = np.linalg.solve(sigma[np.ix_(given, given)], sigma[given][:, rest]).T
+        mean = mu[rest] + (x_s - mu[given]) @ k_rest.T
+        cov = sigma[np.ix_(rest, rest)] - k_rest @ sigma[np.ix_(given, rest)]
+        x = GaussianConditional(NormalModel(sigma, mu=mu), given).draw(
+            np.tile(x_s, (n, 1)), derive_generator(8, 0)
+        )[:, rest]
+        sd = np.sqrt(np.diag(cov))
+        assert (np.abs(x.mean(axis=0) - mean) < 4 * sd / math.sqrt(n)).all()
+        # the s.e. of a sample covariance over sd_i sd_j is sqrt((1 + r_ij^2) / n)
+        corr = cov / np.outer(sd, sd)
+        err = (np.cov(x.T) - cov) / np.outer(sd, sd)
+        assert (np.abs(err) < 5 * np.sqrt((1 + corr**2) / n)).all()
+
+    @pytest.mark.parametrize("given", [(0,), (3, 1), (0, 1, 2, 3)])
+    def test_conditioned_columns_equal_values(self, given):
+        m = NormalModel(0.5 ** abs(np.subtract.outer(np.arange(4), np.arange(4))), mu=[1.0, -2.0, 0.5, 3.0])
+        values = 2.0 + rng_for("krig-values").random((ROW_BLOCK + 7, len(given)))
+        out = GaussianConditional(m, given).draw(values, rng_for("krig-cols"))
+        assert out.shape == (ROW_BLOCK + 7, 4)
+        assert np.array_equal(out[:, list(given)], values)
 
 
 class TestRowBlockedDraws:
@@ -187,16 +216,15 @@ class TestRowBlockedDraws:
     @pytest.mark.parametrize("given", [(5,), (40, 7)])
     @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK + 1, 1 << 16])
     def test_conditional_draw_matches_plain_expression(self, model, n, given):
-        cond = GaussianConditional(model.mu, model.sigma, given)
+        # the whole-array kriging step: one model draw X moved by
+        # (values - X_S) K^T, with K = sigma[:, S] sigma[S, S]^-1
+        cols = list(given)
+        gain = np.linalg.solve(model.sigma[np.ix_(cols, cols)], model.sigma[cols]).T
         values = 2.0 + derive_generator(4, n).random((n, len(given)))
-        mean = cond.mu_rest + (values - cond.mu_given) @ cond.coef.T
-        want = mean + derive_generator(5, n).standard_normal((n, len(cond.rest))) @ cond.chol.T
-        assert np.array_equal(cond.draw(values, derive_generator(5, n)), want)
-        full = np.full((n, self.D), np.nan)
-        full[:, list(given)] = values
-        assert cond.draw(values, derive_generator(5, n), out=full) is full
-        assert np.array_equal(full[:, list(cond.rest)], want)
-        assert np.array_equal(full[:, list(given)], values)
+        x = model.mu + derive_generator(5, n).standard_normal((n, self.D)) @ model.chol.T
+        want = x + (values - x[:, cols]) @ gain.T
+        want[:, cols] = values
+        assert np.array_equal(GaussianConditional(model, given).draw(values, derive_generator(5, n)), want)
 
 
 class TestGibbs:
