@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from ._rng import stable_cell_seed
@@ -39,15 +39,16 @@ class ExperimentConfig:
     master_seed: int = 0
     output: str = "csv"
     oracle: object = "auto"  # "auto" | "none" | cap on QMC points
-    # optional policy: when a partially deterministic estimator's sample
-    # standard deviation falls to or below this value, report the matching
-    # deterministic bound instead (None disables the switch)
-    switch_below_std: Optional[float] = None
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        """The config of a JSON object whose keys are this class's field names."""
         if not isinstance(obj, dict):
             raise ModelSpecError("experiment config must be a JSON object")
+        keys = [f.name for f in fields(cls)]
+        unknown = [k for k in obj if k not in keys]
+        if unknown:
+            raise ModelSpecError(f"unknown experiment config keys {unknown}; valid keys: {keys}")
         try:
             model = obj["model"]
             grid = obj["gamma_grid"]
@@ -57,8 +58,6 @@ class ExperimentConfig:
         if not isinstance(grid, (list, tuple)) or not isinstance(estimators, (list, tuple)):
             raise ModelSpecError("gamma_grid and estimators must be lists")
         gamma_grid = tuple(_real(g, "gamma_grid values") for g in grid)
-        switch = obj.get("switch_below_std")
-        switch = None if switch is None else _real(switch, "switch_below_std")
         if not gamma_grid or any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
             raise ModelSpecError("gamma_grid must be non-empty and strictly increasing")
         for name in estimators:
@@ -74,8 +73,6 @@ class ExperimentConfig:
         oracle = obj.get("oracle", "auto")
         if oracle not in ("auto", "none"):
             oracle = _dimension(oracle, "oracle")
-        if switch is not None and not switch >= 0.0:
-            raise ModelSpecError("switch_below_std must be non-negative")
         build_model(model)  # validate early
         return cls(
             model=model,
@@ -85,7 +82,6 @@ class ExperimentConfig:
             master_seed=master_seed,
             output=output,
             oracle=oracle,
-            switch_below_std=switch,
         )
 
 
@@ -159,30 +155,12 @@ def _run_cell(config: ExperimentConfig, model, name: str, gamma: float, oracle: 
         return [
             TableRow(name, gamma, math.nan, math.nan, math.nan, None, False, 0, seed, 0.0)
         ]
-    estimate, std, stderr, reps, degen = (
-        res.estimate,
-        res.sample_std,
-        res.stderr,
-        res.replicates,
-        res.degenerate,
-    )
-    if (
-        config.switch_below_std is not None
-        and name in ("alpha1", "alpha2")
-        and std <= config.switch_below_std
-    ):
-        # switch policy: fall back to the deterministic bound the estimator
-        # would collapse onto anyway
-        bounds = bonferroni_bounds(model, gamma)
-        estimate = bounds.upper if name == "alpha1" else bounds.second
-        std = stderr = 0.0
-        reps = 0
-        degen = True
-    rel = None
-    if oracle:
-        rel = abs(estimate - oracle) / oracle
+    rel = abs(res.estimate - oracle) / oracle if oracle else None
     return [
-        TableRow(name, gamma, estimate, std, stderr, rel, degen, reps, seed, res.wall_ms)
+        TableRow(
+            name, gamma, res.estimate, res.sample_std, res.stderr, rel,
+            res.degenerate, res.replicates, seed, res.wall_ms,
+        )
     ]
 
 

@@ -44,13 +44,7 @@ def binomial_term(count: int, order: int) -> int:
     events, which is what ties the inclusion-exclusion summands to the
     exceedance count.
     """
-    count = int(count)
-    order = int(order)
-    if count < 0 or order < 0:
-        raise ModelSpecError("count and order must be non-negative")
-    if count < order:
-        return 0
-    return math.comb(count, order)
+    return math.comb(_dimension(count, "count", least=0), _dimension(order, "order", least=0))
 
 
 def residual_term(count: int, order: int) -> int:
@@ -60,16 +54,8 @@ def residual_term(count: int, order: int) -> int:
     inclusion-exclusion expansion are computed deterministically.  It
     vanishes unless at least ``n + 1`` events occurred.
     """
-    count = int(count)
-    order = int(order)
-    if count < 0 or order < 0:
-        raise ModelSpecError("count and order must be non-negative")
-    if count <= order:
-        return 0
-    total = 0
-    for i in range(order + 1):
-        total += (-1) ** i * binomial_term(count, i)
-    return total
+    count, order = _dimension(count, "count", least=0), _dimension(order, "order", least=0)
+    return 0 if count <= order else (-1) ** order * math.comb(count - 1, order)
 
 
 def residual_term_table(d: int, order: int) -> np.ndarray:
@@ -82,11 +68,13 @@ def residual_term_table(d: int, order: int) -> np.ndarray:
 
 
 def payoff_alternating_table(d: int, order: int) -> np.ndarray:
-    """``sum_{i<=order} (-1)^i C(E, i)`` for ``E = 0..d`` (no indicator)."""
-    vals = []
-    for e in range(d + 1):
-        vals.append(sum((-1) ** i * binomial_term(e, i) for i in range(order + 1)))
-    return np.array(vals, dtype=float)
+    """``sum_{i<=order} (-1)^i C(E, i)`` for ``E = 0..d`` (no indicator).
+
+    Pascal's rule telescopes the sum to ``(-1)^order C(E - 1, order)`` for
+    ``E >= 1``; at ``E = 0`` it is 1.
+    """
+    d, order = _dimension(d, "d", least=0), _dimension(order, "order", least=0)
+    return np.array([1] + [(-1) ** order * math.comb(e - 1, order) for e in range(1, d + 1)], dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -167,35 +155,31 @@ def cell_for_pattern(pattern, m: int) -> Optional[PartitionCell]:
     return PartitionCell(events=chosen, blocked=blocked)
 
 
-def _model_pmf(model) -> tuple[int, np.ndarray]:
-    if not hasattr(model, "pmf"):
-        raise ModelSpecError(f"exhaustive enumeration needs a finite pattern law, got {type(model).__name__}")
-    d = int(model.d)
-    pmf = np.asarray(model.pmf, dtype=float)
-    if d > 20:
-        raise ModelSpecError("exhaustive enumeration supports d <= 20")
-    if pmf.shape != (1 << d,):
-        raise ModelSpecError("pmf length must be 2**d")
-    if abs(pmf.sum() - 1.0) > 1e-12 or (pmf < 0).any():
-        raise ModelSpecError("pmf must be a probability vector summing to 1 within 1e-12")
-    return d, pmf
+def _finite_law(model) -> tuple[int, np.ndarray]:
+    from .models import FinitePatternModel  # not at module level: models imports events
+
+    if not isinstance(model, FinitePatternModel):
+        raise ModelSpecError(
+            f"exhaustive enumeration needs a FinitePatternModel, got {type(model).__name__}"
+        )
+    return model.d, model.pmf
 
 
 def brute_force_union(model) -> float:
-    """Exact union probability of a finite pattern distribution."""
-    d, pmf = _model_pmf(model)
+    """Exact union probability of a :class:`FinitePatternModel`."""
+    d, pmf = _finite_law(model)
     counts = enumerate_patterns(d).sum(axis=1)
     return float(pmf[counts >= 1].sum())
 
 
 def brute_force_tail_expectation(model, n: int, payoff: Optional[Callable] = None) -> float:
-    """Exact ``E[Y 1{E >= n}]`` over a finite pattern distribution.
+    """Exact ``E[Y 1{E >= n}]`` over a :class:`FinitePatternModel`.
 
     ``payoff`` is called as ``payoff(x, patterns)`` on the full enumeration
     (with x the patterns as floats) and must return one value per pattern;
     None means Y identically one.
     """
-    d, pmf = _model_pmf(model)
+    d, pmf = _finite_law(model)
     patterns = enumerate_patterns(d)
     counts = patterns.sum(axis=1)
     if payoff is None:

@@ -235,10 +235,10 @@ class _NormalTail:
     """Draws from the Gaussian law given ``X_k > gamma`` for each k in ``given``.
 
     One conditioned coordinate is a truncated-normal draw; a pair is an
-    exact minimax-tilted accept-reject draw, whose tilt is computed once
-    here.  The whole vector is then drawn given those values by kriging
-    (``samplers.GaussianConditional``): one unconditional model draw, moved
-    by the gain ``K = sigma[:, given] sigma[given, given]^-1``.
+    exact minimax-tilted accept-reject draw.  The whole vector is then
+    drawn given those values by kriging (``samplers.GaussianConditional``):
+    one unconditional model draw, moved by the gain
+    ``K = sigma[:, given] sigma[given, given]^-1``.
     """
 
     def __init__(self, model: NormalModel, given: tuple, gamma: float):
@@ -248,7 +248,6 @@ class _NormalTail:
         self._t = (gamma - self._mu) / self._sd
         if len(given) == 2:
             self._rho = model.correlation(*given)
-            self._tilt = samplers._pair_tilt(*self._t, self._rho)
         self._cond = samplers.GaussianConditional(model, given)
 
     def draw(self, rng, size) -> np.ndarray:
@@ -256,9 +255,7 @@ class _NormalTail:
         if len(self.given) == 1:
             z = (samplers.sample_truncated_std_normal(self._t[0], rng, n),)
         else:
-            z = samplers.sample_truncated_std_normal_pair(
-                *self._t, self._rho, rng, size=n, tilt=self._tilt
-            )
+            z = samplers.sample_truncated_std_normal_pair(*self._t, self._rho, rng, size=n)
         return self._cond.draw(self._mu + self._sd * np.column_stack(z), rng)
 
 

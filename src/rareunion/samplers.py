@@ -12,6 +12,7 @@ factors a covariance of its own.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,10 +145,16 @@ def _pair_log_ratio(x, ti, tj, rho, s, mu):
     return -x * mu + 0.5 * mu * mu + norm_logsf(ti - mu) + norm_logsf((tj - rho * x) / s)
 
 
+# 65,536 keys hold every pair key of a model with all-distinct keys up to
+# d = 362, so an estimate that cycles through its pair laws never evicts
+# one of its own tilts.
+@lru_cache(maxsize=1 << 16)
 def _pair_tilt(ti: float, tj: float, rho: float) -> tuple[float, float]:
     """Minimax tilt ``(mu, psi_star)`` of the pair sampler (Botev 2017, JRSS-B).
 
-    Computed for the thresholds in sampling order, the larger one first.
+    Computed for the thresholds in sampling order, the larger one first,
+    and memoised: it is a pure function of its key, which many pair laws
+    of one model share.
     The saddle point of ``psi`` solves ``mu = (rho/s) h((tj - rho x)/s)`` and
     ``x = mu + h(ti - mu)``, with ``h`` the normal hazard.  Taking ``mu`` as
     that function of x makes x the stationary point, hence the maximum, of
@@ -183,7 +190,7 @@ def _pair_tilt(ti: float, tj: float, rho: float) -> tuple[float, float]:
     return mu, _pair_log_ratio(hi, ti, tj, rho, s, mu)
 
 
-def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size, tilt=None):
+def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size):
     """``size`` exact draws of a standard bivariate normal pair with
     correlation ``rho`` conditioned on ``Z_i > ti`` and ``Z_j > tj``.
 
@@ -193,15 +200,13 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
     truncated normal ``mu + TN(ti - mu)``, accepted when
     ``log U < psi(Z_i) - psi_star``; then ``Y`` is drawn exactly from
     ``TN((tj - rho Z_i) / s)``.  The acceptance stays above 0.8 for ``rho``
-    in [-0.9, 0.99] and thresholds in [-1, 8].  ``tilt`` is
-    ``_pair_tilt(ti, tj, rho)``, for callers that draw repeatedly; by
-    default it is computed here.
+    in [-0.9, 0.99] and thresholds in [-1, 8].
     """
     ti, tj, rho = float(ti), float(tj), float(rho)
     swap = ti < tj
     if swap:
         ti, tj = tj, ti
-    mu, psi_star = _pair_tilt(ti, tj, rho) if tilt is None else tilt
+    mu, psi_star = _pair_tilt(ti, tj, rho)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     n = int(size)
     zi = np.empty(n)

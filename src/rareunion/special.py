@@ -123,7 +123,7 @@ def integrate(f, a, b, *, points=None, epsrel=1e-11):
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     a, b = np.atleast_1d(a).ravel(), np.atleast_1d(b).ravel()
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a <= b)):
-        raise ValueError("integrate needs finite limits with a <= b")
+        raise ModelSpecError("integrate needs finite limits with a <= b")
     m = a.size
     cuts = np.sort(np.asarray([] if points is None else points, dtype=float))
     edges = np.column_stack([a, np.clip(cuts, a[:, None], b[:, None]), b])

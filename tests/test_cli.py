@@ -154,6 +154,18 @@ class TestConfig:
         with pytest.raises(ModelSpecError, match=field):
             ExperimentConfig.from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "extra", [{"estimator": ["cmc"], "replicate": 10}, {"switch_below_std": 1.0}]
+    )
+    def test_unknown_keys_rejected(self, extra):
+        # a misspelt key was once ignored, so {"estimator": [...]} ran an
+        # oracle-only table at the default replicate count
+        obj = {"model": {"type": "laplace", "d": 2}, "gamma_grid": [1.0], **extra}
+        with pytest.raises(ModelSpecError, match="valid keys") as info:
+            ExperimentConfig.from_dict(obj)
+        assert all(repr(key) in str(info.value) for key in extra)
+        assert "'estimators'" in str(info.value) and "'replicates'" in str(info.value)
+
     def test_integral_counts_accepted(self):
         cfg = ExperimentConfig.from_dict(
             {"model": {"type": "laplace", "d": 2}, "gamma_grid": [1.0], "replicates": 2.0, "master_seed": -3}
@@ -201,31 +213,6 @@ class TestRunExperiment:
         assert len(bad) == 1 and np.isnan(bad[0].estimate)
         good = [r for r in rows if r.estimator == "cmc"]
         assert len(good) == 1 and np.isfinite(good[0].estimate)
-
-    def test_variance_switch_policy(self):
-        from rareunion import NormalModel, bonferroni_bounds
-
-        base = {
-            "model": {"type": "normal", "d": 4, "rho": 0.75},
-            "gamma_grid": [2.0],
-            "estimators": ["alpha1", "alpha2", "cmc"],
-            "replicates": 2000,
-            "master_seed": 4,
-            "oracle": "none",
-            "switch_below_std": 1.0,  # always switch
-        }
-        rows = run_experiment(ExperimentConfig.from_dict(base))
-        model = NormalModel.equicorrelated(4, 0.75)
-        bounds = bonferroni_bounds(model, 2.0)
-        by_name = {r.estimator: r for r in rows}
-        assert by_name["alpha1"].estimate == bounds.upper
-        assert by_name["alpha1"].degenerate
-        assert by_name["alpha2"].estimate == bounds.second
-        # the policy only governs the partially deterministic estimators
-        assert not by_name["cmc"].degenerate
-        # disabled by default
-        rows2 = run_experiment(ExperimentConfig.from_dict({**base, "switch_below_std": None}))
-        assert {r.estimator: r for r in rows2}["alpha1"].estimate != bounds.upper
 
     def test_oracle_only_run(self):
         cfg = ExperimentConfig.from_dict(
@@ -399,6 +386,13 @@ class TestCommandLine:
         path.write_text(json.dumps({"model": {"type": "laplace", "d": 2}, "gamma_grid": []}))
         proc = run_cli("table", "--config", str(path))
         assert proc.returncode == 2
+
+    def test_unknown_config_key_exits_two(self, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"model": {"type": "laplace", "d": 2}, "gamma_grid": [6.0], "estimator": ["cmc"]}))
+        proc = run_cli("table", "--config", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "'estimator'" in proc.stderr
 
     def test_missing_config_file_exits_two(self, tmp_path):
         # a directory and a file that is not UTF-8 once ended in a traceback

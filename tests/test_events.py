@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rareunion import FinitePatternModel, ModelSpecError
 from rareunion import events as ev
 
 
@@ -69,6 +70,15 @@ class TestResidualTerm:
                 assert table.shape == (d + 1,)
                 for e in range(d + 1):
                     assert table[e] == ev.residual_term(e, n)
+
+    def test_tables_equal_the_alternating_sum(self):
+        # the closed form against the sum it replaces, as exact integers
+        for n in range(5):
+            table = ev.payoff_alternating_table(79, n)
+            for e in range(80):
+                direct = sum((-1) ** i * math.comb(e, i) for i in range(n + 1))
+                assert table[e] == float(direct)
+                assert ev.residual_term(e, n) == (direct if e > n else 0)
 
     def test_payoff_table_has_no_indicator(self):
         table = ev.payoff_alternating_table(6, 1)
@@ -139,7 +149,7 @@ class _PmfHolder:
 
 class TestBruteForce:
     def test_uniform_two_events(self):
-        model = _PmfHolder([0.25] * 4)
+        model = FinitePatternModel([0.25] * 4)
         assert ev.brute_force_union(model) == pytest.approx(0.75, abs=0)
 
     def test_independent_bits(self):
@@ -151,20 +161,24 @@ class TestBruteForce:
                 pr *= p if b else 1 - p
             pmf.append(pr)
         # enumeration order must match: itertools.product is lexicographic too
-        model = _PmfHolder(pmf)
+        model = FinitePatternModel(pmf)
         assert ev.brute_force_union(model) == pytest.approx(1 - 0.9**3, rel=1e-14)
 
     def test_single_event(self):
-        model = _PmfHolder([0.7, 0.3])
+        model = FinitePatternModel([0.7, 0.3])
         assert ev.brute_force_union(model) == pytest.approx(0.3, abs=0)
 
     def test_unnormalized_pmf_rejected(self):
-        with pytest.raises(ValueError):
-            ev.brute_force_union(_PmfHolder([0.5, 0.6]))
+        # only a FinitePatternModel, which validates its pmf, is enumerated
+        for pmf in ([0.5, 0.6], [0.5, 0.5]):
+            with pytest.raises(ModelSpecError):
+                ev.brute_force_union(_PmfHolder(pmf))
+        with pytest.raises(ModelSpecError):
+            FinitePatternModel([0.5, 0.6])
 
     def test_tail_expectation_with_payoff(self):
         pmf = [0.1, 0.2, 0.3, 0.4]
-        model = _PmfHolder(pmf)
+        model = FinitePatternModel(pmf)
 
         def payoff(x, patterns):
             return patterns.sum(axis=1).astype(float) ** 2

@@ -10,6 +10,7 @@ import pytest
 from rareunion import ModelSpecError, NormalModel, Payoff, estimate_beta_n
 from rareunion import events as ev
 from rareunion import samplers
+from rareunion.special import integrate
 from rareunion.efficiency import (
     NORMAL_RADIAL,
     EllipticalInput,
@@ -29,6 +30,11 @@ def _ellipse(mu=(0.0, 0.0, 0.0), sigma=None):
 
 CASES = {
     "binomial_term_negative_count": lambda: ev.binomial_term(-1, 0),
+    "binomial_term_fractional_count": lambda: ev.binomial_term(2.5, 1),
+    "residual_term_fractional_count": lambda: ev.residual_term(3.9, 1),
+    "residual_term_fractional_order": lambda: ev.residual_term(3, 0.5),
+    "integrate_infinite_limit": lambda: integrate(lambda x: x, 0.0, math.inf),
+    "integrate_reversed_limits": lambda: integrate(lambda x: x, 1.0, 0.0),
     "partition_cells_zero_order": lambda: ev.partition_cells(3, 0),
     "partition_cells_fractional_order": lambda: ev.partition_cells(3, 2.5),
     "enumerate_patterns_beyond_twenty": lambda: ev.enumerate_patterns(21),

@@ -173,7 +173,6 @@ _CONFIG_GOOD = {
     "master_seed": [0, 7, -3, 2.0, 2**70],
     "output": ["csv", "json"],
     "oracle": ["auto", "none", 1024],
-    "switch_below_std": [None, 0.0, 1e-3, math.inf],
 }
 _CONFIG_BAD = {
     "model": [{"type": "laplace", "d": 0}, "normal"],
@@ -183,7 +182,6 @@ _CONFIG_BAD = {
     "master_seed": [1.5, "7", "x"],
     "output": ["xml"],
     "oracle": [0, -5, True, 2.5, "1024"],
-    "switch_below_std": [-1.0, math.nan, 10**400, "x"],
 }
 
 
@@ -192,7 +190,7 @@ def experiment_configs(draw):
     """A config from the field pools, with at most one field spoilt:
     given a rejected value, a value of the wrong kind, or left out."""
     config = {key: draw(st.sampled_from(pool)) for key, pool in _CONFIG_GOOD.items()}
-    for key in ("estimators", "replicates", "master_seed", "output", "oracle", "switch_below_std"):
+    for key in ("estimators", "replicates", "master_seed", "output", "oracle"):
         if draw(st.booleans()):
             del config[key]  # the default
     spoilt = draw(st.sampled_from((None,) * 8 + tuple(_CONFIG_BAD)))
@@ -217,4 +215,3 @@ def test_any_config_gives_a_config_or_a_rare_union_error(obj):
     assert all(math.isfinite(g) for g in cfg.gamma_grid) and list(cfg.gamma_grid) == sorted(set(cfg.gamma_grid))
     assert isinstance(obj.get("estimators", []), list) and set(cfg.estimators) <= set(ESTIMATOR_NAMES)
     assert cfg.oracle in ("auto", "none") or (type(cfg.oracle) is int and cfg.oracle >= 1)
-    assert cfg.switch_below_std is None or cfg.switch_below_std >= 0.0

@@ -330,6 +330,28 @@ class TestExactPair:
                 acc = math.exp(math.log(bivariate_normal_orthant(ti, tj, rho)) - psi_star)
                 assert 0.8 < acc <= 1.0 + 1e-9, (rho, ti, tj, acc)
 
+    def test_memoised_tilt_equals_the_computed_one(self):
+        _pair_tilt.cache_clear()
+        for rho in np.linspace(-0.9, 0.99, 7):
+            for ti in np.linspace(-1.0, 8.0, 7):
+                for tj in np.linspace(-1.0, 8.0, 7):
+                    for key in ((ti, tj, rho), (tj, ti, rho)):
+                        memo = [x.hex() for x in _pair_tilt(*map(float, key))]
+                        assert memo == [x.hex() for x in _pair_tilt.__wrapped__(*map(float, key))], key
+
+    def test_one_tilt_per_distinct_pair_key(self):
+        # the d=64 Toeplitz model 0.5^|i-j| at gamma=4 has 2,016 pair laws
+        # but only 63 distinct keys (4, 4, 0.5^k)
+        lags = np.abs(np.subtract.outer(np.arange(64), np.arange(64)))
+        model = NormalModel(0.5**lags)
+        _pair_tilt.cache_clear()
+        rng = rng_for("pair-keys")
+        for i in range(64):
+            for j in range(i + 1, 64):
+                model.conditional_given_pair_exceedance(i, j, 4.0).draw(rng, 1)
+        info = _pair_tilt.cache_info()
+        assert (info.misses, info.hits) == (63, 2016 - 63)
+
     def test_invalid_arguments(self):
         for ti, rho in ((math.nan, 0.5), (math.inf, 0.5), (1.0, 1.0), (1.0, -1.0)):
             with pytest.raises(ValueError):
