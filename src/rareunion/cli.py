@@ -299,8 +299,6 @@ def _cmd_ratio(args) -> int:
         gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
     except ValueError as exc:
         raise ModelSpecError(f"--gammas must be comma-separated numbers: {exc}") from exc
-    if not gammas:
-        raise ModelSpecError("--gammas must contain at least one threshold")
     diag = empirical_efficiency_ratio(model, gammas)
     print(json.dumps(diag.to_json(), indent=2))
     return 0

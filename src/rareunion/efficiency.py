@@ -530,6 +530,10 @@ def savage_condition(sigma, t) -> tuple[bool, np.ndarray]:
     """
     sigma = np.asarray(sigma, dtype=float)
     t = np.asarray(t, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or t.shape != (sigma.shape[0],):
+        raise ModelSpecError("need a square covariance and a matching threshold vector")
+    if not (np.isfinite(sigma).all() and np.isfinite(t).all()):
+        raise ModelSpecError("covariance and threshold entries must be finite")
     try:
         x = np.linalg.solve(sigma, t)
     except np.linalg.LinAlgError as exc:
@@ -638,8 +642,14 @@ def empirical_efficiency_ratio(model: DependenceModel, gamma_grid) -> RatioDiagn
     """
     if model.d < 2:
         raise ModelSpecError("the ratio diagnostic needs at least two events")
+    try:
+        grid = list(gamma_grid)
+    except TypeError:  # a single number, not a grid
+        grid = []
+    if not grid:
+        raise ModelSpecError(f"the threshold grid must be a non-empty sequence, got {gamma_grid!r}")
     rows = []
-    for gamma in map(model.check_threshold, gamma_grid):
+    for gamma in map(model.check_threshold, grid):
         layers = _Layers(model, gamma)
         marg_max = float(layers.margs.max())  # first: a model that only samples fails on these
         pair_max = float(layers.pairs.max())

@@ -90,44 +90,41 @@ class BonferroniBounds(NamedTuple):
     second: float
 
 
-@dataclass(frozen=True)
 class Payoff:
-    """The random factor Y in tail functionals ``E[Y 1{E >= n}]``.
+    """The random factor Y in tail functionals ``E[Y 1{E >= n}]``: one
+    deterministic function of the sampled vector and its event pattern,
+    called as ``fn(x, patterns)``.
 
     ``constant_one`` recovers plain probabilities.  ``residual_alternating(m)``
     is the alternating binomial sum ``sum_{i<=m} (-1)^i C(E, i)`` of the
     exceedance count, the payoff that turns a partition estimator into a
-    union-probability estimator.  ``custom`` wraps any deterministic
-    function of the sampled vector and its event pattern.
+    union-probability estimator.  ``custom`` wraps any such function.
     """
 
-    kind: str
-    order: Optional[int] = None
-    fn: Optional[Callable] = None
+    def __init__(self, fn: Callable):
+        if not callable(fn):
+            raise ModelSpecError(f"a payoff must be a function of (x, patterns), got {fn!r}")
+        self._fn = fn
 
     @staticmethod
     def constant_one() -> "Payoff":
-        return Payoff(kind="constant_one")
+        return Payoff(lambda x, patterns: np.ones(patterns.shape[0]))
 
     @staticmethod
     def residual_alternating(order: int) -> "Payoff":
-        return Payoff(kind="residual_alternating", order=_dimension(order, "order", least=0))
+        order = _dimension(order, "order", least=0)
+        return Payoff(
+            lambda x, patterns: ev.payoff_alternating_table(patterns.shape[1], order)[patterns.sum(axis=1)]
+        )
 
     @staticmethod
     def custom(fn: Callable) -> "Payoff":
-        return Payoff(kind="custom", fn=fn)
+        return Payoff(fn)
 
     def values(self, x, patterns) -> np.ndarray:
-        if self.kind == "constant_one":
-            return np.ones(patterns.shape[0])
-        if self.kind == "residual_alternating":
-            table = ev.payoff_alternating_table(patterns.shape[1], self.order)
-            return table[patterns.sum(axis=1)]
-        values = np.asarray(self.fn(x, patterns), dtype=float)
+        values = np.asarray(self._fn(x, patterns), dtype=float)
         if values.shape != (patterns.shape[0],):
-            raise ModelSpecError(
-                f"a custom payoff must return one value per row, got shape {values.shape}"
-            )
+            raise ModelSpecError(f"a payoff must return one value per row, got shape {values.shape}")
         return values
 
     __call__ = values
@@ -262,27 +259,20 @@ def _alpha2_is(lay: _Layers) -> _Estimator:
     return _Estimator(abar, laws, lambda k, x, p: abar - 2.0 * q / p.sum(axis=1), True)
 
 
-def _partition(lay: _Layers, n: int, head: float, z: Callable, first: int = 0) -> _Estimator:
+def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0, first: int = 0):
     """The order-n partition cells from ``first`` on, each a law weighted by
-    its exact probability ``P(B_I)``, with value ``z(cell, x, patterns)``."""
-    cells = ev.partition_cells(lay.d, n) if n <= lay.d else []
-    weights = lay.margs if n == 1 else lay.pairs
-    laws = [(weights[k], cell.events) for k, cell in enumerate(cells)][first:]
-    cells = cells[first:]
-    return _Estimator(head, laws, lambda k, x, p: z(cells[k], x, p), False)
-
-
-def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0):
+    its exact probability ``P(B_I)``, with value ``Y 1{C_I}``."""
     if not isinstance(payoff, Payoff):
         raise ModelSpecError(f"payoff must be a Payoff, got {payoff!r}")
-    return lambda lay: _partition(lay, n, head(lay), lambda c, x, p: payoff.values(x, p) * c.blocked_clear(p))
 
+    def build(lay: _Layers) -> _Estimator:
+        exact = head(lay)
+        cells = (ev.partition_cells(lay.d, n) if n <= lay.d else [])[first:]
+        weights = (lay.margs if n == 1 else lay.pairs)[first:]
+        laws = [(w, cell.events) for w, cell in zip(weights, cells)]
+        return _Estimator(exact, laws, lambda k, x, p: payoff.values(x, p) * cells[k].blocked_clear(p), False)
 
-def _beta1_alpha(lay: _Layers) -> _Estimator:
-    """Union probability through the order-1 partition: the first cell's
-    conditional expectation is identically one, so its contribution is the
-    exact ``P(A_1)`` and only the remaining ``d - 1`` cells are sampled."""
-    return _partition(lay, 1, float(lay.margs[0]), lambda c, x, p: c.blocked_clear(p).astype(float), first=1)
+    return build
 
 
 _ESTIMATORS = {
@@ -291,7 +281,10 @@ _ESTIMATORS = {
     "alpha2": _alpha_n(2),
     "alpha1_is": _alpha1_is,
     "alpha2_is": _alpha2_is,
-    "beta1_alpha": _beta1_alpha,
+    # union probability through the order-1 partition: the first cell's
+    # conditional expectation is identically one, so its contribution is the
+    # exact P(A_1) and only the remaining d - 1 cells are sampled
+    "beta1_alpha": _beta_n(1, Payoff.constant_one(), head=lambda lay: float(lay.margs[0]), first=1),
     # union probability through the order-2 partition: the marginal layer is
     # exact and the pair cells estimate the alternating remainder with payoff
     # 1 - E; the cell constraint indicator keeps the cells disjoint, which is
@@ -420,12 +413,6 @@ def run_estimator(name: str, model: DependenceModel, gamma: float, replicates: i
 # events.brute_force_tail_expectation.
 
 
-def _finite(model) -> FinitePatternModel:
-    if not isinstance(model, FinitePatternModel):
-        raise ModelSpecError("exhaustive expectations require a finite pattern model")
-    return model
-
-
 def _exact_laws(model: FinitePatternModel, est: _Estimator):
     """``(weight, conditional pmf, values)`` of every law of positive weight,
     the conditional pmf being ``pmf 1{events} / weight`` on its support."""
@@ -450,11 +437,13 @@ def exhaustive_estimator_mean(
     its law means with weights ``w_k / sum(w)``; a stratified estimator
     adds ``w_k`` times each law mean to its head.
     """
-    model = _finite(model)
+    model = ev._finite_model(model)
     if name == "beta_n":
         if n is None or payoff is None:
             raise ModelSpecError("beta_n needs both n and payoff")
         build = _beta_n(_check_order(n), payoff)
+    elif n is not None or payoff is not None:
+        raise ModelSpecError(f"n and payoff apply only to 'beta_n', not to {name!r}")
     else:
         build = _lookup(name)
     est = build(_Layers(model, 0.0))
@@ -469,7 +458,7 @@ def exhaustive_estimator_mean(
 
 def exhaustive_residual_second_moment(model: FinitePatternModel, n: int = 1) -> float:
     """Exact ``E[R_n^2]`` of the alternating remainder."""
-    model = _finite(model)
+    model = ev._finite_model(model)
     counts = model.patterns.sum(axis=1)
     table = ev.residual_term_table(model.d, n)
     vals = table[counts]
@@ -483,7 +472,7 @@ def exhaustive_variance_components(model: FinitePatternModel, n: int, payoff: Pa
     ``sum_I P(B_I)^2 Var(Y 1{C_I} | B_I)``, the crude sweep variance
     ``sum_I Var(Y 1{B_I C_I})`` and ``max_I P(B_I)``.
     """
-    est = _beta_n(_check_order(n), payoff)(_Layers(_finite(model), 0.0))
+    est = _beta_n(_check_order(n), payoff)(_Layers(ev._finite_model(model), 0.0))
     conditional = crude = max_cell = 0.0
     for w, cond, z in _exact_laws(model, est):
         m, m2 = float((cond * z).sum()), float((cond * z * z).sum())

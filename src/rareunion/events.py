@@ -155,21 +155,21 @@ def cell_for_pattern(pattern, m: int) -> Optional[PartitionCell]:
     return PartitionCell(events=chosen, blocked=blocked)
 
 
-def _finite_law(model) -> tuple[int, np.ndarray]:
+def _finite_model(model):
+    """``model`` itself when it is a :class:`FinitePatternModel`, the one law
+    an exhaustive expectation can enumerate."""
     from .models import FinitePatternModel  # not at module level: models imports events
 
     if not isinstance(model, FinitePatternModel):
         raise ModelSpecError(
-            f"exhaustive enumeration needs a FinitePatternModel, got {type(model).__name__}"
+            f"exhaustive expectations need a finite pattern model, got {type(model).__name__}"
         )
-    return model.d, model.pmf
+    return model
 
 
 def brute_force_union(model) -> float:
     """Exact union probability of a :class:`FinitePatternModel`."""
-    d, pmf = _finite_law(model)
-    counts = enumerate_patterns(d).sum(axis=1)
-    return float(pmf[counts >= 1].sum())
+    return brute_force_tail_expectation(model, 1)
 
 
 def brute_force_tail_expectation(model, n: int, payoff: Optional[Callable] = None) -> float:
@@ -179,12 +179,13 @@ def brute_force_tail_expectation(model, n: int, payoff: Optional[Callable] = Non
     (with x the patterns as floats) and must return one value per pattern;
     None means Y identically one.
     """
-    d, pmf = _finite_law(model)
-    patterns = enumerate_patterns(d)
+    model = _finite_model(model)
+    n = _dimension(n, "n", least=0)
+    patterns = model.patterns
     counts = patterns.sum(axis=1)
     if payoff is None:
         y = np.ones(patterns.shape[0])
     else:
         y = np.asarray(payoff(patterns.astype(float), patterns), dtype=float)
     mask = counts >= n
-    return float((pmf[mask] * y[mask]).sum())
+    return float((model.pmf[mask] * y[mask]).sum())

@@ -25,7 +25,7 @@ import numpy as np
 from . import events as ev
 from . import samplers
 from .errors import CapabilityError, ModelSpecError, _dimension, _real
-from .special import bivariate_normal_orthant, integrate, norm_sf
+from .special import SQRT2, bivariate_normal_orthant, integrate, norm_sf
 
 __all__ = [
     "DependenceModel",
@@ -194,7 +194,7 @@ class NormalModel(DependenceModel):
     def sample(self, rng, size) -> np.ndarray:
         """Rows are drawn block by block, with the bits of
         ``mu + z @ chol.T`` on one ``(n, d)`` normal draw."""
-        n = int(size)
+        n = _dimension(size, "size", least=0)
         x = np.empty((n, self.d))
         z_buf = np.empty((min(n, samplers.ROW_BLOCK), self.d))
         for start, stop in samplers.row_blocks(n):
@@ -251,7 +251,7 @@ class _NormalTail:
         self._cond = samplers.GaussianConditional(model, given)
 
     def draw(self, rng, size) -> np.ndarray:
-        n = int(size)
+        n = _dimension(size, "size", least=0)
         if len(self.given) == 1:
             z = (samplers.sample_truncated_std_normal(self._t[0], rng, n),)
         else:
@@ -280,7 +280,7 @@ class LaplaceModel(DependenceModel):
         return self._d
 
     def sample(self, rng, size) -> np.ndarray:
-        n = int(size)
+        n = _dimension(size, "size", least=0)
         r = rng.exponential(1.0, n)
         y = rng.standard_normal((n, self._d))
         return np.sqrt(r)[:, None] * y
@@ -289,8 +289,8 @@ class LaplaceModel(DependenceModel):
         self._check_index(i)
         g = self.check_threshold(gamma)
         if g >= 0.0:
-            return 0.5 * math.exp(-samplers.SQRT2 * g)
-        return 1.0 - 0.5 * math.exp(samplers.SQRT2 * g)
+            return 0.5 * math.exp(-SQRT2 * g)
+        return 1.0 - 0.5 * math.exp(SQRT2 * g)
 
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
         self._check_pair(i, j)
@@ -300,7 +300,7 @@ class LaplaceModel(DependenceModel):
             tail = norm_sf(g / np.sqrt(r))
             return np.exp(-r) * tail * tail
 
-        peak = abs(g) / samplers.SQRT2
+        peak = abs(g) / SQRT2
         hi = max(60.0, 6.0 * peak)
         return integrate(f, 0.0, hi, points=[peak], epsrel=1e-11)
 
@@ -345,15 +345,6 @@ class _ArchGenerator:
 
     def __init__(self, theta: float):
         self.theta = float(theta)
-
-    def psi(self, t):
-        raise NotImplementedError
-
-    def psi_inv(self, s):
-        raise NotImplementedError
-
-    def frailty(self, rng, n: int) -> np.ndarray:
-        raise NotImplementedError
 
 
 class _Clayton(_ArchGenerator):
@@ -515,7 +506,7 @@ class ArchimedeanModel(DependenceModel):
                 f"no frailty construction for {self.family} with theta={self.theta}; "
                 "sampling supports the non-negative-association range only"
             )
-        n = int(size)
+        n = _dimension(size, "size", least=0)
         v = self._gen.frailty(rng, n)
         e = rng.exponential(1.0, (n, self._d))
         return self._gen.psi_inv(e / v[:, None])
@@ -619,7 +610,7 @@ class _FiniteConditional:
         self.probs = probs
 
     def draw(self, rng, size) -> np.ndarray:
-        pick = rng.choice(self.indices.size, size=int(size), p=self.probs)
+        pick = rng.choice(self.indices.size, size=_dimension(size, "size", least=0), p=self.probs)
         return self.model.patterns[self.indices[pick]].astype(float)
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from . import _qmc as qmc  # a module attribute, so the engine source can be swapped
 from . import events as ev
@@ -28,7 +27,7 @@ from ._qmc import BITS as _SOBOL_BITS
 from ._workers import ordered_map
 from .errors import ModelSpecError, _dimension, _real
 from .models import FinitePatternModel, LaplaceModel, NormalModel
-from .special import _NORMAL_CUTOFF, SQRT2, integrate, norm_pdf, norm_sf
+from .special import _NORMAL_CUTOFF, SQRT2, erfc, integrate, ndtri, norm_pdf, norm_sf
 
 __all__ = [
     "oracle_union_normal_equicorr",

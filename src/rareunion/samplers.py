@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ModelSpecError
+from .errors import ModelSpecError, _dimension
 from .special import SQRT2, norm_hazard, norm_logsf
 
 __all__ = [
@@ -101,7 +101,7 @@ def sample_truncated_std_normal(gamma: float, rng, size):
     """``size`` draws from N(0,1) conditioned on being greater than ``gamma``."""
     if not math.isfinite(gamma):
         raise ModelSpecError(f"the truncation point must be finite, got {gamma}")
-    return _trunc_std_normal_batch(np.full(int(size), float(gamma)), rng)
+    return _trunc_std_normal_batch(np.full(_dimension(size, "size", least=0), float(gamma)), rng)
 
 
 class GaussianConditional:
@@ -208,7 +208,7 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
         ti, tj = tj, ti
     mu, psi_star = _pair_tilt(ti, tj, rho)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    n = int(size)
+    n = _dimension(size, "size", least=0)
     zi = np.empty(n)
     pending = np.arange(n)
     while pending.size:
@@ -236,7 +236,7 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
     """
     if burnin < 1:
         raise ModelSpecError("burnin must be at least 1")
-    n = int(size)
+    n = _dimension(size, "size", least=0)
     mu = np.asarray(model.mu, dtype=float)
     sigma = np.asarray(model.sigma, dtype=float)
     si = math.sqrt(sigma[i, i])
@@ -268,7 +268,7 @@ def sample_inverse_gaussian(mu, lam, rng, size):
     lam = np.asarray(lam, dtype=float)
     if (mu <= 0).any() or (lam <= 0).any():
         raise ModelSpecError("inverse Gaussian parameters must be strictly positive")
-    shape = np.broadcast_shapes(mu.shape, lam.shape, (int(size),))
+    shape = np.broadcast_shapes(mu.shape, lam.shape, (_dimension(size, "size", least=0),))
     mu = np.broadcast_to(mu, shape)
     lam = np.broadcast_to(lam, shape)
     nu = rng.standard_normal(shape)
@@ -295,7 +295,7 @@ def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size):
         )
     if not 0 <= i < d:
         raise ModelSpecError(f"index {i} out of range for dimension {d}")
-    n = int(size)
+    n = _dimension(size, "size", least=0)
     x_i = gamma + rng.exponential(1.0 / SQRT2, n)
     y_i = np.sqrt(sample_inverse_gaussian(SQRT2 * x_i, 2.0 * x_i * x_i, rng, n))
     out = np.empty((n, d))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, erfcx, log_ndtr
+from scipy.special import erfc, erfcx, log_ndtr, ndtri
 
 from .errors import ModelSpecError, QuadratureError
 

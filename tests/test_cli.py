@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,9 +71,13 @@ def run_cli(*args, env=None, timeout=120):
 
 
 def run_cli_process(*args):
-    """``python -m rareunion.cli <args>`` in a fresh interpreter."""
+    """``python -m rareunion.cli <args>`` in a fresh interpreter that imports
+    the package from the same source tree as this test run, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "rareunion.cli", *args], capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", "rareunion.cli", *args],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -213,6 +218,21 @@ class TestRunExperiment:
         assert len(bad) == 1 and np.isnan(bad[0].estimate)
         good = [r for r in rows if r.estimator == "cmc"]
         assert len(good) == 1 and np.isfinite(good[0].estimate)
+
+    def test_model_without_an_oracle_leaves_rel_err_empty(self):
+        # a normal beyond d=8 that is not equicorrelated has no oracle route
+        cfg = ExperimentConfig.from_dict(
+            {
+                "model": {"type": "ar1", "phi": 0.5, "sigma_eps": 0.866, "d": 9},
+                "gamma_grid": [3.0],
+                "estimators": ["alpha1"],
+                "replicates": 500,
+            }
+        )
+        rows = run_experiment(cfg)
+        assert [r.estimator for r in rows] == ["alpha1"]
+        assert rows[0].rel_err is None and np.isfinite(rows[0].estimate)
+        assert rows[0].to_csv().split(",")[5] == ""
 
     def test_oracle_only_run(self):
         cfg = ExperimentConfig.from_dict(

@@ -181,6 +181,18 @@ class TestNormalClassification:
         # sigma1^2 = 1 > 2 kappa^2 = 0.5: bounded relative error
         assert classify_normal(NormalModel(sigma)).level == BRE
 
+    def test_pair_params_order_the_larger_scale_first(self):
+        # the second index carries the larger scale, so the pair is swapped
+        sigma = np.array([[0.25, 0.3 * 0.5 * 2.0], [0.3 * 0.5 * 2.0, 4.0]])
+        ell = EllipticalInput(np.zeros(2), sigma, NORMAL_RADIAL)
+        assert ell.pair_params(0, 1) == ell.pair_params(1, 0)
+        assert (ell.pair_params(0, 1).i, ell.pair_params(0, 1).a) == (1, 0.25)
+
+    def test_single_component_is_bounded_relative_error(self):
+        verdict = classify_normal(NormalModel(np.eye(1)))
+        assert verdict.level == BRE
+        assert verdict.rules_fired == ("single_component",)
+
     def test_kappa_continuous_at_branch_point(self):
         # as rho decreases through a = sigma_j / sigma_i the pair scale is continuous
         s_i, s_j = 1.0, 0.5

@@ -187,3 +187,13 @@ class TestBruteForce:
         assert ev.brute_force_tail_expectation(model, 1, payoff) == pytest.approx(2.1, rel=1e-14)
         # E[1{E>=2}] = 0.4
         assert ev.brute_force_tail_expectation(model, 2) == pytest.approx(0.4, abs=0)
+
+    @pytest.mark.parametrize("n", [0, np.int64(2), 3])
+    def test_tail_expectation_reads_integral_orders(self, n):
+        # E[1{E >= n}] = 1, 0.4 and 0 on two events; n = 0 is the whole mass
+        model = FinitePatternModel([0.1, 0.2, 0.3, 0.4])
+        assert ev.brute_force_tail_expectation(model, n) == {0: 1.0, 2: 0.4, 3: 0.0}[int(n)]
+
+    def test_union_is_the_tail_expectation_at_one(self):
+        model = FinitePatternModel(np.random.default_rng(5).dirichlet(np.ones(32)))
+        assert ev.brute_force_union(model) == ev.brute_force_tail_expectation(model, 1)

@@ -52,3 +52,22 @@ def test_moved_interval_keeps_its_import_path():
 
     assert efficiency.Interval is models.Interval
     assert all(isinstance(rule.valid, models.Interval) for rule in efficiency.ARCHIMEDEAN_TABLE)
+
+
+def _imported_top_packages(path):
+    """The top-level package of every absolute import in one source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_special_imports_scipy():
+    # one module knows where the special functions come from, so a
+    # numpy-only runtime replaces them in one place
+    sources = sorted(Path(rareunion.__file__).parent.glob("*.py"))
+    importers = [path.name for path in sources if "scipy" in set(_imported_top_packages(path))]
+    assert len(sources) > 10
+    assert importers == ["special.py"]

@@ -7,7 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from rareunion import ModelSpecError, NormalModel, Payoff, estimate_beta_n
+from rareunion import (
+    FinitePatternModel,
+    ModelSpecError,
+    NormalModel,
+    Payoff,
+    empirical_efficiency_ratio,
+    estimate_beta_n,
+    exhaustive_estimator_mean,
+    savage_condition,
+)
 from rareunion import events as ev
 from rareunion import samplers
 from rareunion.special import integrate
@@ -22,6 +31,9 @@ from rareunion.efficiency import (
 
 def _rng():
     return np.random.default_rng(1)
+
+
+_FINITE = FinitePatternModel([0.1, 0.2, 0.3, 0.4])
 
 
 def _ellipse(mu=(0.0, 0.0, 0.0), sigma=None):
@@ -56,6 +68,18 @@ CASES = {
     "custom_payoff_two_columns": lambda: estimate_beta_n(
         NormalModel.equicorrelated(3, 0.5), 1.0, 1, Payoff.custom(lambda x, p: np.ones((len(p), 2))), 1000, 1
     ),
+    "custom_payoff_not_callable": lambda: Payoff.custom(3),
+    "payoff_not_callable": lambda: Payoff(None),
+    "savage_nan_threshold": lambda: savage_condition(np.eye(2), [1.0, math.nan]),
+    "savage_inf_covariance": lambda: savage_condition([[1.0, math.inf], [math.inf, 1.0]], [1.0, 1.0]),
+    "savage_mismatched_threshold": lambda: savage_condition(np.eye(2), [1.0, 1.0, 1.0]),
+    "ratio_empty_grid": lambda: empirical_efficiency_ratio(NormalModel.equicorrelated(2, 0.5), []),
+    "ratio_scalar_grid": lambda: empirical_efficiency_ratio(NormalModel.equicorrelated(2, 0.5), 2.0),
+    "exhaustive_cmc_with_order": lambda: exhaustive_estimator_mean("cmc", _FINITE, n=2),
+    "exhaustive_cmc_with_payoff": lambda: exhaustive_estimator_mean("cmc", _FINITE, payoff=Payoff.constant_one()),
+    "brute_force_tail_boolean_order": lambda: ev.brute_force_tail_expectation(_FINITE, True),
+    "brute_force_tail_fractional_order": lambda: ev.brute_force_tail_expectation(_FINITE, 1.5),
+    "brute_force_tail_negative_order": lambda: ev.brute_force_tail_expectation(_FINITE, -3),
 }
 
 

@@ -337,6 +337,14 @@ class TestArchimedeanModel:
             u = 0.7
             assert m.pair_survival(0, 1, u) == pytest.approx((1 - u) ** 2, rel=1e-10)
 
+    @pytest.mark.parametrize("family,theta", [("clayton", 0.0), ("gumbel", 1.0), ("frank", 0.0), ("amh", 0.0)])
+    def test_independence_frailty_is_one(self, family, theta):
+        # a unit frailty draws nothing, so the sample is psi_inv of the
+        # generator's own exponentials: exp(-E) for every independence member
+        u = ArchimedeanModel(family, theta, 3).sample(rng_for(f"indep-{family}"), 1000)
+        e = rng_for(f"indep-{family}").exponential(1.0, (1000, 3))
+        np.testing.assert_allclose(u, np.exp(-e), rtol=1e-15, atol=0.0)
+
     def test_negative_theta_constructs_but_cannot_sample(self):
         m = ArchimedeanModel("clayton", -0.5, 2)
         assert m.pair_survival(0, 1, 0.9) >= 0.0

@@ -34,30 +34,73 @@ def mills_mean(gamma):
     return norm_pdf(gamma) / norm_sf(gamma)
 
 
+DRAW_ENTRY_POINTS = [
+    models.DependenceModel.sample,
+    models.NormalModel.sample,
+    models.LaplaceModel.sample,
+    models.ArchimedeanModel.sample,
+    models.FinitePatternModel.sample,
+    models._NormalTail.draw,
+    models._LaplaceTail.draw,
+    models._FiniteConditional.draw,
+    sample_truncated_std_normal,
+    sample_truncated_std_normal_pair,
+    gibbs_bivariate_truncated,
+    laplace_conditional_exceedance,
+    sample_inverse_gaussian,
+]
+
+
 def test_every_draw_takes_a_required_size():
     # every draw is a batch of ``size`` rows; a default would bring back a
     # second, single-draw mode that no estimator uses
-    entry_points = [
-        models.DependenceModel.sample,
-        models.NormalModel.sample,
-        models.LaplaceModel.sample,
-        models.ArchimedeanModel.sample,
-        models.FinitePatternModel.sample,
-        models._NormalTail.draw,
-        models._LaplaceTail.draw,
-        models._FiniteConditional.draw,
-        sample_truncated_std_normal,
-        sample_truncated_std_normal_pair,
-        gibbs_bivariate_truncated,
-        laplace_conditional_exceedance,
-        sample_inverse_gaussian,
-    ]
     with_default = [
         fn.__qualname__
-        for fn in entry_points
+        for fn in DRAW_ENTRY_POINTS
         if inspect.signature(fn).parameters["size"].default is not inspect.Parameter.empty
     ]
     assert not with_default, f"size has a default in {with_default}"
+
+
+_PAPER = NormalModel.equicorrelated(3, 0.5)
+_FINITE = models.FinitePatternModel(np.full(8, 0.125))
+
+# one call of each concrete entry point above, as a function of ``size``
+DRAW_CALLS = {
+    "NormalModel.sample": lambda rng, size: _PAPER.sample(rng, size),
+    "LaplaceModel.sample": lambda rng, size: models.LaplaceModel(3).sample(rng, size),
+    "ArchimedeanModel.sample": lambda rng, size: models.ArchimedeanModel("clayton", 2.0, 3).sample(rng, size),
+    "FinitePatternModel.sample": lambda rng, size: _FINITE.sample(rng, size),
+    "_NormalTail.draw": lambda rng, size: _PAPER.conditional_given_pair_exceedance(0, 1, 2.0).draw(rng, size),
+    "_LaplaceTail.draw": lambda rng, size: models.LaplaceModel(3).conditional_given_exceedance(0, 2.0).draw(rng, size),
+    "_FiniteConditional.draw": lambda rng, size: _FINITE.conditional_given_exceedance(0).draw(rng, size),
+    "sample_truncated_std_normal": lambda rng, size: sample_truncated_std_normal(2.0, rng, size),
+    "sample_truncated_std_normal_pair": lambda rng, size: sample_truncated_std_normal_pair(2.0, 1.5, 0.5, rng, size),
+    "gibbs_bivariate_truncated": lambda rng, size: gibbs_bivariate_truncated(_PAPER, 0, 1, 2.0, 3, rng, size),
+    "laplace_conditional_exceedance": lambda rng, size: laplace_conditional_exceedance(3, 0, 2.0, rng, size),
+    "sample_inverse_gaussian": lambda rng, size: sample_inverse_gaussian(1.0, 2.0, rng, size),
+}
+
+
+def test_every_concrete_draw_has_a_size_case():
+    concrete = {fn.__qualname__ for fn in DRAW_ENTRY_POINTS} - {"DependenceModel.sample"}
+    assert set(DRAW_CALLS) == concrete
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_CALLS))
+def test_size_is_a_non_negative_integer(name):
+    # ``int(size)`` once drew 2 rows for 2.5 and 1 for True, and failed on
+    # -1 with numpy's bare ValueError
+    draw = DRAW_CALLS[name]
+    for bad in (2.5, True, -1):
+        with pytest.raises(ModelSpecError, match="size"):
+            draw(rng_for(name), bad)
+    out = draw(rng_for(name), 0)
+    for part in out if isinstance(out, tuple) else (out,):
+        assert len(part) == 0
+    out = draw(rng_for(name), np.int64(3))
+    for part in out if isinstance(out, tuple) else (out,):
+        assert len(part) == 3
 
 
 class TestTruncatedNormal:
