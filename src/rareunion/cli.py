@@ -18,6 +18,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
+from ._qmc import BITS
 from ._rng import stable_cell_seed
 from ._workers import ordered_map
 from .errors import CapabilityError, ModelSpecError, RareUnionError, _dimension, _real
@@ -73,6 +74,8 @@ class ExperimentConfig:
         oracle = obj.get("oracle", "auto")
         if oracle not in ("auto", "none"):
             oracle = _dimension(oracle, "oracle")
+            if oracle > 1 << BITS:
+                raise ModelSpecError(f"the oracle's QMC point cap must be at most 2**{BITS}, got {oracle}")
         build_model(model)  # validate early
         return cls(
             model=model,

@@ -1,23 +1,21 @@
 """The estimator family for union probabilities and tail functionals.
 
 Every estimator is one construction: an exact inclusion-exclusion head
-plus weighted terms, each sampled under a conditional law of the model.
-A law is its weight and the events it conditions on: ``()`` is the model
-itself, ``(i,)`` the law given ``A_i``, ``(i, j)`` the law given both.
-Each estimator is described once, as an ``_Estimator`` record of head,
-laws, per-law value function and allocation:
+plus weighted strata, ``head + sum_k w_k z_k``.  A stratum is its weight
+and its laws, ``(w_k, [(P(events), events), ...])``; a law is the model
+conditioned on its events (``()`` the model itself, ``(i,)`` given
+``A_i``, ``(i, j)`` given both), and ``z_k`` is drawn from the mixture of
+the stratum's laws in proportion to their weights.  Each estimator is
+described once, as an ``_Estimator`` record of head, strata and per-stratum
+value function:
 
-* *mixture* (``cmc``, ``alpha_n``, ``alpha1_is``, ``alpha2_is``): each
-  replicate picks law k with probability ``w_k / sum(w)`` (the
-  conditioning mixture of Adler, Blanchet & Liu 2012) and takes the whole
-  replicate value ``head + sum(w) z_k`` from the value function.  Crude
-  Monte Carlo and ``alpha_n`` are the single unconditional law, which
-  needs no pick.  ``alpha_n`` amounts to unit-weight control variates
-  built from the exceedance count; optimized weights are not implemented.
-* *stratified* (``beta_n``, ``beta1_alpha``, ``beta2_alpha``): one
-  replicate is a sweep drawing once from each of the L laws, one per
-  partition cell, with value ``head + w_0 z_0 + w_1 z_1 + ...``; each law
-  gets ``ceil(replicates / L)`` draws.
+* ``cmc`` and ``alpha_n`` are one stratum of the unconditional law;
+  ``alpha_n`` amounts to unit-weight control variates built from the
+  exceedance count (optimized weights are not implemented).
+* ``alpha1_is`` and ``alpha2_is`` are one stratum mixing the laws given each
+  event or pair (the conditioning mixture of Adler, Blanchet & Liu 2012).
+* ``beta_n``, ``beta1_alpha`` and ``beta2_alpha`` have one stratum per
+  partition cell, each a single law weighted by the cell's probability.
 
 ``run_estimator(name, model, gamma, replicates, seed)`` runs the seven
 union-probability estimators above by registry name (``alpha_n`` is
@@ -26,31 +24,32 @@ partition record for a payoff, the one entry for tail functionals
 ``E[Y 1{E >= n}]``.  One chunked runner samples the record, and
 ``exhaustive_estimator_mean`` reads the same record on a finite pattern
 model, summing each law's values against its conditional pmf
-``pmf 1{events} / weight``.  Laws of weight zero are never drawn; a
-record with nothing to sample returns its head.  The estimate is the
-mean of the replicate values, ``sample_std`` their standard deviation and
-``stderr = sample_std / sqrt(replicates)``.  Degeneration means a sample
-variance of exactly zero, detected by exact min/max comparison, so a
-degenerated first-order estimator is bit-identical to the Bonferroni
-upper bound.
+``pmf 1{events} / weight``.  A record with no strata returns its head; so
+does a stratum of positive weight whose laws all weigh zero, which is an
+error when that head is zero too.  Otherwise a replicate is one sweep
+drawing once from each stratum of positive weight, ``ceil(replicates /
+strata)`` sweeps in all.  The estimate is the mean of the replicate
+values, ``sample_std`` their standard deviation and ``stderr = sample_std
+/ sqrt(replicates)``.  Degeneration means a sample variance of exactly
+zero, detected by exact min/max comparison, so a degenerated first-order
+estimator is bit-identical to the Bonferroni upper bound.
 
-Replicates run in fixed-size chunks, each on a derived substream:
-``(seed, chunk)`` for a mixture, ``(seed, k + 1, chunk)`` for law k of a
-stratified estimator.  Those substreams make the units independent, so
-they run on the package's worker pool (``_workers.ordered_map``): a
-mixture's units are its chunks, whose statistics are reduced in the
-worker; a stratified estimator's units are the (chunk, law) pairs, so a
-single chunk of many laws still spreads.  The calling thread adds
-``weight * values`` in law order and merges chunk statistics in chunk
-order, so results are bit-identical for a given (model, gamma,
-replicates, seed) and any thread count.  Called from a pool thread, as
-in a table cell, the runner works inline.
+Replicates run in fixed-size chunks, each on a derived substream: a
+record of one stratum draws chunk c from ``(seed, c)``, and stratum k of
+several from ``(seed, k + 1, c)``.  Those substreams make the (chunk,
+stratum) units independent, so they run on the package's worker pool
+(``_workers.ordered_map``), and a single chunk of many strata still
+spreads.  The calling thread adds the weighted values in stratum order and
+merges chunk statistics in chunk order, so results are bit-identical for a
+given (model, gamma, replicates, seed) and any thread count.  Called from a
+pool thread, as in a table cell, the runner works inline.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -211,17 +210,16 @@ def bonferroni_bounds(model: DependenceModel, gamma: float) -> BonferroniBounds:
 
 class _Estimator(NamedTuple):
     head: float
-    laws: list  # (weight, events) per conditional law
-    value: Callable  # value(k, x, patterns) for draws x from law k
-    mixture: bool
+    strata: list  # (weight, [(weight, events) per law]) per stratum
+    value: Callable  # value(k, x, patterns) for draws x from stratum k
 
 
-_UNCONDITIONAL = [(1.0, ())]
+_UNCONDITIONAL = [(1.0, [(1.0, ())])]
 
 
 def _crude(lay: _Layers) -> _Estimator:
     """Crude Monte Carlo (``cmc``): mean of the union indicator ``1{E >= 1}``."""
-    return _Estimator(0.0, _UNCONDITIONAL, lambda k, x, p: (p.sum(axis=1) >= 1).astype(float), True)
+    return _Estimator(0.0, _UNCONDITIONAL, lambda k, x, p: (p.sum(axis=1) >= 1).astype(float))
 
 
 def _alpha_n(n: int):
@@ -234,7 +232,7 @@ def _alpha_n(n: int):
     def build(lay: _Layers) -> _Estimator:
         head = lay.abar if n == 1 else lay.abar - lay.q
         table = ev.residual_term_table(lay.d, n)
-        return _Estimator(head, _UNCONDITIONAL, lambda k, x, p: head + table[p.sum(axis=1)], True)
+        return _Estimator(head, _UNCONDITIONAL, lambda k, x, p: table[p.sum(axis=1)])
 
     return build
 
@@ -246,7 +244,7 @@ def _alpha1_is(lay: _Layers) -> _Estimator:
     mixture, so no replicate is wasted."""
     abar = lay.abar
     laws = [(w, (i,)) for i, w in enumerate(lay.margs)]
-    return _Estimator(abar, laws, lambda k, x, p: abar / p.sum(axis=1), True)
+    return _Estimator(0.0, [(1.0, laws)], lambda k, x, p: abar / p.sum(axis=1))
 
 
 def _alpha2_is(lay: _Layers) -> _Estimator:
@@ -254,23 +252,22 @@ def _alpha2_is(lay: _Layers) -> _Estimator:
     probability ``P(A_i A_j) / q``, with ``q`` the pairwise sum, and the
     value is ``abar - 2 q / E``.  When ``q`` is exactly zero there is
     nothing to sample: the value is the marginal sum, flagged degenerate."""
-    abar, q = lay.abar, lay.q
+    q = lay.q
     laws = list(zip(lay.pairs, itertools.combinations(range(lay.d), 2)))
-    return _Estimator(abar, laws, lambda k, x, p: abar - 2.0 * q / p.sum(axis=1), True)
+    return _Estimator(lay.abar, [(1.0, laws)], lambda k, x, p: -2.0 * q / p.sum(axis=1))
 
 
 def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0, first: int = 0):
-    """The order-n partition cells from ``first`` on, each a law weighted by
-    its exact probability ``P(B_I)``, with value ``Y 1{C_I}``."""
+    """The order-n partition cells from ``first`` on, each a one-law stratum
+    weighted by its exact probability ``P(B_I)``, with value ``Y 1{C_I}``."""
     if not isinstance(payoff, Payoff):
         raise ModelSpecError(f"payoff must be a Payoff, got {payoff!r}")
 
     def build(lay: _Layers) -> _Estimator:
-        exact = head(lay)
         cells = (ev.partition_cells(lay.d, n) if n <= lay.d else [])[first:]
         weights = (lay.margs if n == 1 else lay.pairs)[first:]
-        laws = [(w, cell.events) for w, cell in zip(weights, cells)]
-        return _Estimator(exact, laws, lambda k, x, p: payoff.values(x, p) * cells[k].blocked_clear(p), False)
+        strata = [(w, [(w, cell.events)]) for w, cell in zip(weights, cells)]
+        return _Estimator(head(lay), strata, lambda k, x, p: payoff.values(x, p) * cells[k].blocked_clear(p))
 
     return build
 
@@ -326,56 +323,52 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
     gamma = model.check_threshold(gamma)
     t0 = time.perf_counter()
     est = build(_Layers(model, gamma))
-    if est.mixture:
-        weights = np.array([w for w, _ in est.laws])
-        total = float(np.sum(weights))
-        if total == 0.0 and est.head == 0.0:
-            raise ModelSpecError("the mixture is undefined when its head and every weight are zero")
-        sweeps = replicates
-    else:
-        total = len(est.laws)
-        sweeps = -(-replicates // max(total, 1))
-    if total == 0:  # nothing to sample: the head is exact
+    if not est.strata:  # nothing to sample: the head is exact
         return _result(est.head, 0.0, 0, True, seed, t0)
+    picks = {}  # per stratum of positive weight: its law weights as pick probabilities
+    for k, (weight, laws) in enumerate(est.strata):
+        if weight > 0.0:
+            weights = np.array([w for w, _ in laws])
+            total = float(weights.sum())
+            if total == 0.0:  # a mixture with nothing to weigh: the head is exact
+                if est.head == 0.0:
+                    raise ModelSpecError("the mixture is undefined when its head and every weight are zero")
+                return _result(est.head, 0.0, 0, True, seed, t0)
+            picks[k] = weights / total
     # every handle is built before anything is drawn: an unsupported law fails here
-    draws = [_sampler(model, gamma, events) if w > 0.0 else None for w, events in est.laws]
+    draws = {k: [_sampler(model, gamma, e) if w > 0.0 else None for w, e in est.strata[k][1]] for k in picks}
+    single = len(est.strata) == 1
 
-    def values(k, rng, count):
-        x = draws[k](rng, count)
+    def values(k, draw, rng, count):
+        x = draw(rng, count)
         return est.value(k, x, model.exceedance_patterns(x, gamma))
-
-    def mixture_chunk(unit):
-        chunk, count = unit
-        rng = derive_generator(seed, chunk)
-        if len(draws) == 1:
-            return _Stats.of(values(0, rng, count))
-        v = np.empty(count)
-        picks = rng.choice(len(draws), size=count, p=weights / total)
-        for k in range(len(draws)):
-            sel = np.where(picks == k)[0]
-            if sel.size:
-                v[sel] = values(k, rng, sel.size)
-        return _Stats.of(v)
 
     def stratum(unit):
         chunk, count, k = unit
-        return values(k, derive_generator(seed, k + 1, chunk), count)
+        rng = derive_generator(seed, chunk) if single else derive_generator(seed, k + 1, chunk)
+        if len(draws[k]) == 1:  # one law: no pick
+            z = values(k, draws[k][0], rng, count)
+        else:
+            z = np.empty(count)
+            picked = rng.choice(len(draws[k]), size=count, p=picks[k])
+            for j, draw in enumerate(draws[k]):
+                sel = np.where(picked == j)[0]
+                if sel.size:
+                    z[sel] = values(k, draw, rng, sel.size)
+        z *= est.strata[k][0]  # every value function returns a new float array
+        return z
 
+    # the units come back chunk by chunk, in stratum order; each takes the running
+    # sum in place, so the reduction holds no array while the next unit draws
     stats = _Stats()
-    chunks = list(iter_chunks(sweeps))
-    if est.mixture:
-        for chunk_stats in ordered_map(mixture_chunk, chunks):
-            stats.merge(chunk_stats)
-        return stats.result(seed, t0)
-    # stratified: the (chunk, law) units come back chunk by chunk, in law order
-    laws = [k for k, draw in enumerate(draws) if draw is not None]
-    strata = ordered_map(stratum, [(chunk, count, k) for chunk, count in chunks for k in laws])
+    chunks = list(iter_chunks(-(-replicates // len(est.strata))))
+    units = ordered_map(stratum, [(chunk, count, k) for chunk, count in chunks for k in picks])
     for _, count in chunks:
-        v = np.full(count, est.head, dtype=float)
-        for k in laws:
-            v = v + est.laws[k][0] * next(strata)
-        stats.merge(_Stats.of(v))
-    strata.close()  # every unit is consumed: shut the pool down now
+        v = est.head
+        for k in picks:
+            v = operator.iadd(next(units), v)
+        stats.merge(_Stats.of(np.broadcast_to(v, count)))
+    units.close()  # every unit is consumed: shut the pool down now
     return stats.result(seed, t0)
 
 
@@ -414,14 +407,17 @@ def run_estimator(name: str, model: DependenceModel, gamma: float, replicates: i
 
 
 def _exact_laws(model: FinitePatternModel, est: _Estimator):
-    """``(weight, conditional pmf, values)`` of every law of positive weight,
-    the conditional pmf being ``pmf 1{events} / weight`` on its support."""
+    """``(w_k w_j / sum(w), conditional pmf, values)`` of every law j of
+    positive weight in a stratum k of positive weight, the conditional pmf
+    being ``pmf 1{events} / w_j`` on its support."""
     patterns = model.patterns
     x = patterns.astype(float)
-    for k, (weight, events) in enumerate(est.laws):
-        if weight > 0.0:
-            mask = model._given(events)
-            yield weight, model.pmf[mask] / weight, est.value(k, x[mask], patterns[mask])
+    for k, (weight, laws) in enumerate(est.strata):
+        total = float(np.sum([w for w, _ in laws]))
+        for w, events in laws:
+            if weight > 0.0 and w > 0.0:
+                mask = model._given(events)
+                yield weight * (w / total), model.pmf[mask] / w, est.value(k, x[mask], patterns[mask])
 
 
 def exhaustive_estimator_mean(
@@ -431,12 +427,9 @@ def exhaustive_estimator_mean(
     n: Optional[int] = None,
     payoff: Optional[Payoff] = None,
 ) -> float:
-    """Exact expectation of an estimator under a finite pattern model.
-
-    Reads the record the Monte Carlo runner samples.  A mixture averages
-    its law means with weights ``w_k / sum(w)``; a stratified estimator
-    adds ``w_k`` times each law mean to its head.
-    """
+    """Exact expectation of an estimator under a finite pattern model: the
+    head plus every law's weighted mean, from the record the Monte Carlo
+    runner samples."""
     model = ev._finite_model(model)
     if name == "beta_n":
         if n is None or payoff is None:
@@ -447,13 +440,10 @@ def exhaustive_estimator_mean(
     else:
         build = _lookup(name)
     est = build(_Layers(model, 0.0))
-    scale = float(np.sum([w for w, _ in est.laws])) if est.mixture else 1.0
-    if scale == 0.0:
-        return est.head
-    total = 0.0 if est.mixture else est.head
+    total = est.head
     for weight, cond, z in _exact_laws(model, est):
-        total += weight / scale * float((cond * z).sum())
-    return total
+        total += weight * float((cond * z).sum())
+    return float(total)
 
 
 def exhaustive_residual_second_moment(model: FinitePatternModel, n: int = 1) -> float:

@@ -112,12 +112,13 @@ class DependenceModel(abc.ABC):
 
 
 class NormalModel(DependenceModel):
-    """Multivariate normal law, optionally flagged as equicorrelated.
+    """Multivariate normal law.
 
     Construction validates positive definiteness through the Cholesky
-    factorization, which is also what sampling uses.  The equicorrelated
-    constructor keeps the common correlation around because the
-    deterministic union oracle has a one-factor fast path for it.
+    factorization, which is also what sampling uses.  The common
+    correlation of an equicorrelated law is read off its covariance,
+    however it was spelled, because the deterministic union oracle has a
+    one-factor fast path for it.
     """
 
     def __init__(self, sigma, mu=None):
@@ -149,7 +150,6 @@ class NormalModel(DependenceModel):
         self._chol = chol
         self._chol.setflags(write=False)
         self._sd = np.sqrt(np.diag(self._sigma))
-        self._equicorr_rho = None
 
     @classmethod
     def equicorrelated(cls, d: int, rho: float) -> "NormalModel":
@@ -163,9 +163,7 @@ class NormalModel(DependenceModel):
             )
         if d == 1:
             rho = 0.0
-        model = cls((1.0 - rho) * np.eye(d) + rho * np.ones((d, d)))
-        model._equicorr_rho = rho
-        return model
+        return cls((1.0 - rho) * np.eye(d) + rho * np.ones((d, d)))
 
     @property
     def d(self) -> int:
@@ -185,8 +183,12 @@ class NormalModel(DependenceModel):
 
     @property
     def equicorrelation(self):
-        """Common correlation when built by the equicorrelated constructor, else None."""
-        return self._equicorr_rho
+        """The common off-diagonal of a zero-mean law with unit diagonal (to a
+        few ulp), else None; 0.0 at d=1."""
+        off = self._sigma[~np.eye(self.d, dtype=bool)]
+        rho = float(off[0]) if off.size else 0.0
+        unit = np.abs(np.diag(self._sigma) - 1.0).max() <= 4 * np.finfo(float).eps
+        return rho if unit and not self._mu.any() and (off == rho).all() else None
 
     def correlation(self, i: int, j: int) -> float:
         return float(self._sigma[i, j] / (self._sd[i] * self._sd[j]))

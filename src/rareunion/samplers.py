@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ModelSpecError, _dimension
+from .errors import ModelSpecError, _dimension, _real
 from .special import SQRT2, norm_hazard, norm_logsf
 
 __all__ = [
@@ -99,9 +99,8 @@ def _trunc_std_normal_batch(gammas: np.ndarray, rng) -> np.ndarray:
 
 def sample_truncated_std_normal(gamma: float, rng, size):
     """``size`` draws from N(0,1) conditioned on being greater than ``gamma``."""
-    if not math.isfinite(gamma):
-        raise ModelSpecError(f"the truncation point must be finite, got {gamma}")
-    return _trunc_std_normal_batch(np.full(_dimension(size, "size", least=0), float(gamma)), rng)
+    gamma = _real(gamma, "the truncation point")
+    return _trunc_std_normal_batch(np.full(_dimension(size, "size", least=0), gamma), rng)
 
 
 class GaussianConditional:
@@ -115,7 +114,7 @@ class GaussianConditional:
     """
 
     def __init__(self, model, given):
-        given = tuple(int(i) for i in given)
+        given = tuple(model._check_index(i) for i in given)
         if len(set(given)) != len(given):
             raise ModelSpecError("conditioning indices must be distinct")
         sigma = model.sigma
@@ -202,7 +201,7 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
     ``TN((tj - rho Z_i) / s)``.  The acceptance stays above 0.8 for ``rho``
     in [-0.9, 0.99] and thresholds in [-1, 8].
     """
-    ti, tj, rho = float(ti), float(tj), float(rho)
+    ti, tj, rho = _real(ti, "ti"), _real(tj, "tj"), _real(rho, "rho")
     swap = ti < tj
     if swap:
         ti, tj = tj, ti
@@ -234,8 +233,9 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
     the exact :func:`sample_truncated_std_normal_pair`, which the
     estimators use.
     """
-    if burnin < 1:
-        raise ModelSpecError("burnin must be at least 1")
+    burnin = _dimension(burnin, "burnin")
+    i, j = model._check_pair(i, j)
+    gamma = _real(gamma, "gamma")
     n = _dimension(size, "size", least=0)
     mu = np.asarray(model.mu, dtype=float)
     sigma = np.asarray(model.sigma, dtype=float)
@@ -249,7 +249,7 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
         raise ModelSpecError("degenerate pair correlation; the chain cannot move")
     zi = _trunc_std_normal_batch(np.full(n, ti), rng)
     zj = _trunc_std_normal_batch(np.full(n, tj), rng)
-    for _ in range(int(burnin)):
+    for _ in range(burnin):
         zj = rho * zi + s * _trunc_std_normal_batch((tj - rho * zi) / s, rng)
         zi = rho * zj + s * _trunc_std_normal_batch((ti - rho * zj) / s, rng)
     xi = mu[i] + si * zi
@@ -262,13 +262,15 @@ def sample_inverse_gaussian(mu, lam, rng, size):
 
     Solves the quadratic for the transformed chi-square variate and picks
     the root with the correct probability.  Parameters may be scalars or
-    arrays of ``size`` values (broadcast elementwise).
+    arrays of ``size`` values.
     """
+    shape = (_dimension(size, "size", least=0),)
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if (mu <= 0).any() or (lam <= 0).any():
-        raise ModelSpecError("inverse Gaussian parameters must be strictly positive")
-    shape = np.broadcast_shapes(mu.shape, lam.shape, (_dimension(size, "size", least=0),))
+    if mu.shape not in ((), shape) or lam.shape not in ((), shape):
+        raise ModelSpecError(f"inverse Gaussian parameters must be scalars or {shape[0]} values")
+    if not (np.isfinite(mu).all() and np.isfinite(lam).all() and (mu > 0).all() and (lam > 0).all()):
+        raise ModelSpecError("inverse Gaussian parameters must be finite and strictly positive")
     mu = np.broadcast_to(mu, shape)
     lam = np.broadcast_to(lam, shape)
     nu = rng.standard_normal(shape)
@@ -289,11 +291,11 @@ def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size):
     product ``sqrt(R) Y_i``: that coordinate is the square root of an
     inverse Gaussian.  Requires a positive threshold.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ModelSpecError(
-            f"the conditional exceedance sampler needs a finite gamma > 0, got {gamma}"
-        )
-    if not 0 <= i < d:
+    gamma = _real(gamma, "gamma")
+    if not gamma > 0.0:
+        raise ModelSpecError(f"the conditional exceedance sampler needs gamma > 0, got {gamma}")
+    d, i = _dimension(d), _dimension(i, "event index", least=0)
+    if i >= d:
         raise ModelSpecError(f"index {i} out of range for dimension {d}")
     n = _dimension(size, "size", least=0)
     x_i = gamma + rng.exponential(1.0 / SQRT2, n)

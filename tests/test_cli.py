@@ -525,7 +525,9 @@ class TestCommandLine:
         assert proc.stderr.startswith("error:")
 
     def test_oracle_beyond_qmc_dimension_exits_two(self):
-        model = json.dumps({"type": "normal", "sigma": np.eye(9).tolist()})
+        # not equicorrelated: np.eye(9) is, with rho = 0, and takes the one-factor route
+        lags = np.abs(np.subtract.outer(np.arange(9), np.arange(9)))
+        model = json.dumps({"type": "normal", "sigma": (0.5**lags).tolist()})
         proc = run_cli("oracle", "--model", model, "--gamma", "3", timeout=120)
         assert proc.returncode == 2
         assert "QMC oracle supports d <= 8" in proc.stderr
@@ -545,6 +547,15 @@ class TestCommandLine:
         proc = run_cli("oracle", "--model", NORMAL4, "--gamma", "2", flag, value, timeout=120)
         assert proc.returncode == 2
         assert flag in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_table_oracle_cap_beyond_qmc_points_exits_two(self, tmp_path):
+        # once printed no oracle row and no rel_err, and exited 0
+        path = tmp_path / "config.json"
+        model = {"type": "ar1", "phi": 0.5, "sigma_eps": 0.866, "d": 3}
+        path.write_text(json.dumps({"model": model, "gamma_grid": [2.0], "oracle": 1 << 40}))
+        proc = run_cli("table", "--config", str(path), timeout=120)
+        assert proc.returncode == 2
+        assert "oracle" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_table_bad_replicates_exits_two(self, tmp_path):
         path = tmp_path / "config.json"

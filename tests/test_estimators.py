@@ -155,6 +155,14 @@ class TestDegeneration:
         assert r.degenerate
         assert r.estimate == m.marginal_survival(0, 2.0)
 
+    def test_empty_partition_cell_still_counts_its_sweeps(self):
+        # the one pair cell of d=2 weighs P(A_1 A_2) = 0: it is never drawn,
+        # but every sweep still counts, and each sweep's value is the head
+        model = FinitePatternModel([0.5, 0.3, 0.2, 0.0])
+        r = run_estimator("beta2_alpha", model, 0.0, 100, 1)
+        assert r.degenerate and r.replicates == 100
+        assert r.estimate == bonferroni_bounds(model, 0.0).upper
+
     def test_disjoint_events_second_order_returns_upper(self):
         # only single-bit patterns have mass, so every pair probability is 0
         pmf = np.array([0.4, 0.2, 0.3, 0.0, 0.1, 0.0, 0.0, 0.0])
@@ -329,10 +337,12 @@ class TestInputBoundary:
         with pytest.raises(ModelSpecError):
             bonferroni_bounds(NormalModel.equicorrelated(4, 0.75), gamma)
 
-    def test_mixture_with_nothing_to_weigh(self):
-        # every marginal probability underflows to zero
-        with pytest.raises(ModelSpecError):
-            run_estimator("alpha1_is", NormalModel.equicorrelated(4, 0.75), 40.0, 100, 1)
+    @pytest.mark.parametrize("name", ["alpha1_is", "alpha2_is"])
+    def test_mixture_with_nothing_to_weigh(self, name):
+        # every marginal and pair probability underflows to zero, so the
+        # mixture has no law to pick and its head is zero too
+        with pytest.raises(ModelSpecError, match="mixture is undefined"):
+            run_estimator(name, NormalModel.equicorrelated(4, 0.75), 40.0, 100, 1)
 
     def test_laplace_conditional_needs_positive_threshold(self):
         with pytest.raises(ModelSpecError):

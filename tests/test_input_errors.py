@@ -34,6 +34,7 @@ def _rng():
 
 
 _FINITE = FinitePatternModel([0.1, 0.2, 0.3, 0.4])
+_NORMAL3 = NormalModel.equicorrelated(3, 0.5)
 
 
 def _ellipse(mu=(0.0, 0.0, 0.0), sigma=None):
@@ -65,6 +66,20 @@ CASES = {
     "inverse_gaussian_negative_mean": lambda: samplers.sample_inverse_gaussian(-1.0, 1.0, _rng(), 10),
     "pair_sampler_rho_one": lambda: samplers.sample_truncated_std_normal_pair(2.0, 2.0, 1.0, _rng(), 10),
     "pair_sampler_rho_minus_one": lambda: samplers.sample_truncated_std_normal_pair(2.0, 2.0, -1.0, _rng(), 10),
+    "pair_sampler_string_rho": lambda: samplers.sample_truncated_std_normal_pair(2.0, 2.0, "x", _rng(), 10),
+    "truncated_normal_string_threshold": lambda: samplers.sample_truncated_std_normal("2", _rng(), 10),
+    "gibbs_fractional_burnin": lambda: samplers.gibbs_bivariate_truncated(_NORMAL3, 0, 1, 2.0, 2.5, _rng(), 10),
+    "gibbs_boolean_burnin": lambda: samplers.gibbs_bivariate_truncated(_NORMAL3, 0, 1, 2.0, True, _rng(), 10),
+    "gibbs_string_threshold": lambda: samplers.gibbs_bivariate_truncated(_NORMAL3, 0, 1, "2", 5, _rng(), 10),
+    # a nan threshold once made the chain's rejection step loop forever
+    "gibbs_nan_threshold": lambda: samplers.gibbs_bivariate_truncated(_NORMAL3, 0, 1, math.nan, 5, _rng(), 10),
+    "gibbs_index_out_of_range": lambda: samplers.gibbs_bivariate_truncated(_NORMAL3, 0, 7, 2.0, 5, _rng(), 10),
+    "laplace_fractional_index": lambda: samplers.laplace_conditional_exceedance(3, 1.5, 2.0, _rng(), 4),
+    "laplace_boolean_index": lambda: samplers.laplace_conditional_exceedance(3, True, 2.0, _rng(), 4),
+    "laplace_fractional_dimension": lambda: samplers.laplace_conditional_exceedance(2.5, 0, 2.0, _rng(), 4),
+    "inverse_gaussian_shape_mismatch": lambda: samplers.sample_inverse_gaussian(np.ones(3), 1.0, _rng(), 5),
+    "inverse_gaussian_nan_mean": lambda: samplers.sample_inverse_gaussian(math.nan, 1.0, _rng(), 5),
+    "gaussian_conditional_index_out_of_range": lambda: samplers.GaussianConditional(_NORMAL3, (0, 7)),
     "custom_payoff_two_columns": lambda: estimate_beta_n(
         NormalModel.equicorrelated(3, 0.5), 1.0, 1, Payoff.custom(lambda x, p: np.ones((len(p), 2))), 1000, 1
     ),

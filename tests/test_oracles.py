@@ -367,9 +367,33 @@ class TestOracleDispatch:
             with pytest.raises(ModelSpecError):
                 oracle_for_model(model, math.nan)
 
+    def test_equicorrelation_is_read_off_the_covariance(self):
+        # the sigma spelling of this law once took the QMC route and raised "d <= 8"
+        from rareunion import build_model
+
+        sigma = 0.25 * np.eye(10) + 0.75 * np.ones((10, 10))
+        by_sigma = build_model({"type": "normal", "sigma": sigma.tolist()})
+        by_rho = build_model({"type": "normal", "d": 10, "rho": 0.75})
+        assert by_sigma.equicorrelation == by_rho.equicorrelation == 0.75
+        assert oracle_for_model(by_sigma, 4.0) == oracle_for_model(by_rho, 4.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NormalModel(0.25 * np.eye(3) + 0.75 * np.ones((3, 3)), mu=[0.0, 0.0, 0.1]),
+            NormalModel(2.0 * np.eye(3)),
+            NormalModel([[1.0, 0.5, 0.5], [0.5, 1.0, 0.4], [0.5, 0.4, 1.0]]),
+        ],
+        ids=["shifted_mean", "scaled_variance", "unequal_correlation"],
+    )
+    def test_not_equicorrelated(self, model):
+        assert model.equicorrelation is None
+
     def test_normal_beyond_qmc_dimension_raises(self):
+        # not equicorrelated: np.eye(9) is, with rho = 0, and takes the one-factor route
+        lags = np.abs(np.subtract.outer(np.arange(9), np.arange(9)))
         with pytest.raises(ModelSpecError, match="d <= 8"):
-            oracle_for_model(NormalModel(np.eye(9)), 3.0)
+            oracle_for_model(NormalModel(0.5**lags), 3.0)
 
     def test_archimedean_has_no_oracle(self):
         from rareunion import ArchimedeanModel
