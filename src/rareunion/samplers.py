@@ -51,14 +51,24 @@ def row_blocks(n: int):
         start = stop
 
 
+_SQRT_MAX = math.sqrt(np.finfo(float).max)  # a larger gamma overflows gamma * gamma
+
+
 def shifted_exponential_rate(gamma):
     """Optimal rate of the shifted-exponential proposal for the tail beyond
     gamma, elementwise over an array of truncation points.
 
     Maximizes the acceptance probability of the rejection scheme; the
     acceptance stays above one half for any non-negative truncation point
-    and tends to one deep in the tail.
+    and tends to one deep in the tail.  Where ``gamma * gamma`` overflows
+    (gamma above about 1.34e154) the rate is gamma itself, its limit.
     """
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.size and not gamma.max() <= _SQRT_MAX:
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = gamma * gamma
+            rate = 0.5 * (gamma + np.sqrt(square + 4.0))
+        return np.where(np.isinf(square), gamma, rate)[()]
     return 0.5 * (gamma + np.sqrt(gamma * gamma + 4.0))
 
 

@@ -64,10 +64,9 @@ def _imported_top_packages(path):
             yield node.module.split(".")[0]
 
 
-def test_only_special_imports_scipy():
-    # one module knows where the special functions come from, so a
-    # numpy-only runtime replaces them in one place
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
     sources = sorted(Path(rareunion.__file__).parent.glob("*.py"))
     importers = [path.name for path in sources if "scipy" in set(_imported_top_packages(path))]
     assert len(sources) > 10
-    assert importers == ["special.py"]
+    assert importers == []

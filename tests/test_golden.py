@@ -15,8 +15,12 @@ and the substream keys: a record of one stratum draws chunk c from
 ``(seed, c)``, and stratum k of several from ``(seed, k + 1, c)``.  The
 ``beta1_alpha`` row on ``normal2`` was recorded again when that rule
 replaced the mixture-versus-stratified split, because its one partition
-cell is one stratum and moved from ``(seed, 1, c)`` to ``(seed, c)``.  A
-numpy release that changes the streams changes them too.
+cell is one stratum and moved from ``(seed, 1, c)`` to ``(seed, c)``.
+Every row on a normal model whose estimator reads a marginal tail
+probability was recorded again when the package's own erfc/ndtri kernels
+replaced scipy.special's: those rows moved by at most 5.4e-16 relative,
+because the marginal tails moved by an ulp or two, each closer to 40-digit
+mpmath.  A numpy release that changes the streams changes them too.
 """
 
 import numpy as np
@@ -56,18 +60,18 @@ GOLDEN = {
     ('beta2_alpha', 'finite', 2000, 2024): ('0x1.ed6c76d3b5637p-1', '0x1.1e7ad929abfadp-2', 667, False),
     ('cmc', 'normal', 2000, 11): ('0x1.3333333333333p-3', '0x1.6dbb8a5ee2559p-2', 2000, False),
     ('cmc', 'normal', 2000, 2024): ('0x1.374bc6a7ef9dbp-3', '0x1.6fbab5c2ffa83p-2', 2000, False),
-    ('alpha1', 'normal', 2000, 11): ('0x1.52c88fd33576dp-3', '0x1.93614d717e3fap-3', 2000, False),
-    ('alpha1', 'normal', 2000, 2024): ('0x1.436c66dd72e77p-3', '0x1.d1c14aef39921p-3', 2000, False),
-    ('alpha2', 'normal', 2000, 11): ('0x1.2f01b56d25275p-3', '0x1.9930a32d6039fp-5', 2000, False),
-    ('alpha2', 'normal', 2000, 2024): ('0x1.3526929c3fc71p-3', '0x1.2f01b9a24b420p-4', 2000, False),
-    ('alpha1_is', 'normal', 2000, 11): ('0x1.3b4de8f734e27p-3', '0x1.c1edd8215c35cp-5', 2000, False),
-    ('alpha1_is', 'normal', 2000, 2024): ('0x1.3914bbea69073p-3', '0x1.c2c364393f2abp-5', 2000, False),
-    ('alpha2_is', 'normal', 2000, 11): ('0x1.3b1797a4269afp-3', '0x1.2b3e62feee9c2p-7', 2000, False),
-    ('alpha2_is', 'normal', 2000, 2024): ('0x1.3a490d2f2da3bp-3', '0x1.29e2faf5ba4dbp-7', 2000, False),
-    ('beta1_alpha', 'normal', 2000, 11): ('0x1.3eee1acd0f1cbp-3', '0x1.6fe6730a736a0p-5', 1000, False),
-    ('beta1_alpha', 'normal', 2000, 2024): ('0x1.385cd8af233a7p-3', '0x1.6faf5b0e43e8ep-5', 1000, False),
-    ('beta2_alpha', 'normal', 2000, 11): ('0x1.381073442c699p-3', '0x1.045221f3f9361p-6', 667, False),
-    ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3b8d69bbf65dap-3', '0x1.fcc07dc13772ap-7', 667, False),
+    ('alpha1', 'normal', 2000, 11): ('0x1.52c88fd33576ap-3', '0x1.93614d717e3f9p-3', 2000, False),
+    ('alpha1', 'normal', 2000, 2024): ('0x1.436c66dd72e75p-3', '0x1.d1c14aef39921p-3', 2000, False),
+    ('alpha2', 'normal', 2000, 11): ('0x1.2f01b56d25273p-3', '0x1.9930a32d6039fp-5', 2000, False),
+    ('alpha2', 'normal', 2000, 2024): ('0x1.3526929c3fc6fp-3', '0x1.2f01b9a24b420p-4', 2000, False),
+    ('alpha1_is', 'normal', 2000, 11): ('0x1.3b4de8f734e25p-3', '0x1.c1edd8215c35ap-5', 2000, False),
+    ('alpha1_is', 'normal', 2000, 2024): ('0x1.3914bbea69071p-3', '0x1.c2c364393f2aap-5', 2000, False),
+    ('alpha2_is', 'normal', 2000, 11): ('0x1.3b1797a4269aep-3', '0x1.2b3e62feee9c2p-7', 2000, False),
+    ('alpha2_is', 'normal', 2000, 2024): ('0x1.3a490d2f2da39p-3', '0x1.29e2faf5ba4dbp-7', 2000, False),
+    ('beta1_alpha', 'normal', 2000, 11): ('0x1.3eee1acd0f1cap-3', '0x1.6fe6730a7369dp-5', 1000, False),
+    ('beta1_alpha', 'normal', 2000, 2024): ('0x1.385cd8af233a6p-3', '0x1.6faf5b0e43e8cp-5', 1000, False),
+    ('beta2_alpha', 'normal', 2000, 11): ('0x1.381073442c697p-3', '0x1.045221f3f9361p-6', 667, False),
+    ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3b8d69bbf65d8p-3', '0x1.fcc07dc13772ap-7', 667, False),
     ('cmc', 'laplace', 2000, 11): ('0x1.45a1cac083127p-3', '0x1.768bc4103c8a1p-2', 2000, False),
     ('cmc', 'laplace', 2000, 2024): ('0x1.4bc6a7ef9db23p-3', '0x1.79635340a13bcp-2', 2000, False),
     ('alpha1', 'laplace', 2000, 11): ('0x1.3c06d0d9f256dp-3', '0x1.5bf1b5f826433p-3', 2000, False),
@@ -79,8 +83,8 @@ GOLDEN = {
     ('beta1_alpha', 'laplace', 2000, 11): ('0x1.42d54296d107cp-3', '0x1.0e74124e48ae1p-5', 1000, False),
     ('beta1_alpha', 'laplace', 2000, 2024): ('0x1.42f4af25926c9p-3', '0x1.0803a72dc2ad9p-5', 1000, False),
     ('cmc', 'normal2', 66036, 5): ('0x1.06e28d839af56p-2', '0x1.bf50130d5f393p-2', 66036, False),
-    ('beta1_alpha', 'normal2', 66036, 5): ('0x1.04e9dda6c7c63p-2', '0x1.3d8b5fcec6b24p-4', 66036, False),
-    ('beta1_alpha', 'normal1', 100, 3): ('0x1.44ed0bb7cb20cp-3', '0x0.0p+0', 0, True),
+    ('beta1_alpha', 'normal2', 66036, 5): ('0x1.04e9dda6c7c61p-2', '0x1.3d8b5fcec6b21p-4', 66036, False),
+    ('beta1_alpha', 'normal1', 100, 3): ('0x1.44ed0bb7cb20bp-3', '0x0.0p+0', 0, True),
     ('alpha2_is', 'disjoint', 100, 1): ('0x1.3333333333334p-1', '0x0.0p+0', 0, True),
 }
 
@@ -99,11 +103,13 @@ def test_bit_identical_to_recorded_values(case):
 # must hold for any thread count.  The two equicorr4 rows read the pair layer
 # and were recorded again when it moved to the batched Gauss-Kronrod rule;
 # the conditioning rows were recorded again when Gaussian conditionals moved
-# to kriging.  131,073 replicates are chunks of 65,536 + 65,536 + 1, so the
-# last chunk is a 1-row draw; beta2_alpha's 65,537 sweeps on equicorr4 end in
-# a 1-row chunk too.  The toeplitz16 pair rows condition on non-adjacent
-# columns; its beta2_alpha runs 1,093 sweeps of 120 pair strata, so it is one
-# chunk of many pool units (two chunks would be 7.9M draws).
+# to kriging, and every row but cmc when the package's own special functions
+# replaced scipy's (at most 1.3e-15 relative).  131,073 replicates are chunks
+# of 65,536 + 65,536 + 1, so the last chunk is a 1-row draw; beta2_alpha's
+# 65,537 sweeps on equicorr4 end in a 1-row chunk too.  The toeplitz16 pair
+# rows condition on non-adjacent columns; its beta2_alpha runs 1,093 sweeps
+# of 120 pair strata, so it is one chunk of many pool units (two chunks would
+# be 7.9M draws).
 MULTI_CHUNK_MODELS = {
     "toeplitz64": (lambda: ru.NormalModel(0.5 ** abs(np.subtract.outer(np.arange(64), np.arange(64)))), 4.0),
     "equicorr4": (lambda: ru.NormalModel.equicorrelated(4, 0.75), 2.0),
@@ -113,13 +119,13 @@ MULTI_CHUNK_MODELS = {
 # (estimator, model, replicates): (estimate, sample_std), all at seed 2026
 MULTI_CHUNK = {
     ("cmc", "toeplitz64", 131073): ("0x1.07ff7c0041ffep-9", "0x1.6f481502327e5p-5"),
-    ("alpha1", "toeplitz64", 131073): ("0x1.04ad7bd4aec00p-9", "0x1.94c389b681dc7p-8"),
-    ("alpha1_is", "toeplitz64", 131073): ("0x1.0513724f15dffp-9", "0x1.86f47e864e301p-13"),
-    ("beta1_alpha", "toeplitz64", 131073): ("0x1.05197ab994b5bp-9", "0x1.0edd0eadb11f6p-15"),
-    ("alpha2_is", "equicorr4", 393222): ("0x1.cd7df0ba96f2dp-5", "0x1.445a790e2bc1dp-7"),
-    ("beta2_alpha", "equicorr4", 393222): ("0x1.cdefade1f6b6fp-5", "0x1.ac9e5609c2ce4p-7"),
-    ("alpha2_is", "toeplitz16", 131073): ("0x1.05883210dd198p-11", "0x1.486ee84101666p-21"),
-    ("beta2_alpha", "toeplitz16", 131073): ("0x1.05898501a905cp-11", "0x1.8fecdee639d40p-22"),
+    ("alpha1", "toeplitz64", 131073): ("0x1.04ad7bd4aebfep-9", "0x1.94c389b681dc7p-8"),
+    ("alpha1_is", "toeplitz64", 131073): ("0x1.0513724f15dfdp-9", "0x1.86f47e864e2fdp-13"),
+    ("beta1_alpha", "toeplitz64", 131073): ("0x1.05197ab994b59p-9", "0x1.0edd0eadb11f0p-15"),
+    ("alpha2_is", "equicorr4", 393222): ("0x1.cd7df0ba96f2bp-5", "0x1.445a790e2bc1dp-7"),
+    ("beta2_alpha", "equicorr4", 393222): ("0x1.cdefade1f6b6cp-5", "0x1.ac9e5609c2ce6p-7"),
+    ("alpha2_is", "toeplitz16", 131073): ("0x1.05883210dd194p-11", "0x1.486ee84101667p-21"),
+    ("beta2_alpha", "toeplitz16", 131073): ("0x1.05898501a905ap-11", "0x1.8fecdee639d40p-22"),
 }
 
 

@@ -132,6 +132,21 @@ class TestTruncatedNormal:
         assert shifted_exponential_rate(0.0) == pytest.approx(1.0)
         assert shifted_exponential_rate(4.0) == pytest.approx((4 + math.sqrt(20)) / 2)
 
+    def test_rate_past_the_overflow_of_its_square(self):
+        # gamma * gamma overflows above ~1.34e154; an infinite rate never accepted
+        gamma = np.array([2e154, 1e300])
+        rate = shifted_exponential_rate(gamma)
+        assert np.isfinite(rate).all() and (rate >= gamma).all()
+        # the excess over gamma (~1/gamma) is below half an ulp of gamma here
+        x = sample_truncated_std_normal(1e300, rng_for("tn-huge"), 3)
+        assert x.shape == (3,) and (x >= 1e300).all() and np.isfinite(x).all()
+
+    def test_rate_bits_unchanged_below_the_overflow(self):
+        gamma = np.concatenate([np.linspace(0.0, 10.0, 1001), np.geomspace(1e-300, 1e150, 1001)])
+        old = 0.5 * (gamma + np.sqrt(gamma * gamma + 4.0))
+        assert [v.hex() for v in shifted_exponential_rate(gamma)] == [v.hex() for v in old]
+        assert shifted_exponential_rate(4.0).hex() == old[400].hex()
+
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 8.0])
     def test_proposal_acceptance_above_half_everywhere(self, gamma):
         lam = shifted_exponential_rate(gamma)

@@ -1,22 +1,156 @@
-"""The batched Gauss-Kronrod quadrature and the bivariate normal orthant.
+"""The elementwise kernels, the batched Gauss-Kronrod quadrature and the
+bivariate normal orthant.
 
-References come from mpmath at 30 digits, integrated in both orders: over
-the coordinate with the larger threshold, and over the other one.  A grid
-point is used only where the two orders agree to 1e-20.  mpmath's
-quadrature tolerance is absolute, so each integrand is scaled to peak 1
-first; unscaled, a value near 1e-100 passes after one coarse rule.
+Kernel references come from mpmath at 40 digits.  Orthant references come
+from mpmath at 30 digits, integrated in both orders: over the coordinate
+with the larger threshold, and over the other one.  A grid point is used
+only where the two orders agree to 1e-20.  mpmath's quadrature tolerance is
+absolute, so each integrand is scaled to peak 1 first; unscaled, a value
+near 1e-100 passes after one coarse rule.
 """
 
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import log_ndtr
 
 from rareunion import LaplaceModel, ModelSpecError, NormalModel, QuadratureError
-from rareunion.special import bivariate_normal_orthant, integrate
+from rareunion import special
+from rareunion.special import bivariate_normal_orthant, erfc, erfcx, integrate, log_ndtr, ndtri
+
+
+def _ndtri_mp(p, guess):
+    """The standard normal quantile of ``p``: Newton from ``guess``, at 40 digits."""
+    x, p = mp.mpf(guess), mp.mpf(p)
+    for _ in range(4):
+        x -= (mp.ncdf(x) - p) / mp.npdf(x)
+    return x
+
+
+def _with_neighbours(points):
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+
+
+_GRID_RNG = np.random.default_rng(20)
+# name: (kernel, grid, 40-digit reference of one double, bound).  Each grid
+# covers its kernel's range on a lattice, at random points, and on both sides
+# of every interval boundary.  The bound is the larger of 2e-15 and scipy
+# 1.17's own largest relative error on the same grid.
+KERNELS = {
+    "erfc": (
+        erfc,
+        np.concatenate([
+            np.linspace(-6.0, 26.5, 1301),
+            _GRID_RNG.uniform(-6.0, 26.5, 300),
+            _with_neighbours([-4.0, -0.46875, 0.46875, 4.0]),
+        ]),
+        lambda x: mp.erfc(x),
+        5.7e-14,
+    ),
+    "erfcx": (
+        erfcx,
+        np.concatenate([
+            np.linspace(-8.0, 8.0, 641),
+            np.geomspace(8.0, 1000.0, 200),
+            _GRID_RNG.uniform(-8.0, 30.0, 300),
+            _with_neighbours([-4.0, -0.46875, 0.46875, 4.0]),
+        ]),
+        lambda x: mp.exp(x * x) * mp.erfc(x),
+        3.6e-15,
+    ),
+    "log_ndtr": (
+        log_ndtr,
+        np.concatenate([
+            np.linspace(-40.0, 8.0, 961),
+            _GRID_RNG.uniform(-40.0, 8.0, 300),
+            _with_neighbours([-5.65685424949238, -1.0, -0.6629126073623883, 0.6629126073623883]),
+        ]),
+        lambda x: mp.log(mp.ncdf(x)),
+        8.6e-15,
+    ),
+    "ndtri": (
+        ndtri,
+        np.concatenate([
+            10.0 ** -np.linspace(0.1, 317.0, 700),
+            np.linspace(0.005, 0.995, 200),
+            1.0 - 10.0 ** -np.linspace(1.0, 15.0, 57),
+            _GRID_RNG.random(300),
+            _with_neighbours([1e-317, math.exp(-25.0), 0.075, 0.925]),
+        ]),
+        None,  # the reference needs the value: _ndtri_mp
+        2e-15,
+    ),
+}
+
+
+def kernel_errors(name, values):
+    """Relative error of ``values`` against mpmath at each point of a kernel's grid."""
+    _, grid, reference, _ = KERNELS[name]
+    errors = []
+    with mp.workdps(40):
+        for x, got in zip(grid, values):
+            ref = _ndtri_mp(x, got) if reference is None else reference(mp.mpf(x))
+            errors.append(float(abs(mp.mpf(got) - ref) / abs(ref)))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_matches_mpmath(name):
+    kernel, grid, _, bound = KERNELS[name]
+    errors = kernel_errors(name, kernel(grid))
+    assert errors.max() <= bound, grid[errors.argmax()]
+
+
+SPECIAL_VALUES = {
+    "erfc": {np.inf: 0.0, -np.inf: 2.0, 0.0: 1.0, -0.0: 1.0, 27.5: 0.0, -40.0: 2.0},
+    "erfcx": {np.inf: 0.0, -np.inf: np.inf, 0.0: 1.0, -30.0: np.inf, 1e300: 0.56418958354775628 / 1e300},
+    "log_ndtr": {np.inf: 0.0, -np.inf: -np.inf, 0.0: math.log(0.5)},
+    "ndtri": {0.0: -np.inf, 1.0: np.inf, 0.5: 0.0, -0.5: np.nan, 1.5: np.nan, -np.inf: np.nan, np.inf: np.nan},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_special_values(name):
+    kernel = KERNELS[name][0]
+    x, want = (np.array(list(v), dtype=float) for v in zip(*SPECIAL_VALUES[name].items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no floating-point warning escapes a kernel
+        got = kernel(np.append(x, np.nan))
+        assert np.array_equal(got, np.append(want, np.nan), equal_nan=True)
+        assert [kernel(v) for v in x] == pytest.approx(list(want), rel=0, abs=0, nan_ok=True)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_value_does_not_depend_on_length_or_position(name):
+    # the grid in order puts whole blocks in one interval (all-tail for ndtri);
+    # shuffled, every block mixes them; the array spans several blocks
+    kernel, grid, _, _ = KERNELS[name]
+    shuffled = np.random.default_rng(5).permutation(grid)
+    x = np.concatenate([np.resize(grid, special._BLOCK + 3), np.resize(shuffled, special._BLOCK + 4)])
+    whole = [v.hex() for v in kernel(x)]
+    for start, stop in ((0, 1), (1, 8), (3, 1004), (special._BLOCK - 5, special._BLOCK + 10), (7, x.size)):
+        assert [v.hex() for v in kernel(x[start:stop])] == whole[start:stop]
+    picks = range(0, x.size, 97)
+    assert [float(kernel(x[i])).hex() for i in picks] == [whole[i] for i in picks]
+    in_place = x.copy()
+    kernel(in_place, out=in_place)
+    strided = np.zeros((x.size, 3))
+    kernel(x, out=strided[:, 1])
+    assert [v.hex() for v in in_place] == whole == [v.hex() for v in strided[:, 1]]
+
+
+def test_kernels_keep_shapes_and_scalars():
+    x = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+    for kernel in (erfc, erfcx, log_ndtr, ndtri):
+        assert kernel(x).shape == (2, 3)
+        assert isinstance(kernel(0.3), np.float64)
+        assert np.array_equal(kernel(x.T), kernel(x).T)
+        out = np.empty((2, 3))
+        assert kernel(x, out=out) is out
 
 
 def _mp_conditional(t_out, t_in, rho):
