@@ -52,7 +52,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -181,7 +181,7 @@ class _Layers:
     @cached_property
     def margs(self) -> np.ndarray:
         """``P(A_i)`` for i = 0..d-1."""
-        return np.array([self.model.marginal_survival(i, self.gamma) for i in range(self.d)])
+        return self.model.marginal_survivals(self.gamma)
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -197,10 +197,19 @@ class _Layers:
         return float(np.sum(self.pairs))
 
 
+# The layers are a pure function of (model, gamma), and every estimate on
+# the pair reads the same ones: the cells of a table at one threshold share
+# them, so each threshold's pair layer is integrated once, not once per
+# estimator.  Keyed by the model object itself, which stays alive while cached.
+@lru_cache(maxsize=64)
+def _shared_layers(model: DependenceModel, gamma: float) -> _Layers:
+    return _Layers(model, gamma)
+
+
 def bonferroni_bounds(model: DependenceModel, gamma: float) -> BonferroniBounds:
     """First two inclusion-exclusion truncations: the upper bound
     ``sum_i P(A_i)`` and the lower bound with pairwise terms subtracted."""
-    layers = _Layers(model, model.check_threshold(gamma))
+    layers = _shared_layers(model, model.check_threshold(gamma))
     return BonferroniBounds(upper=layers.abar, second=layers.abar - layers.q)
 
 
@@ -322,7 +331,7 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
     seed = _dimension(seed, "seed", least=None)
     gamma = model.check_threshold(gamma)
     t0 = time.perf_counter()
-    est = build(_Layers(model, gamma))
+    est = build(_shared_layers(model, gamma))
     if not est.strata:  # nothing to sample: the head is exact
         return _result(est.head, 0.0, 0, True, seed, t0)
     picks = {}  # per stratum of positive weight: its law weights as pick probabilities

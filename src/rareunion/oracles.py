@@ -127,32 +127,38 @@ def _sobol_engine(dim: int, seed):
     return qmc.Sobol(dim, seed=scramble_rng)
 
 
-def _genz_cell(m, chol, gamma, engine, points) -> float:
-    """Mean Genz integrand for ``P(X_0 > gamma, X_b <= gamma for 0 < b < k)``.
+def _genz_cell(m, chol, gamma, engines, points) -> np.ndarray:
+    """Mean Genz integrand for ``P(X_0 > gamma, X_b <= gamma for 0 < b < k)``,
+    one mean per engine.
 
     ``m`` and ``chol`` are the mean and Cholesky factor of the cell's
     ``k`` coordinates with the tail coordinate first (``X_0`` above), so
     the rare factor is exact and the remaining
     factors are order-one conditional probabilities; the per-point
-    product then has bounded relative error.  ``engine`` draws the
-    ``k - 1`` uniforms of each point.
+    product then has bounded relative error.  Each of ``engines`` draws
+    the ``k - 1`` uniforms of its own ``points`` points.
 
-    The kernel works in place: one ``(points, k - 1)`` array receives the
-    Sobol draws in blocks of ``_SOBOL_BLOCK`` rows, and its column ``i``
-    is overwritten by ``z_i`` once ``u_i`` is used.  Every elementwise
-    step writes into one length-``points`` scratch array, in the same
-    order of operations as the plain expression
-    ``1 - 0.5 * erfc((gamma - m_i - z @ chol_i) / chol_ii / sqrt 2)``.
+    The kernel works in place: one ``(len(engines) * points, k - 1)``
+    array receives the engines' Sobol draws one after the other, in
+    blocks of ``_SOBOL_BLOCK`` rows, and its column ``i`` is overwritten
+    by ``z_i`` once ``u_i`` is used.  Every elementwise step writes into
+    one scratch array, in the same order of operations as the plain
+    expression ``1 - 0.5 * erfc((gamma - m_i - z @ chol_i) / chol_ii / sqrt 2)``,
+    so a point's value does not depend on the engines beside it.
     """
     k = len(m)
     tail_prob = norm_sf((gamma - m[0]) / chol[0, 0])
     if k == 1:
-        return tail_prob
-    w = np.empty((points, k - 1))
-    for start in range(0, points, _SOBOL_BLOCK):
-        w[start:start + _SOBOL_BLOCK] = engine.random(min(_SOBOL_BLOCK, points - start))
-    prob = np.full(points, tail_prob)
-    tmp = np.empty(points)
+        return np.full(len(engines), tail_prob)
+    n = len(engines) * points
+    w = np.empty((n, k - 1))
+    for j, engine in enumerate(engines):
+        stop = (j + 1) * points
+        for start in range(j * points, stop, _SOBOL_BLOCK):
+            rows = min(_SOBOL_BLOCK, stop - start)
+            w[start:start + rows] = engine.random(rows)
+    prob = np.full(n, tail_prob)
+    tmp = np.empty(n)
     np.multiply(w[:, 0], tail_prob, out=tmp)
     np.clip(tmp, 1e-317, 1.0, out=tmp)
     ndtri(tmp, out=tmp)
@@ -170,7 +176,7 @@ def _genz_cell(m, chol, gamma, engine, points) -> float:
             np.multiply(w[:, i], tmp, out=tmp)
             np.clip(tmp, 1e-317, 1.0, out=tmp)
             ndtri(tmp, out=w[:, i])
-    return float(prob.mean())
+    return prob.reshape(len(engines), points).mean(axis=1)
 
 
 def oracle_union_normal_qmc(
@@ -230,23 +236,30 @@ def oracle_union_normal_qmc(
     for i in range(d):
         order = [i, *range(i)]
         cells.append((mu[order], np.linalg.cholesky(sigma[np.ix_(order, order)])))
-    units = [(s, i) for s in range(_QMC_SCRAMBLES) for i in range(d)]
-    engines = [_sobol_engine(i, (s, i)) if i else None for s, i in units]
+    engines = [[_sobol_engine(i, (s, i)) if i else None for i in range(d)] for s in range(_QMC_SCRAMBLES)]
 
     def integrate_units(count):
-        def integrate_unit(job):
-            (_, i), engine = job
-            return _genz_cell(*cells[i], gamma, engine, count)
+        # the scrambles of one cell share a unit up to _SOBOL_BLOCK points,
+        # so a short level makes a few long kernel calls, not many short ones
+        group = max(1, min(_QMC_SCRAMBLES, _SOBOL_BLOCK // count))
+        jobs = [(s, i) for s in range(0, _QMC_SCRAMBLES, group) for i in range(d)]
 
-        return list(ordered_map(integrate_unit, zip(units, engines)))
+        def integrate_unit(job):
+            s, i = job
+            return _genz_cell(*cells[i], gamma, [e[i] for e in engines[s:s + group]], count)
+
+        means = np.empty((_QMC_SCRAMBLES, d))
+        for (s, i), unit in zip(jobs, ordered_map(integrate_unit, jobs)):
+            means[s:s + group, i] = unit
+        return means
 
     n = min(cap, _QMC_FIRST_POINTS) if target else cap
     means = integrate_units(n)
     while True:
         totals = []
-        for s in range(_QMC_SCRAMBLES):
+        for row in means:
             total = 0.0  # left to right in cell order: the order fixes the bits
-            for value in means[s * d:(s + 1) * d]:
+            for value in row:
                 total += value
             totals.append(total)
         totals = np.asarray(totals)
@@ -254,7 +267,7 @@ def oracle_union_normal_qmc(
         err = float(totals.std(ddof=1) / math.sqrt(_QMC_SCRAMBLES))
         if n >= cap or value == 0.0 or err / value <= target:
             return QmcEstimate(value=value, error=err, points=n)
-        means = [0.5 * (old + new) for old, new in zip(means, integrate_units(n))]
+        means = 0.5 * (means + integrate_units(n))
         n *= 2
 
 

@@ -36,7 +36,6 @@ coordinate with the larger threshold.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -315,10 +314,7 @@ def _elementwise(block, rows):
     of ``s`` as scratch; ``out`` may be ``x``.  The function's ``out``, if
     given, has the input's shape and is one-dimensional or C-contiguous.
 
-    Scalars go through the same block, one element long, and their values
-    are remembered: one block costs some forty ufunc calls, and the
-    estimators ask for a handful of marginal tails and tilts over and over
-    (one run of the paper's table makes 281 scalar calls on 14 values).
+    A scalar goes through the same block, one element long.
     """
 
     def run(x, out):
@@ -330,14 +326,10 @@ def _elementwise(block, rows):
                 block(flat_x[start:stop], flat[start:stop], s[:, :stop - start])
         return out
 
-    @lru_cache(maxsize=1 << 12)
-    def scalar(x):
-        return run(np.array(x), np.empty(()))[()]
-
     def kernel(x, out=None):
         x = np.asarray(x, dtype=float)
         if out is None:
-            return run(x, np.empty(x.shape)) if x.ndim else scalar(float(x))
+            return run(x, np.empty(x.shape))[()]
         if out.shape != x.shape or (out.ndim > 1 and not out.flags.c_contiguous):
             raise ValueError("out must have the input's shape and be 1-D or C-contiguous")
         return run(x, out)

@@ -155,7 +155,8 @@ class TestQmcOracle:
 
     @pytest.mark.parametrize("points", [1 << 10, 1 << 17])
     def test_in_place_kernel_matches_plain_expression(self, points):
-        # the plain out-of-place Genz recursion, all Sobol rows drawn at once
+        # the plain out-of-place Genz recursion, all Sobol rows of one engine
+        # drawn at once; the kernel stacks two engines' points in one pass
         from rareunion.special import erfc, ndtri
 
         def phi_bar(x):
@@ -167,18 +168,21 @@ class TestQmcOracle:
             order = [i, *range(i)]
             mu = m.mu[order]
             chol = np.linalg.cholesky(m.sigma[np.ix_(order, order)])
-            u = _sobol_engine(i, (0, i)).random(points)
-            tail = float(phi_bar((gamma - mu[0]) / chol[0, 0]))
-            prob = np.full(points, tail)
-            z = np.empty((points, i))
-            z[:, 0] = -ndtri(np.clip(u[:, 0] * tail, 1e-317, 1.0))
-            for k in range(1, i + 1):
-                e = 1.0 - phi_bar((gamma - mu[k] - z[:, :k] @ chol[k, :k]) / chol[k, k])
-                prob = prob * e
-                if k < i:
-                    z[:, k] = ndtri(np.clip(u[:, k] * e, 1e-317, 1.0))
-            got = _genz_cell(mu, chol, gamma, _sobol_engine(i, (0, i)), points)
-            assert got.hex() == float(prob.mean()).hex()
+            want = []
+            for s in (0, 1):
+                u = _sobol_engine(i, (s, i)).random(points)
+                tail = float(phi_bar((gamma - mu[0]) / chol[0, 0]))
+                prob = np.full(points, tail)
+                z = np.empty((points, i))
+                z[:, 0] = -ndtri(np.clip(u[:, 0] * tail, 1e-317, 1.0))
+                for k in range(1, i + 1):
+                    e = 1.0 - phi_bar((gamma - mu[k] - z[:, :k] @ chol[k, :k]) / chol[k, k])
+                    prob = prob * e
+                    if k < i:
+                        z[:, k] = ndtri(np.clip(u[:, k] * e, 1e-317, 1.0))
+                want.append(float(prob.mean()).hex())
+            got = _genz_cell(mu, chol, gamma, [_sobol_engine(i, (s, i)) for s in (0, 1)], points)
+            assert [v.hex() for v in got] == want
 
     def test_sobol_engines_come_from_the_module_attribute(self, monkeypatch):
         real, made = oracles.qmc, []

@@ -9,7 +9,9 @@ from rareunion import ModelSpecError, NormalModel, models
 from rareunion.samplers import (
     ROW_BLOCK,
     GaussianConditional,
+    _pair_squeeze,
     _pair_tilt,
+    _RatioSqueeze,
     gibbs_bivariate_truncated,
     laplace_conditional_exceedance,
     sample_inverse_gaussian,
@@ -18,7 +20,7 @@ from rareunion.samplers import (
     shifted_exponential_rate,
 )
 from rareunion._rng import derive_generator
-from rareunion.special import bivariate_normal_orthant, integrate, norm_pdf, norm_sf
+from rareunion.special import bivariate_normal_orthant, integrate, norm_logsf, norm_pdf, norm_sf
 from sampling_references import laplace_sqrt_ig_pdf, rejection_pair_exceedance_oracle
 
 SQRT2 = math.sqrt(2.0)
@@ -137,6 +139,8 @@ class TestTruncatedNormal:
         gamma = np.array([2e154, 1e300])
         rate = shifted_exponential_rate(gamma)
         assert np.isfinite(rate).all() and (rate >= gamma).all()
+        # the fallback is for large positive gamma only: a huge negative one keeps a positive rate
+        assert shifted_exponential_rate(-1e300) > 0.0
         # the excess over gamma (~1/gamma) is below half an ulp of gamma here
         x = sample_truncated_std_normal(1e300, rng_for("tn-huge"), 3)
         assert x.shape == (3,) and (x >= 1e300).all() and np.isfinite(x).all()
@@ -403,12 +407,38 @@ class TestExactPair:
         lags = np.abs(np.subtract.outer(np.arange(64), np.arange(64)))
         model = NormalModel(0.5**lags)
         _pair_tilt.cache_clear()
+        _pair_squeeze.cache_clear()
         rng = rng_for("pair-keys")
         for i in range(64):
             for j in range(i + 1, 64):
                 model.conditional_given_pair_exceedance(i, j, 4.0).draw(rng, 1)
-        info = _pair_tilt.cache_info()
+        assert _pair_tilt.cache_info().misses == 63
+        info = _pair_squeeze.cache_info()
         assert (info.misses, info.hits) == (63, 2016 - 63)
+
+    def test_squeeze_takes_the_exact_decisions(self):
+        # log U on, next to and around the exact ratio, inside and beyond the
+        # knots: every decision the squeeze takes is the exact test's
+        rng = rng_for("squeeze")
+        for rho in (-0.9, -0.5, 0.0, 0.3, 0.75, 0.99):
+            for ti, tj in ((-1.0, -1.0), (2.0, 2.0), (8.0, 8.0), (4.0, 2.0), (8.0, -1.0)):
+                squeeze = _RatioSqueeze(ti, tj, rho)
+                span = squeeze.step * (squeeze.KNOTS - 1)
+                x = np.tile(ti + rng.uniform(-0.1 * span, 1.2 * span, 1000), 5)
+                exact = squeeze.exact(x)
+                log_u = np.concatenate([
+                    exact[:1000],
+                    np.nextafter(exact[1000:2000], -np.inf),
+                    np.nextafter(exact[2000:3000], np.inf),
+                    exact[3000:4000] + rng.normal(0.0, 1e-4, 1000),
+                    exact[4000:] + rng.normal(0.0, 1.0, 1000),
+                ])
+                accept, unsure = squeeze.decide(x, log_u)
+                decided = np.ones(x.size, dtype=bool)
+                decided[unsure] = False
+                assert np.array_equal(accept[decided], (log_u < exact)[decided]), (ti, tj, rho)
+                assert decided[4000:].mean() > 0.5, (ti, tj, rho)
+                assert not decided[(x < ti) | (x > ti + span)].any()
 
     def test_invalid_arguments(self):
         for ti, rho in ((math.nan, 0.5), (math.inf, 0.5), (1.0, 1.0), (1.0, -1.0)):
