@@ -181,7 +181,7 @@ class _Layers:
     @cached_property
     def margs(self) -> np.ndarray:
         """``P(A_i)`` for i = 0..d-1."""
-        return self.model.marginal_survivals(self.gamma)
+        return np.array([self.model.marginal_survival(i, self.gamma) for i in range(self.d)])
 
     @cached_property
     def pairs(self) -> np.ndarray:

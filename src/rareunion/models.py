@@ -76,10 +76,6 @@ class DependenceModel(abc.ABC):
     def marginal_survival(self, i: int, gamma: float) -> float:
         raise CapabilityError(f"{type(self).__name__} cannot compute marginal probabilities")
 
-    def marginal_survivals(self, gamma: float) -> np.ndarray:
-        """``P(A_i)`` for i = 0..d-1."""
-        return np.array([self.marginal_survival(i, gamma) for i in range(self.d)])
-
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
         raise CapabilityError(f"{type(self).__name__} cannot compute pairwise probabilities")
 
@@ -212,10 +208,6 @@ class NormalModel(DependenceModel):
     def marginal_survival(self, i: int, gamma: float) -> float:
         i = self._check_index(i)
         return norm_sf((self.check_threshold(gamma) - self._mu[i]) / self._sd[i])
-
-    def marginal_survivals(self, gamma: float) -> np.ndarray:
-        """Every marginal tail in one kernel call, with the bits of each scalar one."""
-        return norm_sf((self.check_threshold(gamma) - self._mu) / self._sd)
 
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
         i, j = self._check_pair(i, j)

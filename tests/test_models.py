@@ -191,13 +191,6 @@ class TestNormalModel:
         # complement route would be hopeless out here
         assert m.marginal_survival(0, 8.0) == pytest.approx(6.22096057427e-16, rel=1e-9)
 
-    def test_marginal_survivals_carry_the_scalar_bits(self):
-        m = NormalModel(np.diag([0.5, 1.0, 2.0, 9.0]), mu=[-1.0, 0.0, 0.25, 3.0])
-        for g in (-2.0, 0.0, 1.5, 4.0, 8.0, 40.0):
-            want = [m.marginal_survival(i, g).hex() for i in range(4)]
-            assert [v.hex() for v in m.marginal_survivals(g)] == want
-        assert LaplaceModel(3).marginal_survivals(2.0).tolist() == [LaplaceModel(3).marginal_survival(0, 2.0)] * 3
-
     def test_pair_survival_independence_factorizes(self):
         m = NormalModel.equicorrelated(3, 0.0)
         for g in (0.5, 2.0, 4.0):
