@@ -2,7 +2,7 @@
 
 ``ordered_map`` runs every parallel loop of the package: the experiment
 runner's cells, one estimator's chunks and strata, and the QMC oracle's
-(scramble, cell) integrals.  ``RARE_UNION_THREADS`` caps its threads.
+per-cell integrals.  ``RARE_UNION_THREADS`` caps its threads.
 Each unit of work is a deterministic function of its own inputs and the
 results come back in item order, so the thread count changes speed,
 never output.  A call made from one of the pool's own threads runs

@@ -203,17 +203,20 @@ def oracle_union_normal_qmc(
     2^12 up (Owen 1997; Genz & Bretz 2009, ch. 4), which is what makes it a
     sound stopping rule.  ``QmcEstimate.points`` reports the count used.
 
-    Each (scramble, cell) integral is an independent unit with its own
-    scrambled engine.  The units of a level run on the package's worker
-    pool (``_workers.ordered_map``), and each scramble's cells are summed
-    in cell order afterwards, so ``value`` and ``error`` are bit-identical
-    for every thread count.  The engines (``qmc.Sobol``) are built once, up
-    front, because each continues its sequence from level to level; an
-    engine holds only its scrambled direction numbers, and builds each
-    draw's points on the spot.  Each unit runs the in-place kernel
-    ``_genz_cell``, which holds one ``(n, k - 1)`` array and two
-    length-``n`` arrays for the ``n`` points of its pass: at most 75 MB
-    for d=8 at 2^20 points, so peak memory grows by that much per worker.
+    Each (scramble, cell) integral has its own scrambled engine.  A unit of
+    work is one cell for as many scrambles as fit in 2^16 points (all eight
+    at the 4,096-point first level, one from 2^16 points up), so a short
+    level makes a few long kernel calls.  The units of a level run on the
+    package's worker pool (``_workers.ordered_map``), and each scramble's
+    cells are summed in cell order afterwards, so ``value`` and ``error``
+    are bit-identical for every thread count.  The engines (``qmc.Sobol``)
+    are built once, up front, because each continues its sequence from
+    level to level; an engine holds only its scrambled direction numbers,
+    and builds each draw's points on the spot.  Each unit runs the
+    in-place kernel ``_genz_cell``, which holds one ``(n, k - 1)`` array
+    and two length-``n`` arrays for the ``n`` points of its pass: at most
+    75 MB for d=8 at 2^20 points, so peak memory grows by that much per
+    worker.
     """
     if not isinstance(model, NormalModel):
         raise ModelSpecError(f"the QMC oracle needs a NormalModel, got {type(model).__name__}")
@@ -239,8 +242,6 @@ def oracle_union_normal_qmc(
     engines = [[_sobol_engine(i, (s, i)) if i else None for i in range(d)] for s in range(_QMC_SCRAMBLES)]
 
     def integrate_units(count):
-        # the scrambles of one cell share a unit up to _SOBOL_BLOCK points,
-        # so a short level makes a few long kernel calls, not many short ones
         group = max(1, min(_QMC_SCRAMBLES, _SOBOL_BLOCK // count))
         jobs = [(s, i) for s in range(0, _QMC_SCRAMBLES, group) for i in range(d)]
 
