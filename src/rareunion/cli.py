@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 from ._qmc import BITS
@@ -50,6 +50,8 @@ class ExperimentConfig:
         unknown = [k for k in obj if k not in keys]
         if unknown:
             raise ModelSpecError(f"unknown experiment config keys {unknown}; valid keys: {keys}")
+        # a field left out takes its default from the class
+        obj = {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **obj}
         try:
             model = obj["model"]
             grid = obj["gamma_grid"]
@@ -66,12 +68,12 @@ class ExperimentConfig:
                 raise ModelSpecError(
                     f"unknown estimator {name!r}; valid names: {ESTIMATOR_NAMES}"
                 )
-        replicates = _dimension(obj.get("replicates", 100_000), "replicates")
-        master_seed = _dimension(obj.get("master_seed", 0), "master_seed", least=None)
-        output = obj.get("output", "csv")
+        replicates = _dimension(obj["replicates"], "replicates")
+        master_seed = _dimension(obj["master_seed"], "master_seed", least=None)
+        output = obj["output"]
         if output not in ("csv", "json"):
             raise ModelSpecError("output must be 'csv' or 'json'")
-        oracle = obj.get("oracle", "auto")
+        oracle = obj["oracle"]
         if oracle not in ("auto", "none"):
             oracle = _dimension(oracle, "oracle")
             if oracle > 1 << BITS:

@@ -24,6 +24,7 @@ constants; consumers must compare them on a log scale only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -632,6 +633,18 @@ def _trend(values) -> str:
     return "mixed"
 
 
+def _over_power(num: float, base: float, power: float) -> float:
+    """``num / base**power`` for ``0 < base <= 1``.  Where the power leaves
+    the normal range (``base`` below about 1e-154 for a square) it divides
+    by ``base**(power / 2)`` twice instead, so the ratio does not divide by
+    an underflowed zero."""
+    whole = base**power
+    if whole >= sys.float_info.min:
+        return num / whole
+    half = base ** (0.5 * power)
+    return num / half / half
+
+
 def empirical_efficiency_ratio(model: DependenceModel, gamma_grid) -> RatioDiagnostics:
     """Evaluate the efficiency-governing ratio on a threshold grid.
 
@@ -653,11 +666,15 @@ def empirical_efficiency_ratio(model: DependenceModel, gamma_grid) -> RatioDiagn
         layers = _Layers(model, gamma)
         marg_max = float(layers.margs.max())  # first: a model that only samples fails on these
         pair_max = float(layers.pairs.max())
+        if marg_max == 0.0:
+            raise ModelSpecError(
+                f"every P(A_i) underflows to 0 at gamma={gamma}, so the ratio is undefined"
+            )
         rows.append(
             RatioRow(
                 gamma=gamma,
-                ratio_strict=pair_max / marg_max**2,
-                ratio_relaxed=pair_max / marg_max**1.9,
+                ratio_strict=_over_power(pair_max, marg_max, 2.0),
+                ratio_relaxed=_over_power(pair_max, marg_max, 1.9),
             )
         )
     return RatioDiagnostics(

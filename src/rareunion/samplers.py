@@ -146,22 +146,11 @@ class GaussianConditional:
         return x
 
 
-def _pair_log_ratio(x, tj, rho, s, mu, log_tail):
-    """``psi(x)``: log of the pair target over the tilted proposal at first
-    coordinate x, given ``log_tail = log P(Z > ti - mu)``, which is free of x."""
-    return -x * mu + 0.5 * mu * mu + log_tail + norm_logsf((tj - rho * x) / s)
+class _PairLaw:
+    """The pair sampler's law of its first coordinate for one key in sampling
+    order (``ti >= tj``): the minimax tilt (Botev 2017, JRSS-B) and a
+    two-sided chord squeeze of the log ratio ``psi(x) - psi_star``.
 
-
-# 65,536 keys hold every pair key of a model with all-distinct keys up to
-# d = 362, so an estimate that cycles through its pair laws never evicts
-# one of its own tilts.
-@lru_cache(maxsize=1 << 16)
-def _pair_tilt(ti: float, tj: float, rho: float) -> tuple[float, float]:
-    """Minimax tilt ``(mu, psi_star)`` of the pair sampler (Botev 2017, JRSS-B).
-
-    Computed for the thresholds in sampling order, the larger one first,
-    and memoised: it is a pure function of its key, which many pair laws
-    of one model share.
     The saddle point of ``psi`` solves ``mu = (rho/s) h((tj - rho x)/s)`` and
     ``x = mu + h(ti - mu)``, with ``h`` the normal hazard.  Taking ``mu`` as
     that function of x makes x the stationary point, hence the maximum, of
@@ -170,36 +159,6 @@ def _pair_tilt(ti: float, tj: float, rho: float) -> tuple[float, float]:
     acceptance rate.  ``excess(x) = x - mu(x) - h(ti - mu(x))`` increases
     strictly in x, is negative at ``ti`` and non-negative at
     ``ti - excess(ti)``, so bisection on that bracket converges.
-    """
-    if not (math.isfinite(ti) and math.isfinite(tj) and -1.0 < rho < 1.0):
-        raise ModelSpecError(
-            f"the pair sampler needs finite thresholds and a correlation inside (-1, 1), "
-            f"got {ti}, {tj}, {rho}"
-        )
-    ti, tj = max(ti, tj), min(ti, tj)
-    s = math.sqrt((1.0 - rho) * (1.0 + rho))
-
-    def tilt_at(x):
-        return rho / s * norm_hazard((tj - rho * x) / s)
-
-    def excess(x):
-        mu = tilt_at(x)
-        return x - mu - norm_hazard(ti - mu)
-
-    lo = ti
-    hi = ti - excess(ti)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = tilt_at(hi)
-    return mu, _pair_log_ratio(hi, tj, rho, s, mu, norm_logsf(ti - mu))
-
-
-class _RatioSqueeze:
-    """The pair sampler's tilt for a key in sampling order (``ti >= tj``),
-    with a two-sided chord squeeze of its log ratio ``psi(x) - psi_star``.
 
     ``psi`` is concave in x: a line plus ``log P(Z > (tj - rho x) / s)``,
     whose second derivative lies in ``(-(rho/s)^2, 0)`` because the normal
@@ -215,11 +174,27 @@ class _RatioSqueeze:
     KNOTS = 256
 
     def __init__(self, ti: float, tj: float, rho: float):
-        self.mu, self.psi_star = mu, psi_star = _pair_tilt(ti, tj, rho)
         self.s = s = math.sqrt((1.0 - rho) * (1.0 + rho))
         self.tj, self.rho = tj, rho
-        self.log_tail = norm_logsf(ti - mu)
+
+        def tilt_at(x):
+            return rho / s * norm_hazard((tj - rho * x) / s)
+
+        def excess(x):
+            mu = tilt_at(x)
+            return x - mu - norm_hazard(ti - mu)
+
+        lo = ti
+        hi = ti - excess(ti)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if excess(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        self.mu = mu = tilt_at(hi)
         a = ti - mu
+        self.log_tail = norm_logsf(a)  # log P(Z > ti - mu), free of x
+        self.psi_star = psi_star = self.psi(hi)
         self.lo = ti
         self.step = (12.0 / shifted_exponential_rate(max(a, 0.0)) + max(-a, 0.0)) / (self.KNOTS - 1)
         x = ti + self.step * np.arange(self.KNOTS)
@@ -229,9 +204,14 @@ class _RatioSqueeze:
         self.margin = 1e-9 * (1.0 + np.abs(self.ratio).max() + 2.0 * terms)
         self.width = (rho * self.step / s) ** 2 / 8.0 + self.margin
 
+    def psi(self, x):
+        """Log of the pair target over the tilted proposal at first coordinate x."""
+        mu = self.mu
+        return -x * mu + 0.5 * mu * mu + self.log_tail + norm_logsf((self.tj - self.rho * x) / self.s)
+
     def exact(self, x):
         """``psi(x) - psi_star``, which the acceptance test compares with log U."""
-        return _pair_log_ratio(x, self.tj, self.rho, self.s, self.mu, self.log_tail) - self.psi_star
+        return self.psi(x) - self.psi_star
 
     def decide(self, x, log_u):
         """``(accept, unsure)``: ``accept`` is the exact test's decision
@@ -245,10 +225,10 @@ class _RatioSqueeze:
         return accept, unsure.nonzero()[0]
 
 
-# memoised like the tilt, which it reads.  1,024 keys hold about 4.5 MB of
-# knots; a model with more distinct pair keys rebuilds knots (one kernel call
-# on 256 points), but its tilts stay memoised.
-_pair_squeeze = lru_cache(maxsize=1 << 10)(_RatioSqueeze)
+# memoised: a pure function of its key, which many pair laws of one model
+# share.  1,024 keys hold about 4.5 MB of knots; a model with more distinct
+# pair keys rebuilds laws (a bisection and one kernel call on 256 points).
+_pair_law = lru_cache(maxsize=1 << 10)(_PairLaw)
 
 
 def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size):
@@ -262,16 +242,18 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
     ``log U < psi(Z_i) - psi_star``; then ``Y`` is drawn exactly from
     ``TN((tj - rho Z_i) / s)``.  The acceptance stays above 0.8 for ``rho``
     in [-0.9, 0.99] and thresholds in [-1, 8].  The test reads a chord
-    squeeze of ``psi`` (``_RatioSqueeze``, memoised per key) and evaluates
+    squeeze of ``psi`` (``_PairLaw``, memoised per key) and evaluates
     ``psi`` itself only where the squeeze cannot decide, so it takes the
     exact test's decisions with a few array operations per candidate.
     """
     ti, tj, rho = _real(ti, "ti"), _real(tj, "tj"), _real(rho, "rho")
+    if not -1.0 < rho < 1.0:
+        raise ModelSpecError(f"the pair sampler needs a correlation inside (-1, 1), got {rho}")
     swap = ti < tj
     if swap:
         ti, tj = tj, ti
-    squeeze = _pair_squeeze(ti, tj, rho)
-    mu, s = squeeze.mu, squeeze.s
+    law = _pair_law(ti, tj, rho)
+    mu, s = law.mu, law.s
     n = _dimension(size, "size", least=0)
     zi = np.empty(n)
     pending = np.arange(n)
@@ -279,9 +261,9 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
         m = pending.size
         x = mu + _trunc_std_normal_batch(np.full(m, ti - mu), rng)
         log_u = np.log(rng.random(m))
-        accept, unsure = squeeze.decide(x, log_u)
+        accept, unsure = law.decide(x, log_u)
         if unsure.size:
-            accept[unsure] = log_u[unsure] < squeeze.exact(x[unsure])
+            accept[unsure] = log_u[unsure] < law.exact(x[unsure])
         zi[pending[accept]] = x[accept]
         pending = pending[~accept]
     zj = rho * zi + s * _trunc_std_normal_batch((tj - rho * zi) / s, rng)

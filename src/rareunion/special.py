@@ -14,7 +14,7 @@ kernels, so numpy is the only runtime dependency:
   ``exp(-x^2)`` is taken as two factors around ``x`` rounded to a multiple
   of 1/16, so the rounding of ``x^2`` is not amplified.
 * ``log_ndtr(x)`` is ``log(erfcx(y)/2) - x^2/2``, ``y = |x|/sqrt 2``, up to
-  0 and ``log1p(-erfcx(y) exp(-y^2)/2)`` above.
+  0 and ``log1p(-erfcx(y) exp(-x^2/2)/2)`` above.
 * ``ndtri`` is Wichura's AS241 PPND16 (Wichura 1988, *Appl. Stat.* 37(3)).
 
 Each kernel works through its input in blocks of ``_BLOCK`` elements.  In
@@ -143,11 +143,12 @@ def _rational(t, table, s, out):
     return np.divide(acc[0], acc[1], out)
 
 
-def _exp_square(y, out, s, sign=-1.0):
-    """``exp(-y^2)``, or ``exp(y^2)`` for ``sign=1``, as ``exp(-u^2) exp(-(y -
-    u)(y + u))`` with ``u`` ``y`` rounded to a multiple of 1/16: ``u^2`` is
-    exact, so the product is accurate to a few ulp where ``exp(-y*y)`` loses
-    ``y^2`` ulp.  ``y`` is finite and at most 28; ``s`` has two rows."""
+def _exp_square(y, out, s, factor=-1.0):
+    """``exp(factor y^2)`` as ``exp(factor u^2) exp(factor (y - u)(y + u))``
+    with ``u`` ``y`` rounded to a multiple of 1/16: ``u^2`` is exact, so the
+    product is accurate to a few ulp where ``exp(factor y*y)`` loses ``y^2``
+    ulp.  ``factor`` is -1, 1 or -1/2, by which products are exact; ``y`` is
+    finite and at most 40; ``s`` has two rows."""
     np.add(y, _ROUND16, s[0])
     u = np.subtract(s[0], _ROUND16, s[1])
     np.subtract(_ROUND16, s[0], s[0])  # -u
@@ -155,8 +156,8 @@ def _exp_square(y, out, s, sign=-1.0):
     np.subtract(u, y, out)
     np.add(u, y, u)
     np.multiply(out, u, s[1])  # -(y - u)(y + u)
-    if sign > 0:
-        np.negative(s[:2], s[:2])
+    if factor != -1.0:
+        np.multiply(s[:2], -factor, s[:2])
     np.exp(s[:2], s[:2])
     return np.multiply(s[0], s[1], out)
 
@@ -240,11 +241,11 @@ def _erfcx_block(x, out, s):
     y_negative = np.minimum(y[negative], 27.0)  # erfcx overflows below -26.7
     _cody(out, s[1:], y, scaled=True)
     if negative.size:  # erfcx(-y) = 2 exp(y^2) - erfcx(y)
-        e = _exp_square(y_negative, np.empty(negative.size), np.empty((2, negative.size)), sign=1.0)
+        e = _exp_square(y_negative, np.empty(negative.size), np.empty((2, negative.size)), factor=1.0)
         out[negative] = 2.0 * e - out[negative]
 
 
-def _log_ndtr_low(out, s, x, y, w):
+def _log_ndtr_low(out, s, x, w):
     # x <= 0: log(erfc(y) / 2) = log(erfcx(y) / 2) - x^2 / 2
     square = np.multiply(x, x, s[0])
     np.multiply(square, 0.5, square)
@@ -253,9 +254,10 @@ def _log_ndtr_low(out, s, x, y, w):
     np.subtract(out, square, out)
 
 
-def _log_ndtr_high(out, s, x, y, w):
-    # x > 0: log(1 - erfc(y) / 2), erfc(y) = erfcx(y) exp(-y^2)
-    e = _exp_square(np.minimum(y, 28.0, out=s[0]), s[1], s[2:4])
+def _log_ndtr_high(out, s, x, w):
+    # x > 0: log(1 - erfc(y) / 2), erfc(y) = erfcx(y) exp(-x^2 / 2), the
+    # exponent taken from x itself: from the rounded y its error grows like x^2
+    e = _exp_square(np.clip(x, 0.0, 40.0, out=s[0]), s[1], s[2:4], factor=-0.5)
     np.multiply(w, e, out)
     np.multiply(out, -0.5, out)
     np.log1p(out, out)
@@ -266,7 +268,7 @@ def _log_ndtr_block(x, out, s):
     np.divide(y, SQRT2, y)
     w = s[1]
     _cody(w, s[2:], y, scaled=True)
-    _piecewise(out, s[2:], x, (0.0,), (_log_ndtr_low, _log_ndtr_high), x, y, w)
+    _piecewise(out, s[2:], x, (0.0,), (_log_ndtr_low, _log_ndtr_high), x, w)
 
 
 def _ndtri_far(out, s, q, pm):
@@ -495,18 +497,22 @@ def bivariate_normal_orthant(t1, t2, rho):
     hi, lo = np.maximum(t1, t2), np.minimum(t1, t2)
     out = np.empty(rho.shape)
     indep = rho == 0.0
-    out[indep] = norm_sf(t1[indep]) * norm_sf(t2[indep])
     same = ~indep & (rho >= 1.0 - 1e-12)
-    out[same] = norm_sf(hi[same])
-    # Z2 = -Z1: the event is {Z1 > hi, Z1 < -lo}
     opposite = ~indep & (rho <= -1.0 + 1e-12)
-    out[opposite] = np.maximum(0.0, norm_sf(hi[opposite]) - norm_sf(-lo[opposite]))
     rest = ~(indep | same | opposite)
-    lo, r = lo[rest], rho[rest]
-    s = np.sqrt((1.0 - r) * (1.0 + r))
+    # a selection with no element makes no kernel call
+    if indep.any():
+        out[indep] = norm_sf(t1[indep]) * norm_sf(t2[indep])
+    if same.any():
+        out[same] = norm_sf(hi[same])
+    if opposite.any():  # Z2 = -Z1: the event is {Z1 > hi, Z1 < -lo}
+        out[opposite] = np.maximum(0.0, norm_sf(hi[opposite]) - norm_sf(-lo[opposite]))
+    if rest.any():
+        lo, r = lo[rest], rho[rest]
+        s = np.sqrt((1.0 - r) * (1.0 + r))
 
-    def f(z, k):
-        return norm_pdf(z) * norm_sf((lo[k] - r[k] * z) / s[k])
+        def f(z, k):
+            return norm_pdf(z) * norm_sf((lo[k] - r[k] * z) / s[k])
 
-    out[rest] = integrate(f, hi[rest], np.maximum(hi[rest] + 2.0, _NORMAL_CUTOFF), epsrel=1e-11)
+        out[rest] = integrate(f, hi[rest], np.maximum(hi[rest] + 2.0, _NORMAL_CUTOFF), epsrel=1e-11)
     return float(out[0]) if not shape else out.reshape(shape)

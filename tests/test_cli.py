@@ -524,6 +524,27 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
+    def test_ratio_deep_tail_prints_finite_ratios(self):
+        proc = run_cli(
+            "ratio", "--model", '{"type":"normal","d":2,"rho":0.5}', "--gammas", "1,2,30",
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["rows"]
+        assert all(math.isfinite(r["ratio_strict"]) and math.isfinite(r["ratio_relaxed"]) for r in rows)
+
+    @pytest.mark.parametrize(
+        "model, gammas",
+        [('{"type":"normal","d":2,"rho":0.5}', "1,2,40"), ('{"type":"laplace","d":3}', "1000")],
+        ids=["normal", "laplace"],
+    )
+    def test_ratio_underflowed_marginals_exit_two(self, model, gammas):
+        # every P(A_i) underflows to 0: once a ZeroDivisionError traceback
+        proc = run_cli("ratio", "--model", model, "--gammas", gammas, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_oracle_beyond_qmc_dimension_exits_two(self):
         # not equicorrelated: np.eye(9) is, with rho = 0, and takes the one-factor route
         lags = np.abs(np.subtract.outer(np.arange(9), np.arange(9)))

@@ -388,6 +388,25 @@ class TestEmpiricalRatio:
         diag = empirical_efficiency_ratio(NormalModel(0.5**lags), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert [(r.ratio_strict.hex(), r.ratio_relaxed.hex()) for r in diag.rows] == pinned
 
+    def test_deep_tail_ratio_is_finite(self):
+        # max P(A_i)^2 underflows to 0 below max P(A_i) of about 1e-162,
+        # gamma = 30 here; the ratio then divides twice
+        m = NormalModel.equicorrelated(2, 0.5)
+        deep = empirical_efficiency_ratio(m, [1.0, 2.0, 30.0]).rows[-1]
+        log_pair = math.log(m.pair_survival(0, 1, 30.0))
+        log_marg = math.log(m.marginal_survival(0, 30.0))
+        for ratio, power in ((deep.ratio_strict, 2.0), (deep.ratio_relaxed, 1.9)):
+            assert ratio == pytest.approx(math.exp(log_pair - power * log_marg), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, gamma", [(NormalModel.equicorrelated(2, 0.5), 40.0), (LaplaceModel(3), 1000.0)],
+        ids=["normal", "laplace"],
+    )
+    def test_underflowed_marginals_rejected(self, model, gamma):
+        # every P(A_i) is 0: the ratio once died in a ZeroDivisionError
+        with pytest.raises(ModelSpecError, match="underflows to 0"):
+            empirical_efficiency_ratio(model, [gamma])
+
     def test_non_finite_threshold_rejected(self):
         # a nan row once passed through and read as a "constant" trend
         with pytest.raises(ModelSpecError):

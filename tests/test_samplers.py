@@ -9,9 +9,8 @@ from rareunion import ModelSpecError, NormalModel, models
 from rareunion.samplers import (
     ROW_BLOCK,
     GaussianConditional,
-    _pair_squeeze,
-    _pair_tilt,
-    _RatioSqueeze,
+    _pair_law,
+    _PairLaw,
     gibbs_bivariate_truncated,
     laplace_conditional_exceedance,
     sample_inverse_gaussian,
@@ -388,32 +387,21 @@ class TestExactPair:
         # acceptance probability P(A_i A_j) exp(-psi_star) lies in (0.8, 1]
         for rho in (-0.9, -0.5, 0.3, 0.75, 0.99):
             for ti, tj in ((-1.0, -1.0), (2.0, 2.0), (8.0, 8.0), (2.0, 4.0), (-1.0, 8.0)):
-                _, psi_star = _pair_tilt(ti, tj, rho)
+                psi_star = _PairLaw(max(ti, tj), min(ti, tj), rho).psi_star
                 acc = math.exp(math.log(bivariate_normal_orthant(ti, tj, rho)) - psi_star)
                 assert 0.8 < acc <= 1.0 + 1e-9, (rho, ti, tj, acc)
-
-    def test_memoised_tilt_equals_the_computed_one(self):
-        _pair_tilt.cache_clear()
-        for rho in np.linspace(-0.9, 0.99, 7):
-            for ti in np.linspace(-1.0, 8.0, 7):
-                for tj in np.linspace(-1.0, 8.0, 7):
-                    for key in ((ti, tj, rho), (tj, ti, rho)):
-                        memo = [x.hex() for x in _pair_tilt(*map(float, key))]
-                        assert memo == [x.hex() for x in _pair_tilt.__wrapped__(*map(float, key))], key
 
     def test_one_tilt_per_distinct_pair_key(self):
         # the d=64 Toeplitz model 0.5^|i-j| at gamma=4 has 2,016 pair laws
         # but only 63 distinct keys (4, 4, 0.5^k)
         lags = np.abs(np.subtract.outer(np.arange(64), np.arange(64)))
         model = NormalModel(0.5**lags)
-        _pair_tilt.cache_clear()
-        _pair_squeeze.cache_clear()
+        _pair_law.cache_clear()
         rng = rng_for("pair-keys")
         for i in range(64):
             for j in range(i + 1, 64):
                 model.conditional_given_pair_exceedance(i, j, 4.0).draw(rng, 1)
-        assert _pair_tilt.cache_info().misses == 63
-        info = _pair_squeeze.cache_info()
+        info = _pair_law.cache_info()
         assert (info.misses, info.hits) == (63, 2016 - 63)
 
     def test_squeeze_takes_the_exact_decisions(self):
@@ -422,7 +410,7 @@ class TestExactPair:
         rng = rng_for("squeeze")
         for rho in (-0.9, -0.5, 0.0, 0.3, 0.75, 0.99):
             for ti, tj in ((-1.0, -1.0), (2.0, 2.0), (8.0, 8.0), (4.0, 2.0), (8.0, -1.0)):
-                squeeze = _RatioSqueeze(ti, tj, rho)
+                squeeze = _PairLaw(ti, tj, rho)
                 span = squeeze.step * (squeeze.KNOTS - 1)
                 x = np.tile(ti + rng.uniform(-0.1 * span, 1.2 * span, 1000), 5)
                 exact = squeeze.exact(x)

@@ -105,6 +105,14 @@ def test_kernel_matches_mpmath(name):
     assert errors.max() <= bound, grid[errors.argmax()]
 
 
+def test_log_ndtr_takes_its_right_tail_exponent_from_x():
+    # exp(-y^2) from the rounded y = x / sqrt 2 has a relative error growing
+    # like x^2, 7.8e-15 at x = 7.3; exp(-x^2 / 2) keeps it under 6e-16
+    grid = KERNELS["log_ndtr"][1]
+    errors = kernel_errors("log_ndtr", log_ndtr(grid))
+    assert errors.max() <= 2e-15, grid[errors.argmax()]
+
+
 SPECIAL_VALUES = {
     "erfc": {np.inf: 0.0, -np.inf: 2.0, 0.0: 1.0, -0.0: 1.0, 27.5: 0.0, -40.0: 2.0},
     "erfcx": {np.inf: 0.0, -np.inf: np.inf, 0.0: 1.0, -30.0: np.inf, 1e300: 0.56418958354775628 / 1e300},
@@ -244,6 +252,23 @@ def test_pair_survival_equals_pair_survivals_bitwise(build):
         pairs = itertools.combinations(range(m.d), 2)
         single = [m.pair_survival(i, j, gamma) for i, j in pairs]
         assert np.array_equal(single, m.pair_survivals(gamma))
+
+
+def test_pair_layers_make_no_empty_kernel_call(monkeypatch):
+    # the table command's normal grid has one correlation, 0.75, so none of
+    # the closed-form selections (rho = 0 and rho = +-1) has an element
+    sizes = []
+    norm_sf = special.norm_sf
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return norm_sf(x)
+
+    monkeypatch.setattr(special, "norm_sf", counted)
+    m = NormalModel.equicorrelated(4, 0.75)
+    for gamma in (2.0, 4.0, 6.0, 8.0):
+        m.pair_survivals(gamma)
+    assert sizes and sizes.count(0) == 0
 
 
 def test_scalars_in_scalar_out():
