@@ -26,7 +26,7 @@ from .estimators import ESTIMATOR_NAMES, bonferroni_bounds, run_estimator
 from .efficiency import classify_archimedean, classify_model, empirical_efficiency_ratio
 from .models import build_model
 # oracle_union_normal_qmc stays importable here: perfbench's tracer patches this lookup
-from .oracles import oracle_for_model, oracle_union_normal_qmc  # noqa: F401
+from .oracles import QMC_POINT_CAP, oracle_for_model, oracle_union_normal_qmc  # noqa: F401
 
 CSV_HEADER = "estimator,gamma,estimate,sample_std,stderr,rel_err,degenerate,replicates,seed,wall_ms"
 
@@ -130,7 +130,7 @@ class TableRow:
 def _oracle_values(config: ExperimentConfig, model) -> dict:
     if config.oracle == "none":
         return {}
-    points = config.oracle if isinstance(config.oracle, int) else 1 << 20
+    points = config.oracle if isinstance(config.oracle, int) else QMC_POINT_CAP
     values = {}
     for gamma in config.gamma_grid:
         try:
@@ -234,7 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="deterministic union probability")
     p_or.add_argument("--model", required=True)
     p_or.add_argument("--gamma", type=float, required=True)
-    p_or.add_argument("--points", type=int, default=1 << 20, help="cap on QMC points for general covariances")
+    p_or.add_argument(
+        "--points", type=int, default=QMC_POINT_CAP, help="cap on QMC points for general covariances"
+    )
     p_or.add_argument("--precision", type=int, default=3, help="mantissa digits to print")
 
     p_cl = sub.add_parser("classify", help="structural efficiency verdict")

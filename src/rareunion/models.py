@@ -194,16 +194,8 @@ class NormalModel(DependenceModel):
         return float(self._sigma[i, j] / (self._sd[i] * self._sd[j]))
 
     def sample(self, rng, size) -> np.ndarray:
-        """Rows are drawn block by block, with the bits of
-        ``mu + z @ chol.T`` on one ``(n, d)`` normal draw."""
-        n = _dimension(size, "size", least=0)
-        x = np.empty((n, self.d))
-        z_buf = np.empty((min(n, samplers.ROW_BLOCK), self.d))
-        for start, stop in samplers.row_blocks(n):
-            z = rng.standard_normal(out=z_buf[:stop - start])
-            np.matmul(z, self._chol.T, out=x[start:stop])
-            x[start:stop] += self._mu
-        return x
+        """Rows of ``mu + z @ chol.T``, drawn by ``samplers.gaussian_rows``."""
+        return samplers.gaussian_rows(self, rng, _dimension(size, "size", least=0))
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         i = self._check_index(i)
@@ -227,38 +219,10 @@ class NormalModel(DependenceModel):
         return bivariate_normal_orthant(*keys.T)[inverse.reshape(-1)]
 
     def conditional_given_exceedance(self, i: int, gamma: float):
-        return _NormalTail(self, (self._check_index(i),), self.check_threshold(gamma))
+        return samplers.GaussianConditional(self, (i,), gamma)
 
     def conditional_given_pair_exceedance(self, i: int, j: int, gamma: float):
-        return _NormalTail(self, self._check_pair(i, j), self.check_threshold(gamma))
-
-
-class _NormalTail:
-    """Draws from the Gaussian law given ``X_k > gamma`` for each k in ``given``.
-
-    One conditioned coordinate is a truncated-normal draw; a pair is an
-    exact minimax-tilted accept-reject draw.  The whole vector is then
-    drawn given those values by kriging (``samplers.GaussianConditional``):
-    one unconditional model draw, moved by the gain
-    ``K = sigma[:, given] sigma[given, given]^-1``.
-    """
-
-    def __init__(self, model: NormalModel, given: tuple, gamma: float):
-        self.given = given
-        self._mu = model.mu[list(given)]
-        self._sd = model._sd[list(given)]
-        self._t = (gamma - self._mu) / self._sd
-        if len(given) == 2:
-            self._rho = model.correlation(*given)
-        self._cond = samplers.GaussianConditional(model, given)
-
-    def draw(self, rng, size) -> np.ndarray:
-        n = _dimension(size, "size", least=0)
-        if len(self.given) == 1:
-            z = (samplers.sample_truncated_std_normal(self._t[0], rng, n),)
-        else:
-            z = samplers.sample_truncated_std_normal_pair(*self._t, self._rho, rng, size=n)
-        return self._cond.draw(self._mu + self._sd * np.column_stack(z), rng)
+        return samplers.GaussianConditional(self, (i, j), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +304,9 @@ class _ArchGenerator:
     so ``U_i = psi_inv(E_i / V)`` with i.i.d. unit exponentials is an exact
     d-dimensional draw.  Families keep their textbook parameter ranges for
     construction (``valid``); sampling is limited to the range where the
-    frailty law exists (``sampleable``).
+    frailty law exists (``sampleable``).  ``upper_pair(v)`` is the corner
+    ``P(U_1 > 1 - v, U_2 > 1 - v)`` for v up to 1/2, written per family in
+    ``v`` itself, so that no small value is rounded against 1.
     """
 
     name = ""
@@ -369,6 +335,17 @@ class _Clayton(_ArchGenerator):
             base = np.maximum(base, 0.0)
         return np.power(base, -1.0 / th)
 
+    def upper_pair(self, v):
+        th, lu = self.theta, np.log1p(-v)  # lu = log u
+        if th == 0.0:
+            return v * v
+        if th > 0.0:  # log C(u, u) = log u - log(2 - u^theta) / theta, which cannot overflow
+            return 2.0 * v + np.expm1(lu - np.log1p(-np.expm1(th * lu)) / th)
+        e2 = 2.0 * np.expm1(-th * lu)  # 2 u^-theta - 2, in [-1, 0)
+        if e2 <= -1.0:  # the generator's zero (theta = -1 at v = 1/2): C(u, u) = 0
+            return 2.0 * v - 1.0
+        return 2.0 * v + np.expm1(-np.log1p(e2) / th)
+
     def frailty(self, rng, n):
         if self.theta == 0.0:
             return np.ones(n)
@@ -386,6 +363,10 @@ class _GumbelHougaard(_ArchGenerator):
 
     def psi_inv(self, s):
         return np.exp(-np.power(np.asarray(s, dtype=float), 1.0 / self.theta))
+
+    def upper_pair(self, v):
+        # C(u, u) = u ** 2 ** (1 / theta)
+        return 2.0 * v + np.expm1(2.0 ** (1.0 / self.theta) * np.log1p(-v))
 
     def frailty(self, rng, n):
         if self.theta == 1.0:
@@ -416,6 +397,17 @@ class _Frank(_ArchGenerator):
             return np.exp(-s)
         return -np.log1p(np.exp(-np.asarray(s, dtype=float)) * math.expm1(-th)) / th
 
+    def upper_pair(self, v):
+        th = self.theta
+        if th == 0.0:
+            return v * v
+        if th < 0.0:
+            # Frank is radially symmetric, so the corner is C(v, v); its
+            # log1p argument is positive for theta < 0, so nothing cancels
+            return -np.log1p(np.expm1(-th * v) ** 2 / np.expm1(-th)) / th
+        s = -2.0 * np.log1p(-np.expm1(th * v) / np.expm1(th))  # 2 psi(1 - v)
+        return 2.0 * v - np.log1p(-np.expm1(-s) * np.expm1(th)) / th  # 2v - (1 - psi_inv(s))
+
     def frailty(self, rng, n):
         if self.theta == 0.0:
             return np.ones(n)
@@ -433,6 +425,11 @@ class _AliMikhailHaq(_ArchGenerator):
 
     def psi_inv(self, s):
         return (1.0 - self.theta) / (np.exp(np.asarray(s, dtype=float)) - self.theta)
+
+    def upper_pair(self, v):
+        # C(u, u) = u^2 / (1 - theta v^2), so the corner is rational in v
+        th = self.theta
+        return v * v * (1.0 + th - 2.0 * th * v) / (1.0 - th * v * v)
 
     def frailty(self, rng, n):
         if self.theta == 0.0:
@@ -523,9 +520,13 @@ class ArchimedeanModel(DependenceModel):
         return 1.0 - self.check_threshold(gamma)
 
     def pair_survival(self, i: int, j: int, gamma: float) -> float:
+        """``1 - 2u + C(u, u)``, which cancels as u tends to 1; from u = 1/2
+        on, where ``v = 1 - u`` is exact, the family's corner in v."""
         self._check_pair(i, j)
         u = self.check_threshold(gamma)
-        return 1.0 - 2.0 * u + self.diagonal(u)
+        if u < 0.5:
+            return 1.0 - 2.0 * u + self.diagonal(u)
+        return float(self._gen.upper_pair(1.0 - u))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ _QMC_SCRAMBLES = 8  # independent scrambles; their spread is the error estimate
 # The relative scramble spread at which ``oracle_for_model`` stops doubling:
 # 500 times finer than the half-unit of the four digits a table prints.
 QMC_REL_TARGET = 1e-6
+# The default cap on QMC points, for the oracles and the command line.
+QMC_POINT_CAP = 1 << 20
 
 
 def _union_tail_power(u, d: int):
@@ -180,7 +182,7 @@ def _genz_cell(m, chol, gamma, engines, points) -> np.ndarray:
 
 
 def oracle_union_normal_qmc(
-    model, gamma: float, points: int = 1 << 20, rel_target: float = 0.0
+    model, gamma: float, points: int = QMC_POINT_CAP, rel_target: float = 0.0
 ) -> QmcEstimate:
     """Union probability for a general normal model by low-discrepancy integration.
 
@@ -272,7 +274,7 @@ def oracle_union_normal_qmc(
         n *= 2
 
 
-def oracle_for_model(model, gamma: float, qmc_points: int = 1 << 20):
+def oracle_for_model(model, gamma: float, qmc_points: int = QMC_POINT_CAP):
     """Best available deterministic union probability for a model, or None.
 
     Equicorrelated normals with non-negative correlation use the

@@ -1,12 +1,14 @@
 """Low-level conditional tail samplers.
 
-All routines are pure functions of their parameters and the supplied
-generator; thread safety is the caller's stream discipline (one derived
-stream per worker).  Every draw is a batch: ``size`` is a required row
-count, and a draw returns ``size`` rows (or ``size`` values per coordinate).
-A Gaussian model given some of its coordinates is drawn by kriging: one
-unconditional draw from the model, corrected by a per-law gain, so no law
-factors a covariance of its own.
+Every routine draws only from the supplied generator; thread safety is
+the caller's stream discipline (one derived stream per worker).  Every
+draw is a batch: ``size`` is a required row count, and a draw returns
+``size`` rows (or ``size`` values per coordinate).  The routines are pure
+functions of their parameters, except the Gaussian conditional law
+(:class:`GaussianConditional`), a handle that holds its model.  All
+Gaussian rows come from one row-block pass, :func:`gaussian_rows`, which
+krigs each block as it is drawn: an unconditional block moved by a
+per-law gain, so no law factors a covariance of its own.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .special import SQRT2, norm_hazard, norm_logsf
 __all__ = [
     "shifted_exponential_rate",
     "sample_truncated_std_normal",
+    "gaussian_rows",
     "GaussianConditional",
     "sample_truncated_std_normal_pair",
     "gibbs_bivariate_truncated",
@@ -110,40 +113,66 @@ def sample_truncated_std_normal(gamma: float, rng, size):
     return _trunc_std_normal_batch(np.full(_dimension(size, "size", least=0), gamma), rng)
 
 
-class GaussianConditional:
-    """Law of a Gaussian model given the values of some of its coordinates, by kriging.
+def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None) -> np.ndarray:
+    """n rows of a Gaussian model, block by block, with the bits of
+    ``mu + z @ chol.T`` on one ``(n, d)`` normal draw.
 
-    Only the ``(d, k)`` gain ``K = sigma[:, given] sigma[given, given]^-1``
-    is stored.  A draw takes unconditional vectors ``X`` from the model and
-    moves each by ``(values - X[:, given]) @ K.T``: the exact conditioning
-    identity (Hoffman & Ribak 1991), which needs no factor of the
-    conditional covariance.
+    Given the ``(d, k)`` gain ``K`` of the coordinates ``given`` and their
+    ``(n, k)`` values, each block is kriged as soon as it is drawn: moved by
+    ``(values - X[:, given]) @ K.T``, the exact conditioning identity
+    (Hoffman & Ribak 1991), which needs no factor of the conditional
+    covariance.  The product reuses the block's normal buffer, and the
+    conditioned columns are then exactly ``values``.
+    """
+    x = np.empty((n, model.d))
+    buf = np.empty((min(n, ROW_BLOCK), model.d))
+    chol_t, cols = model.chol.T, list(given)
+    for start, stop in row_blocks(n):
+        block, z = x[start:stop], buf[:stop - start]
+        rng.standard_normal(out=z)
+        np.matmul(z, chol_t, out=block)
+        block += model.mu
+        if gain is not None:
+            v = values[start:stop]
+            np.matmul(v - block[:, cols], gain.T, out=z)
+            block += z
+            block[:, cols] = v
+    return x
+
+
+class GaussianConditional:
+    """Law of a Gaussian model given ``X_k > gamma`` for k in ``given``,
+    one index or a distinct pair.
+
+    One conditioned coordinate is a truncated-normal draw; a pair is an
+    exact minimax-tilted accept-reject draw.  The whole vector is then
+    drawn given those values by one kriged pass of :func:`gaussian_rows`,
+    with the gain ``K = sigma[:, given] sigma[given, given]^-1``.
     """
 
-    def __init__(self, model, given):
+    def __init__(self, model, given, gamma):
         given = tuple(model._check_index(i) for i in given)
-        if len(set(given)) != len(given):
-            raise ModelSpecError("conditioning indices must be distinct")
-        sigma = model.sigma
+        if len(given) not in (1, 2) or len(set(given)) != len(given):
+            raise ModelSpecError(f"a Gaussian conditional needs one index or a distinct pair, got {given}")
+        gamma = model.check_threshold(gamma)
+        cols, sigma = list(given), model.sigma
         self.model = model
         self.given = given
-        self.gain = np.linalg.solve(sigma[np.ix_(given, given)], sigma[list(given)]).T
+        self.gain = np.linalg.solve(sigma[np.ix_(cols, cols)], sigma[cols]).T
+        self._mu = model.mu[cols]
+        self._sd = np.sqrt(sigma[cols, cols])
+        self._t = (gamma - self._mu) / self._sd
+        if len(given) == 2:
+            self._rho = model.correlation(*given)
 
-    def draw(self, values, rng):
-        """Whole ``(n, d)`` vectors given the ``(n, k)`` conditioned values.
-
-        Rows are corrected block by block, with the bits of
-        ``X + (values - X[:, given]) @ K.T`` on one ``model.sample`` draw;
-        the conditioned columns are then exactly ``values``.
-        """
-        values = np.asarray(values, dtype=float)
-        x = self.model.sample(rng, values.shape[0])
-        cols = list(self.given)
-        for start, stop in row_blocks(x.shape[0]):
-            block, v = x[start:stop], values[start:stop]
-            block += (v - block[:, cols]) @ self.gain.T
-            block[:, cols] = v
-        return x
+    def draw(self, rng, size) -> np.ndarray:
+        n = _dimension(size, "size", least=0)
+        if len(self.given) == 1:
+            z = (sample_truncated_std_normal(self._t[0], rng, n),)
+        else:
+            z = sample_truncated_std_normal_pair(*self._t, self._rho, rng, size=n)
+        values = self._mu + self._sd * np.column_stack(z)
+        return gaussian_rows(self.model, rng, n, self.given, values, self.gain)
 
 
 class _PairLaw:

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rareunion import cli
+from rareunion import cli, oracles
 from rareunion.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -323,6 +324,19 @@ class TestCommandLine:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.095e-04"
 
+    def test_qmc_point_cap_has_one_owner(self):
+        # the --points default, the table's "auto" oracle and the oracle
+        # functions all read the cap that the oracles module names
+        assert oracles.QMC_POINT_CAP == 1 << 20
+        args = cli._build_parser().parse_args(["oracle", "--model", NORMAL4, "--gamma", "4"])
+        assert args.points == oracles.QMC_POINT_CAP
+        assert cli.QMC_POINT_CAP is oracles.QMC_POINT_CAP
+        defaults = {
+            inspect.signature(oracles.oracle_union_normal_qmc).parameters["points"].default,
+            inspect.signature(oracles.oracle_for_model).parameters["qmc_points"].default,
+        }
+        assert defaults == {oracles.QMC_POINT_CAP}
+
     def test_classify_model_negative_rho(self):
         proc = run_cli("classify", "--model", '{"type":"normal","d":3,"rho":-0.25}')
         assert proc.returncode == 0
@@ -532,6 +546,17 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)["rows"]
         assert all(math.isfinite(r["ratio_strict"]) and math.isfinite(r["ratio_relaxed"]) for r in rows)
+
+    def test_ratio_archimedean_deep_tail_is_positive(self):
+        # the pair layer once cancelled to a negative probability: a strict ratio of -3.33
+        proc = run_cli(
+            "ratio", "--model", '{"type":"archimedean","family":"frank","theta":3,"d":3}',
+            "--gammas", "0.99,0.9999,0.999999,0.99999999", timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["rows"]
+        assert len(rows) == 4
+        assert all(r["ratio_strict"] > 0.0 and r["ratio_relaxed"] > 0.0 for r in rows)
 
     @pytest.mark.parametrize(
         "model, gammas",

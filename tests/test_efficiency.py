@@ -58,6 +58,13 @@ class TestLedfordTawn:
         diverging = LedfordTawnParams(0.5, SlowlyVarying.log_power(0.3))
         assert classify_ledford_tawn(diverging).level == LE
 
+    def test_half_with_unknown_factor_is_le(self):
+        # a custom factor may or may not diverge, so eta = 1/2 settles at LE
+        v = classify_ledford_tawn(LedfordTawnParams(0.5, SlowlyVarying.custom("unknown limit")))
+        assert v.level == LE
+        assert v.rules_fired == ("eta_half", "L_unknown")
+        assert v.diagnostics == {"eta": 0.5, "L_kind": "custom"}
+
     def test_catalogue_split(self):
         for row in LEDFORD_TAWN_TABLE:
             level = classify_ledford_tawn(LedfordTawnParams(row.eta, row.L)).level
@@ -359,6 +366,15 @@ class TestEmpiricalRatio:
             assert abs(row.ratio_strict - 1.0) <= 1e-9
         assert diag.strict_trend == "constant"
         assert diag.relaxed_trend == "decreasing"
+
+    def test_one_threshold_grid_has_constant_trends(self):
+        m = NormalModel.equicorrelated(2, 0.5)
+        diag = empirical_efficiency_ratio(m, [2.0])
+        assert len(diag.rows) == 1 and diag.rows[0].gamma == 2.0
+        assert diag.strict_trend == diag.relaxed_trend == "constant"
+        marg, pair = m.marginal_survival(0, 2.0), m.pair_survival(0, 1, 2.0)
+        assert diag.rows[0].ratio_strict == pair / marg**2
+        assert diag.rows[0].ratio_relaxed == pair / marg**1.9
 
     def test_dependent_pair_ratio_grows(self):
         m = NormalModel.equicorrelated(2, 0.75)

@@ -79,7 +79,11 @@ CASES = {
     "laplace_fractional_dimension": lambda: samplers.laplace_conditional_exceedance(2.5, 0, 2.0, _rng(), 4),
     "inverse_gaussian_shape_mismatch": lambda: samplers.sample_inverse_gaussian(np.ones(3), 1.0, _rng(), 5),
     "inverse_gaussian_nan_mean": lambda: samplers.sample_inverse_gaussian(math.nan, 1.0, _rng(), 5),
-    "gaussian_conditional_index_out_of_range": lambda: samplers.GaussianConditional(_NORMAL3, (0, 7)),
+    "gaussian_conditional_index_out_of_range": lambda: samplers.GaussianConditional(_NORMAL3, (0, 7), 2.0),
+    "gaussian_conditional_repeated_index": lambda: samplers.GaussianConditional(_NORMAL3, (1, 1), 2.0),
+    "gaussian_conditional_three_indices": lambda: samplers.GaussianConditional(_NORMAL3, (0, 1, 2), 2.0),
+    "gaussian_conditional_no_index": lambda: samplers.GaussianConditional(_NORMAL3, (), 2.0),
+    "gaussian_conditional_nan_threshold": lambda: samplers.GaussianConditional(_NORMAL3, (0,), math.nan),
     "custom_payoff_two_columns": lambda: estimate_beta_n(
         NormalModel.equicorrelated(3, 0.5), 1.0, 1, Payoff.custom(lambda x, p: np.ones((len(p), 2))), 1000, 1
     ),

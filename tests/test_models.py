@@ -308,6 +308,17 @@ class TestLaplaceModel:
             LaplaceModel(4).conditional_given_exceedance(0, gamma)
 
 
+@pytest.mark.parametrize("rho", [1.0 - 5e-13, -(1.0 - 5e-13)], ids=["plus", "minus"])
+def test_near_degenerate_pair_takes_the_closed_form(rho):
+    # within 1e-12 of +-1 the orthant is Z2 = +-Z1, with no quadrature
+    m = NormalModel([[1.0, rho], [rho, 1.0]], mu=[0.0, 0.5])
+    for gamma in (-1.0, 0.0, 0.4, 2.0):
+        hi, lo = max(gamma, gamma - 0.5), min(gamma, gamma - 0.5)
+        want = norm_sf(hi) if rho > 0 else max(0.0, norm_sf(hi) - norm_sf(-lo))
+        assert m.pair_survival(0, 1, gamma) == want
+        assert m.pair_survivals(gamma).tolist() == [want]
+
+
 class TestArchimedeanModel:
     def test_uniform_threshold_marginal(self):
         m = ArchimedeanModel("clayton", 2.0, 3)
@@ -355,6 +366,65 @@ class TestArchimedeanModel:
         m = ArchimedeanModel("frank", 2.0, 2)
         with pytest.raises(ModelSpecError):
             m.marginal_survival(0, 1.5)
+
+
+def _mp_pair_survival(family, theta, u):
+    """``1 - 2u + C(u, u)`` at 50 digits, from the textbook generators."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    u, th = mp.mpf(u), mp.mpf(theta)
+    psi, psi_inv = {
+        "clayton": (lambda t: (t**-th - 1) / th, lambda s: max(1 + th * s, 0) ** (-1 / th)),
+        "gumbel": (lambda t: (-mp.log(t)) ** th, lambda s: mp.exp(-(s ** (1 / th)))),
+        "frank": (
+            lambda t: -mp.log(mp.expm1(-th * t) / mp.expm1(-th)),
+            lambda s: -mp.log1p(mp.exp(-s) * mp.expm1(-th)) / th,
+        ),
+        "amh": (lambda t: mp.log((1 - th * (1 - t)) / t), lambda s: (1 - th) / (mp.exp(s) - th)),
+    }[family]
+    return 1 - 2 * u + psi_inv(2 * psi(u))
+
+
+_ARCH_TAIL_CASES = [
+    ("clayton", 2.0), ("clayton", -0.5), ("gumbel", 2.5), ("frank", 3.0), ("frank", -3.0),
+    ("frank", -30.0), ("amh", 0.5), ("amh", -0.7), ("amh", -1.0),
+]
+
+
+class TestArchimedeanPairTail:
+    """``1 - 2u + C(u, u)`` cancels as u tends to 1; from u = 1/2 on the layer
+    is each family's corner, written in v = 1 - u itself."""
+
+    @pytest.mark.parametrize("family,theta", _ARCH_TAIL_CASES)
+    def test_deep_tail_matches_mpmath(self, family, theta):
+        m = ArchimedeanModel(family, theta, 2)
+        for k in range(1, 11):
+            v = 10.0**-k
+            got = m.pair_survival(0, 1, 1.0 - v)
+            want = _mp_pair_survival(family, theta, 1.0 - v)
+            # once negative (Frank, AMH at 1 - u = 1e-8) or 0 (Clayton at 1e-10)
+            assert got > 0.0, (k, got)
+            assert float(abs(got - want) / want) * v <= 1e-14, (k, got, float(want))
+
+    @pytest.mark.parametrize("family,theta", _ARCH_TAIL_CASES)
+    def test_body_matches_mpmath(self, family, theta):
+        m = ArchimedeanModel(family, theta, 2)
+        for u in (0.1, 0.3, 0.5, 0.7, 0.9):
+            want = _mp_pair_survival(family, theta, u)
+            assert float(abs(m.pair_survival(0, 1, u) - want) / want) <= 1e-14, u
+
+    def test_large_theta_corner_does_not_overflow(self):
+        # u^-theta overflows once theta |log u| passes 709; the layer once read 1 - 2u < 0 there
+        m = ArchimedeanModel("clayton", 2000.0, 2)
+        for u in (0.5, 0.6, 0.9, 1.0 - 1e-6):
+            want = _mp_pair_survival("clayton", 2000.0, u)
+            assert float(abs(m.pair_survival(0, 1, u) - want) / want) <= 1e-14, u
+
+    def test_bonferroni_order_deep_in_the_tail(self):
+        # the second bound once exceeded the first: 4.00000022e-08 > 4.00000002e-08
+        bounds = bonferroni_bounds(ArchimedeanModel("frank", 3.0, 4), 1.0 - 1e-8)
+        assert 0.0 < bounds.second <= bounds.upper
 
 
 def ar1_model(phi, sigma_eps, d):

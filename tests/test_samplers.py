@@ -11,6 +11,7 @@ from rareunion.samplers import (
     GaussianConditional,
     _pair_law,
     _PairLaw,
+    gaussian_rows,
     gibbs_bivariate_truncated,
     laplace_conditional_exceedance,
     sample_inverse_gaussian,
@@ -41,7 +42,7 @@ DRAW_ENTRY_POINTS = [
     models.LaplaceModel.sample,
     models.ArchimedeanModel.sample,
     models.FinitePatternModel.sample,
-    models._NormalTail.draw,
+    GaussianConditional.draw,
     models._LaplaceTail.draw,
     models._FiniteConditional.draw,
     sample_truncated_std_normal,
@@ -72,7 +73,7 @@ DRAW_CALLS = {
     "LaplaceModel.sample": lambda rng, size: models.LaplaceModel(3).sample(rng, size),
     "ArchimedeanModel.sample": lambda rng, size: models.ArchimedeanModel("clayton", 2.0, 3).sample(rng, size),
     "FinitePatternModel.sample": lambda rng, size: _FINITE.sample(rng, size),
-    "_NormalTail.draw": lambda rng, size: _PAPER.conditional_given_pair_exceedance(0, 1, 2.0).draw(rng, size),
+    "GaussianConditional.draw": lambda rng, size: _PAPER.conditional_given_pair_exceedance(0, 1, 2.0).draw(rng, size),
     "_LaplaceTail.draw": lambda rng, size: models.LaplaceModel(3).conditional_given_exceedance(0, 2.0).draw(rng, size),
     "_FiniteConditional.draw": lambda rng, size: _FINITE.conditional_given_exceedance(0).draw(rng, size),
     "sample_truncated_std_normal": lambda rng, size: sample_truncated_std_normal(2.0, rng, size),
@@ -184,19 +185,25 @@ class TestTruncatedNormal:
         assert len(raised) == 6
 
 
+def krig(model, given, values, rng):
+    """The kriging step alone: one ``gaussian_rows`` pass with the gain
+    ``K = sigma[:, given] sigma[given, given]^-1``."""
+    cols = list(given)
+    gain = np.linalg.solve(model.sigma[np.ix_(cols, cols)], model.sigma[cols]).T
+    return gaussian_rows(model, rng, len(values), given, values, gain)
+
+
 class TestConditionalMvn:
     def test_independence_ignores_condition(self):
         m = NormalModel.equicorrelated(3, 0.0)
-        cond = GaussianConditional(m, (0,))
-        out = cond.draw(np.full((50_000, 1), 5.0), rng_for("ind"))
+        out = krig(m, (0,), np.full((50_000, 1), 5.0), rng_for("ind"))
         assert out.shape == (50_000, 3)
         assert (out[:, 0] == 5.0).all()
         assert abs(out[:, 1:].mean()) < 0.02
 
     def test_bivariate_conditional_law(self):
         m = NormalModel.equicorrelated(2, 0.75)
-        cond = GaussianConditional(m, (0,))
-        out = cond.draw(np.full((100_000, 1), 4.0), rng_for("cond"))
+        out = krig(m, (0,), np.full((100_000, 1), 4.0), rng_for("cond"))
         # law given the first coordinate at 4: centre 3, spread 1 - 0.75^2
         assert out[:, 1].mean() == pytest.approx(3.0, abs=0.01)
         assert out[:, 1].var(ddof=1) == pytest.approx(0.4375, abs=0.01)
@@ -205,7 +212,7 @@ class TestConditionalMvn:
         m = NormalModel(np.eye(3))
         rng = rng_for("compose")
         x0 = rng.standard_normal(50_000)
-        joint = GaussianConditional(m, (0,)).draw(x0[:, None], rng)
+        joint = krig(m, (0,), x0[:, None], rng)
         cov = np.cov(joint.T)
         assert np.allclose(cov, np.eye(3), atol=0.03)
 
@@ -223,8 +230,7 @@ class TestConditionalMvn:
 
     def test_pair_form(self):
         m = NormalModel.equicorrelated(4, 0.5)
-        cond = GaussianConditional(m, (0, 2))
-        out = cond.draw(np.tile([1.0, 2.0], (1000, 1)), rng_for("pairform"))
+        out = krig(m, (0, 2), np.tile([1.0, 2.0], (1000, 1)), rng_for("pairform"))
         assert out.shape == (1000, 4)
 
     def test_kriging_matches_the_exact_conditional_law(self):
@@ -238,9 +244,7 @@ class TestConditionalMvn:
         k_rest = np.linalg.solve(sigma[np.ix_(given, given)], sigma[given][:, rest]).T
         mean = mu[rest] + (x_s - mu[given]) @ k_rest.T
         cov = sigma[np.ix_(rest, rest)] - k_rest @ sigma[np.ix_(given, rest)]
-        x = GaussianConditional(NormalModel(sigma, mu=mu), given).draw(
-            np.tile(x_s, (n, 1)), derive_generator(8, 0)
-        )[:, rest]
+        x = krig(NormalModel(sigma, mu=mu), given, np.tile(x_s, (n, 1)), derive_generator(8, 0))[:, rest]
         sd = np.sqrt(np.diag(cov))
         assert (np.abs(x.mean(axis=0) - mean) < 4 * sd / math.sqrt(n)).all()
         # the s.e. of a sample covariance over sd_i sd_j is sqrt((1 + r_ij^2) / n)
@@ -252,7 +256,7 @@ class TestConditionalMvn:
     def test_conditioned_columns_equal_values(self, given):
         m = NormalModel(0.5 ** abs(np.subtract.outer(np.arange(4), np.arange(4))), mu=[1.0, -2.0, 0.5, 3.0])
         values = 2.0 + rng_for("krig-values").random((ROW_BLOCK + 7, len(given)))
-        out = GaussianConditional(m, given).draw(values, rng_for("krig-cols"))
+        out = krig(m, given, values, rng_for("krig-cols"))
         assert out.shape == (ROW_BLOCK + 7, 4)
         assert np.array_equal(out[:, list(given)], values)
 
@@ -285,7 +289,29 @@ class TestRowBlockedDraws:
         x = model.mu + derive_generator(5, n).standard_normal((n, self.D)) @ model.chol.T
         want = x + (values - x[:, cols]) @ gain.T
         want[:, cols] = values
-        assert np.array_equal(GaussianConditional(model, given).draw(values, derive_generator(5, n)), want)
+        assert np.array_equal(gaussian_rows(model, derive_generator(5, n), n, given, values, gain), want)
+
+
+@pytest.mark.parametrize("events", [(2,), (0, 2)])
+def test_conditional_draw_is_one_pass_without_the_model_draw(monkeypatch, events):
+    # a conditional law draws and krigs its rows in one ``gaussian_rows``
+    # pass; a call back into ``NormalModel.sample`` would be a second pass
+    calls = []
+    sample = NormalModel.sample
+
+    def counted(self, rng, size):
+        calls.append(size)
+        return sample(self, rng, size)
+
+    monkeypatch.setattr(NormalModel, "sample", counted)
+    if len(events) == 1:
+        law = _PAPER.conditional_given_exceedance(*events, 2.0)
+    else:
+        law = _PAPER.conditional_given_pair_exceedance(*events, 2.0)
+    assert isinstance(law, GaussianConditional)
+    x = law.draw(rng_for(f"one-pass-{events}"), ROW_BLOCK + 1)
+    assert x.shape == (ROW_BLOCK + 1, 3) and (x[:, list(events)] > 2.0).all()
+    assert calls == []
 
 
 class TestGibbs:
