@@ -16,6 +16,10 @@ value function:
   event or pair (the conditioning mixture of Adler, Blanchet & Liu 2012).
 * ``beta_n``, ``beta1_alpha`` and ``beta2_alpha`` have one stratum per
   partition cell, each a single law weighted by the cell's probability.
+  With a payoff that reads no coordinate (``beta1_alpha``), cell k's value
+  reads only ``X_0..X_k``, so the record names that column count and the
+  runner draws from the model's law of those columns (``leading``); the
+  exact enumerator reads every column.
 
 ``run_estimator(name, model, gamma, replicates, seed)`` runs the seven
 union-probability estimators above by registry name (``alpha_n`` is
@@ -98,7 +102,11 @@ class Payoff:
     is the alternating binomial sum ``sum_{i<=m} (-1)^i C(E, i)`` of the
     exceedance count, the payoff that turns a partition estimator into a
     union-probability estimator.  ``custom`` wraps any such function.
+    ``reads_coordinates`` is False only for ``constant_one``, whose value
+    reads no column of x or of the patterns.
     """
+
+    reads_coordinates = True
 
     def __init__(self, fn: Callable):
         if not callable(fn):
@@ -107,7 +115,9 @@ class Payoff:
 
     @staticmethod
     def constant_one() -> "Payoff":
-        return Payoff(lambda x, patterns: np.ones(patterns.shape[0]))
+        payoff = Payoff(lambda x, patterns: np.ones(patterns.shape[0]))
+        payoff.reads_coordinates = False
+        return payoff
 
     @staticmethod
     def residual_alternating(order: int) -> "Payoff":
@@ -221,6 +231,7 @@ class _Estimator(NamedTuple):
     head: float
     strata: list  # (weight, [(weight, events) per law]) per stratum
     value: Callable  # value(k, x, patterns) for draws x from stratum k
+    columns: Optional[list] = None  # leading columns stratum k's value reads; None: all d
 
 
 _UNCONDITIONAL = [(1.0, [(1.0, ())])]
@@ -268,7 +279,9 @@ def _alpha2_is(lay: _Layers) -> _Estimator:
 
 def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0, first: int = 0):
     """The order-n partition cells from ``first`` on, each a one-law stratum
-    weighted by its exact probability ``P(B_I)``, with value ``Y 1{C_I}``."""
+    weighted by its exact probability ``P(B_I)``, with value ``Y 1{C_I}``.
+    The blocked indices of a cell all precede its last event, so when Y
+    reads no coordinate a cell's value reads only ``X_0..X_{max(I)}``."""
     if not isinstance(payoff, Payoff):
         raise ModelSpecError(f"payoff must be a Payoff, got {payoff!r}")
 
@@ -276,7 +289,10 @@ def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0, first: int
         cells = (ev.partition_cells(lay.d, n) if n <= lay.d else [])[first:]
         weights = (lay.margs if n == 1 else lay.pairs)[first:]
         strata = [(w, [(w, cell.events)]) for w, cell in zip(weights, cells)]
-        return _Estimator(head(lay), strata, lambda k, x, p: payoff.values(x, p) * cells[k].blocked_clear(p))
+        columns = None if payoff.reads_coordinates else [max(cell.events) + 1 for cell in cells]
+        return _Estimator(
+            head(lay), strata, lambda k, x, p: payoff.values(x, p) * cells[k].blocked_clear(p), columns
+        )
 
     return build
 
@@ -344,8 +360,12 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
                     raise ModelSpecError("the mixture is undefined when its head and every weight are zero")
                 return _result(est.head, 0.0, 0, True, seed, t0)
             picks[k] = weights / total
-    # every handle is built before anything is drawn: an unsupported law fails here
-    draws = {k: [_sampler(model, gamma, e) if w > 0.0 else None for w, e in est.strata[k][1]] for k in picks}
+    # every handle is built before anything is drawn: an unsupported law fails here.
+    # A stratum draws from the law of the leading columns its value reads
+    draws = {}
+    for k in picks:
+        law = model if est.columns is None else model.leading(est.columns[k])
+        draws[k] = [_sampler(law, gamma, e) if w > 0.0 else None for w, e in est.strata[k][1]]
     single = len(est.strata) == 1
 
     def values(k, draw, rng, count):

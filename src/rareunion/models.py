@@ -90,6 +90,12 @@ class DependenceModel(abc.ABC):
     def conditional_given_pair_exceedance(self, i: int, j: int, gamma: float):
         raise CapabilityError(f"{type(self).__name__} cannot sample conditioned on event pairs")
 
+    def leading(self, c: int) -> "DependenceModel":
+        """A law whose draws agree in law with this model's on the first ``c``
+        coordinates, for a draw whose value reads no others.  By default the
+        model itself, which draws all d."""
+        return self
+
     def check_threshold(self, gamma: float) -> float:
         """The threshold as a float; raises ModelSpecError outside the model's domain."""
         return _real(gamma, "the threshold gamma")
@@ -192,6 +198,22 @@ class NormalModel(DependenceModel):
 
     def correlation(self, i: int, j: int) -> float:
         return float(self._sigma[i, j] / (self._sd[i] * self._sd[j]))
+
+    def leading(self, c: int) -> "NormalModel":
+        """The normal law of ``X_0..X_{c-1}``: ``mu[:c]`` and ``sigma[:c, :c]``,
+        with the factor ``chol[:c, :c]``.  The leading block of a lower
+        Cholesky factor is the factor of the covariance's leading block, so
+        nothing is factored again, and the first c coordinates of ``L z``
+        read only ``z_0..z_{c-1}``."""
+        c = _dimension(c, "column count")
+        if c > self.d:
+            raise ModelSpecError(f"column count {c} exceeds d={self.d}")
+        if c == self.d:
+            return self
+        law = object.__new__(NormalModel)
+        law._mu, law._sd = self._mu[:c], self._sd[:c]
+        law._sigma, law._chol = self._sigma[:c, :c], self._chol[:c, :c]
+        return law
 
     def sample(self, rng, size) -> np.ndarray:
         """Rows of ``mu + z @ chol.T``, drawn by ``samplers.gaussian_rows``."""
@@ -302,17 +324,31 @@ class _ArchGenerator:
 
     The frailty law V has Laplace transform equal to the generator inverse,
     so ``U_i = psi_inv(E_i / V)`` with i.i.d. unit exponentials is an exact
-    d-dimensional draw.  Families keep their textbook parameter ranges for
-    construction (``valid``); sampling is limited to the range where the
-    frailty law exists (``sampleable``).  ``upper_pair(v)`` is the corner
+    d-dimensional draw, and the diagonal is ``psi_inv(2 psi(u))``.  Families
+    keep their textbook parameter ranges for construction (``valid``);
+    sampling is limited to the range where the frailty law exists
+    (``sampleable``).  ``upper_pair(v)`` is the corner
     ``P(U_1 > 1 - v, U_2 > 1 - v)`` for v up to 1/2, written per family in
-    ``v`` itself, so that no small value is rounded against 1.
+    ``v`` itself, so that no small value is rounded against 1.  Where the
+    textbook forms overflow or round to a constant at large theta, a family
+    writes its ``diagonal`` and its ``sample`` in forms that do not; Gumbel
+    and Frank write both, and need no ``psi`` of their own.
     """
 
     name = ""
 
     def __init__(self, theta: float):
         self.theta = float(theta)
+
+    def diagonal(self, u):
+        """``C(u, u) = psi_inv(2 psi(u))``."""
+        return self.psi_inv(2.0 * self.psi(u))
+
+    def sample(self, rng, n: int, d: int) -> np.ndarray:
+        """n rows of ``U_i = psi_inv(E_i / V)``: the frailties, then d unit
+        exponentials per row."""
+        v = self.frailty(rng, n)
+        return self.psi_inv(rng.exponential(1.0, (n, d)) / v[:, None])
 
 
 class _Clayton(_ArchGenerator):
@@ -335,6 +371,13 @@ class _Clayton(_ArchGenerator):
             base = np.maximum(base, 0.0)
         return np.power(base, -1.0 / th)
 
+    def diagonal(self, u):
+        th = self.theta
+        if th > 0.0:  # log C(u, u) = log u - log(2 - u^theta) / theta, which cannot overflow
+            lu = np.log(u)
+            return np.exp(lu - np.log1p(-np.expm1(th * lu)) / th)
+        return super().diagonal(u)
+
     def upper_pair(self, v):
         th, lu = self.theta, np.log1p(-v)  # lu = log u
         if th == 0.0:
@@ -352,32 +395,54 @@ class _Clayton(_ArchGenerator):
         # Laplace transform of Gamma(1/theta, scale=theta) is (1 + theta s)^(-1/theta)
         return rng.gamma(1.0 / self.theta, self.theta, n)
 
+    # A frailty V = theta G with G below this has lost bits or underflowed to 0,
+    # which happens with probability about LOW^(1/theta): 3 % at theta = 200
+    LOW = 1e-300
+
+    def sample(self, rng, n, d):
+        th = self.theta
+        v = self.frailty(rng, n)
+        e = rng.exponential(1.0, (n, d))
+        low = np.flatnonzero(v < th * self.LOW)
+        with np.errstate(divide="ignore", over="ignore"):
+            u = self.psi_inv(e / v[:, None])
+        if low.size:
+            # Below LOW the Gamma(1/theta) density is g^(1/theta - 1) up to
+            # e^-g = 1 - 1e-300, so given G < LOW, G = LOW W^theta with W
+            # uniform; the row is then drawn in logs, where nothing underflows
+            log_v = math.log(th * self.LOW) + th * np.log1p(-rng.random(low.size))
+            u[low] = np.exp(-np.logaddexp(0.0, np.log(th * e[low]) - log_v[:, None]) / th)
+        return u
+
 
 class _GumbelHougaard(_ArchGenerator):
     name = "gumbel-hougaard"
     valid = Interval(1.0, math.inf)
     sampleable = valid
 
-    def psi(self, t):
-        return np.power(-np.log(t), self.theta)
-
-    def psi_inv(self, s):
-        return np.exp(-np.power(np.asarray(s, dtype=float), 1.0 / self.theta))
+    def diagonal(self, u):
+        return np.power(u, 2.0 ** (1.0 / self.theta))
 
     def upper_pair(self, v):
         # C(u, u) = u ** 2 ** (1 / theta)
         return 2.0 * v + np.expm1(2.0 ** (1.0 / self.theta) * np.log1p(-v))
 
-    def frailty(self, rng, n):
-        if self.theta == 1.0:
-            return np.ones(n)
-        alpha = 1.0 / self.theta
-        # positive stable draw, totally skewed, unit scale
-        u = rng.random(n) * math.pi
+    def sample(self, rng, n, d):
+        """``psi_inv(E / V) = exp(-(E / V)^(1/theta))`` with the positive
+        stable frailty, totally skewed with unit scale (Chambers, Mallows &
+        Stuck 1976), drawn in logs: its factors ``sin(u)^theta`` and
+        ``(sin((1 - 1/theta) u) / W)^(theta - 1)`` under- and overflow at
+        large theta."""
+        th = self.theta
+        if th == 1.0:  # independence: V = 1
+            return np.exp(-rng.exponential(1.0, (n, d)))
+        alpha = 1.0 / th
+        u = math.pi * (1.0 - rng.random(n))  # in (0, pi], where every sine below is positive
         w = rng.exponential(1.0, n)
-        a = np.sin(alpha * u) / np.power(np.sin(u), 1.0 / alpha)
-        b = np.power(np.sin((1.0 - alpha) * u) / w, (1.0 - alpha) / alpha)
-        return a * b
+        log_v = (np.log(np.sin(alpha * u)) - th * np.log(np.sin(u))
+                 + (th - 1.0) * (np.log(np.sin((1.0 - alpha) * u)) - np.log(w)))
+        with np.errstate(divide="ignore"):  # E = 0 gives U = 1
+            return np.exp(-np.exp(alpha * (np.log(rng.exponential(1.0, (n, d))) - log_v[:, None])))
 
 
 class _Frank(_ArchGenerator):
@@ -385,33 +450,53 @@ class _Frank(_ArchGenerator):
     valid = Interval(-math.inf, math.inf, False)
     sampleable = Interval(0.0, math.inf)
 
-    def psi(self, t):
+    def diagonal(self, u):
         th = self.theta
         if th == 0.0:
-            return -np.log(t)
-        return -np.log(np.expm1(-th * np.asarray(t, dtype=float)) / math.expm1(-th))
-
-    def psi_inv(self, s):
-        th = self.theta
-        if th == 0.0:
-            return np.exp(-s)
-        return -np.log1p(np.exp(-np.asarray(s, dtype=float)) * math.expm1(-th)) / th
+            return u * u
+        if th * u > 2.0:
+            # near comonotone, C(u, u) > (1 - log(2) / 2) u, so u less a term below
+            # log(2) / theta keeps its digits; expm1(-theta) rounds to -1 from 37 on
+            # and expm1(theta) overflows from 710, and this form takes neither
+            tail = -np.expm1(-th * u) - np.expm1(-th * (1.0 - u))
+            return u - (np.log(tail) - np.log1p(-np.exp(-th))) / th
+        # the log1p argument is positive for theta < 0 and at least e^-2 - 1 otherwise
+        return -np.log1p(np.expm1(-th * u) ** 2 / np.expm1(-th)) / th
 
     def upper_pair(self, v):
-        th = self.theta
-        if th == 0.0:
-            return v * v
-        if th < 0.0:
-            # Frank is radially symmetric, so the corner is C(v, v); its
-            # log1p argument is positive for theta < 0, so nothing cancels
-            return -np.log1p(np.expm1(-th * v) ** 2 / np.expm1(-th)) / th
-        s = -2.0 * np.log1p(-np.expm1(th * v) / np.expm1(th))  # 2 psi(1 - v)
-        return 2.0 * v - np.log1p(-np.expm1(-s) * np.expm1(th)) / th  # 2v - (1 - psi_inv(s))
+        # Frank is radially symmetric, so the corner is C(v, v)
+        return self.diagonal(v)
 
-    def frailty(self, rng, n):
-        if self.theta == 0.0:
-            return np.ones(n)
-        return rng.logseries(-math.expm1(-self.theta), n).astype(float)
+    def log_frailty(self, rng, n):
+        """n draws of log V for the logarithmic frailty ``P(V = k) = p^k / (k
+        theta)``, ``p = 1 - e^-theta``.  p rounds to 1 from theta = 37 on and
+        V passes the largest double near theta = 710, so V is drawn in logs by
+        Kemp's (1981) LK algorithm from ``log(1 - p) = -theta`` itself: with R,
+        W uniform and ``q = 1 - e^(-theta W)``, V is 1 if R >= q, 2 if
+        q^2 <= R < q, and else ``floor(1 + log R / log q)``."""
+        log_r = np.log1p(-rng.random(n))  # R in (0, 1]
+        a = self.theta * rng.random(n)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_q = np.where(a < math.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
+            # -log q = e^-a (1 + e^-a / 2 + ...), which is e^-a to double precision from a = 40
+            neg_log_q = np.where(a > 40.0, np.exp(-a), -log_q)
+            many = np.where(a > 700.0, np.log(-log_r) + a, np.log(np.floor(1.0 - log_r / neg_log_q)))
+        return np.where(log_r >= log_q, 0.0, np.where(log_r >= 2.0 * log_q, math.log(2.0), many))
+
+    def sample(self, rng, n, d):
+        """``psi_inv(E / V)`` in logs, from ``log V``."""
+        th = self.theta
+        if th == 0.0:  # independence: V = 1 and psi_inv(s) = e^-s
+            return np.exp(-rng.exponential(1.0, (n, d)))
+        log_v = self.log_frailty(rng, n)
+        with np.errstate(divide="ignore"):
+            log_s = np.log(rng.exponential(1.0, (n, d))) - log_v[:, None]
+            s = np.exp(log_s)
+            # psi_inv(s) = -log(1 + x) / theta with 1 + x = 1 - e^-s (1 - e^-theta); where
+            # 1 + x < 1/2 its digits are in the positive terms -expm1(-s) + e^(-s - theta)
+            x = np.exp(-s) * math.expm1(-th)
+            log_one_less = np.where(log_s < -700.0, log_s, np.log(-np.expm1(-s)))  # log(1 - e^-s)
+            return -np.where(x >= -0.5, np.log1p(x), np.logaddexp(log_one_less, -s - th)) / th
 
 
 class _AliMikhailHaq(_ArchGenerator):
@@ -505,15 +590,11 @@ class ArchimedeanModel(DependenceModel):
                 f"no frailty construction for {self.family} with theta={self.theta}; "
                 "sampling supports the non-negative-association range only"
             )
-        n = _dimension(size, "size", least=0)
-        v = self._gen.frailty(rng, n)
-        e = rng.exponential(1.0, (n, self._d))
-        return self._gen.psi_inv(e / v[:, None])
+        return self._gen.sample(rng, _dimension(size, "size", least=0), self._d)
 
     def diagonal(self, u: float) -> float:
         """Copula diagonal ``C(u, u)``."""
-        u = self.check_threshold(u)
-        return float(self._gen.psi_inv(2.0 * self._gen.psi(u)))
+        return float(self._gen.diagonal(self.check_threshold(u)))
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         self._check_index(i)

@@ -559,6 +559,31 @@ class TestCommandLine:
         assert all(r["ratio_strict"] > 0.0 and r["ratio_relaxed"] > 0.0 for r in rows)
 
     @pytest.mark.parametrize(
+        "family, theta, estimator, u, union",
+        [
+            # numpy's logseries once raised (exit 1): its p = 1 - e^-theta rounds to 1 from theta = 37
+            ("frank", 40, "cmc", 0.3, 0.7274651536),
+            # the Gamma(1/theta) frailty once underflowed to 0 and cmc read 0.299
+            ("clayton", 2000, "cmc", 0.3, 0.7001647466),
+            # the pair layer once read 0.4 (u^-theta overflowed) and alpha2 printed 1.197
+            ("clayton", 2000, "alpha2", 0.3, 0.7001647466),
+            # expm1(theta) once overflowed to a nan pair layer above u = 1/2, and psi
+            # once rounded to 0 below it, an inf layer
+            ("frank", 800, "alpha2", 0.7, 0.3013732654),
+            ("frank", 100, "alpha2", 0.49, 0.5209861229),
+        ],
+    )
+    def test_archimedean_large_theta_estimates(self, family, theta, estimator, u, union):
+        # union: 1 - psi_inv(3 psi(u)), the d = 3 union, at 900 digits (mpmath)
+        model = json.dumps({"type": "archimedean", "family": family, "theta": theta, "d": 3})
+        proc = run_cli("estimate", "--model", model, "--estimator", estimator, "--gamma", str(u),
+                       "--replicates", "20000", "--seed", "3")
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert 0.0 <= out["estimate"] <= 1.0
+        assert abs(out["estimate"] - union) <= 5 * out["stderr"], out
+
+    @pytest.mark.parametrize(
         "model, gammas",
         [('{"type":"normal","d":2,"rho":0.5}', "1,2,40"), ('{"type":"laplace","d":3}', "1000")],
         ids=["normal", "laplace"],

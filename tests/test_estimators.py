@@ -26,6 +26,8 @@ from rareunion import (
     oracle_union_normal_equicorr,
     run_estimator,
 )
+from rareunion import samplers
+from rareunion.special import norm_sf
 
 
 def rng_for(tag):
@@ -441,3 +443,64 @@ class TestLayersAndLaws:
         assert r.estimate == m.marginal_survival(0, 1.0)
         r = estimate_beta_n(m, 1.0, 2, Payoff.constant_one(), 100, 1)
         assert r.estimate == 0.0 and r.replicates == 0
+
+
+class TestLeadingColumns:
+    """A partition cell whose payoff reads no coordinate reads only X_0..X_k
+    for its last event k, so on a Gaussian model it draws those columns."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        # one pool thread, so the (chunk, stratum) units run in stratum order
+        monkeypatch.setenv("RARE_UNION_THREADS", "1")
+        seen = []
+        rows = samplers.gaussian_rows
+
+        def counting(model, rng, n, *args, **kwargs):
+            seen.append(model.d)
+            return rows(model, rng, n, *args, **kwargs)
+
+        monkeypatch.setattr(samplers, "gaussian_rows", counting)
+        return seen
+
+    def test_gaussian_beta1_alpha_cell_k_draws_k_plus_one_columns(self, widths):
+        m = NormalModel(0.5 ** np.abs(np.subtract.outer(np.arange(8), np.arange(8))))
+        run_estimator("beta1_alpha", m, 1.0, 700, 1)
+        assert widths == list(range(2, 9))  # cell 0 is the exact head
+        widths.clear()
+        estimate_beta_n(m, 1.0, 1, Payoff.constant_one(), 800, 1)
+        assert widths == list(range(1, 9))
+
+    def test_order_two_cells_on_leading_laws_match_the_one_factor_truth(self, widths):
+        # P(E >= 2) on the equicorrelated normal: given the common factor z the
+        # events are independent with probability p(z), so E is binomial
+        d, rho, gamma = 4, 0.5, 1.5
+        z = np.linspace(-12.0, 12.0, 24_001)
+        p = norm_sf((gamma - math.sqrt(rho) * z) / math.sqrt(1.0 - rho))
+        at_least_two = 1.0 - (1.0 - p) ** d - d * p * (1.0 - p) ** (d - 1)
+        truth = np.sum(np.exp(-z * z / 2.0) * at_least_two) * (z[1] - z[0]) / math.sqrt(2.0 * math.pi)
+        r = estimate_beta_n(NormalModel.equicorrelated(d, rho), gamma, 2, Payoff.constant_one(), 60_000, 5)
+        assert widths == [2, 3, 4, 3, 4, 4]  # cell (i, j), in lexicographic order, draws X_0..X_j
+        assert abs(r.estimate - truth) < 4 * r.stderr, (r.estimate, truth, r.stderr)
+
+    @pytest.mark.parametrize("run", [
+        lambda m: run_estimator("beta2_alpha", m, 1.0, 280, 1),  # its payoff reads every column's event
+        lambda m: estimate_beta_n(m, 1.0, 1, Payoff.custom(lambda x, p: x[:, -1] > 0.0), 800, 1),
+        lambda m: run_estimator("alpha1_is", m, 1.0, 800, 1),
+    ], ids=["beta2_alpha", "custom_last_column", "alpha1_is"])
+    def test_payoffs_that_read_coordinates_draw_every_column(self, widths, run):
+        run(NormalModel.equicorrelated(8, 0.5))
+        assert widths and set(widths) == {8}
+
+    @pytest.mark.parametrize("cls, arg", [(LaplaceModel, 4), (FinitePatternModel, random_finite(12, 4).pmf)],
+                             ids=["laplace", "finite"])
+    def test_other_models_draw_every_column(self, cls, arg):
+        seen = []
+
+        class Recording(cls):
+            def exceedance_patterns(self, x, gamma):
+                seen.append(x.shape[1])
+                return super().exceedance_patterns(x, gamma)
+
+        run_estimator("beta1_alpha", Recording(arg), 1.0, 300, 1)
+        assert seen == [4, 4, 4]

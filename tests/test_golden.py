@@ -20,7 +20,11 @@ Every row on a normal model whose estimator reads a marginal tail
 probability was recorded again when the package's own erfc/ndtri kernels
 replaced scipy.special's: those rows moved by at most 5.4e-16 relative,
 because the marginal tails moved by an ulp or two, each closer to 40-digit
-mpmath.  A numpy release that changes the streams changes them too.
+mpmath.  The two ``beta1_alpha`` rows on ``normal`` were recorded again
+when a Gaussian partition cell k began to draw only ``X_0..X_k``, the
+columns its value reads: a shorter normal draw per row moves the stream.
+They sit 0.67 and -0.41 s.e. from the QMC oracle 0.15343808804.  A numpy
+release that changes the streams changes them too.
 """
 
 import numpy as np
@@ -68,8 +72,8 @@ GOLDEN = {
     ('alpha1_is', 'normal', 2000, 2024): ('0x1.3914bbea69071p-3', '0x1.c2c364393f2aap-5', 2000, False),
     ('alpha2_is', 'normal', 2000, 11): ('0x1.3b1797a4269aep-3', '0x1.2b3e62feee9c2p-7', 2000, False),
     ('alpha2_is', 'normal', 2000, 2024): ('0x1.3a490d2f2da39p-3', '0x1.29e2faf5ba4dbp-7', 2000, False),
-    ('beta1_alpha', 'normal', 2000, 11): ('0x1.3eee1acd0f1cap-3', '0x1.6fe6730a7369dp-5', 1000, False),
-    ('beta1_alpha', 'normal', 2000, 2024): ('0x1.385cd8af233a6p-3', '0x1.6faf5b0e43e8cp-5', 1000, False),
+    ('beta1_alpha', 'normal', 2000, 11): ('0x1.3c319495ecd3bp-3', '0x1.703e08360c467p-5', 1000, False),
+    ('beta1_alpha', 'normal', 2000, 2024): ('0x1.390bfa3cebcc9p-3', '0x1.6d4a3ecd95ecfp-5', 1000, False),
     ('beta2_alpha', 'normal', 2000, 11): ('0x1.381073442c697p-3', '0x1.045221f3f9361p-6', 667, False),
     ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3b8d69bbf65d8p-3', '0x1.fcc07dc13772ap-7', 667, False),
     ('cmc', 'laplace', 2000, 11): ('0x1.45a1cac083127p-3', '0x1.768bc4103c8a1p-2', 2000, False),
@@ -104,7 +108,10 @@ def test_bit_identical_to_recorded_values(case):
 # and were recorded again when it moved to the batched Gauss-Kronrod rule;
 # the conditioning rows were recorded again when Gaussian conditionals moved
 # to kriging, and every row but cmc when the package's own special functions
-# replaced scipy's (at most 1.3e-15 relative).  131,073 replicates are chunks
+# replaced scipy's (at most 1.3e-15 relative).  The beta1_alpha row was
+# recorded again when its cell k began to draw only X_0..X_k; it sits 2.6 s.e.
+# from the Markov-recursion value 0.0019921269445957 (the mean z of 20 fresh
+# 4e5-replicate runs is -0.46 +- 0.22).  131,073 replicates are chunks
 # of 65,536 + 65,536 + 1, so the last chunk is a 1-row draw; beta2_alpha's
 # 65,537 sweeps on equicorr4 end in a 1-row chunk too.  The toeplitz16 pair
 # rows condition on non-adjacent columns; its beta2_alpha runs 1,093 sweeps
@@ -121,7 +128,7 @@ MULTI_CHUNK = {
     ("cmc", "toeplitz64", 131073): ("0x1.07ff7c0041ffep-9", "0x1.6f481502327e5p-5"),
     ("alpha1", "toeplitz64", 131073): ("0x1.04ad7bd4aebfep-9", "0x1.94c389b681dc7p-8"),
     ("alpha1_is", "toeplitz64", 131073): ("0x1.0513724f15dfdp-9", "0x1.86f47e864e2fdp-13"),
-    ("beta1_alpha", "toeplitz64", 131073): ("0x1.05197ab994b59p-9", "0x1.0edd0eadb11f0p-15"),
+    ("beta1_alpha", "toeplitz64", 131073): ("0x1.055ad87543afdp-9", "0x1.0de348e004548p-15"),
     ("alpha2_is", "equicorr4", 393222): ("0x1.cd7df0ba96f2bp-5", "0x1.445a790e2bc1dp-7"),
     ("beta2_alpha", "equicorr4", 393222): ("0x1.cdefade1f6b6cp-5", "0x1.ac9e5609c2ce6p-7"),
     ("alpha2_is", "toeplitz16", 131073): ("0x1.05883210dd194p-11", "0x1.486ee84101667p-21"),

@@ -264,6 +264,58 @@ class TestNormalModel:
         assert abs(corr) < 0.03
 
 
+def toeplitz(d, phi=0.5):
+    return phi ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+
+
+class TestLeadingLaw:
+    """``leading(c)``: the law of the first c coordinates, which a draw whose
+    value reads no later column takes in place of the whole model."""
+
+    def test_normal_leading_blocks_are_the_parent_blocks(self):
+        m = NormalModel(toeplitz(8), np.linspace(-1.0, 1.0, 8))
+        for c in range(1, 8):
+            law = m.leading(c)
+            assert isinstance(law, NormalModel) and law.d == c
+            assert law.mu.tobytes() == m.mu[:c].tobytes()
+            assert law.sigma.tobytes() == np.ascontiguousarray(m.sigma[:c, :c]).tobytes()
+            assert law.chol.tobytes() == np.ascontiguousarray(m.chol[:c, :c]).tobytes()
+            assert law.correlation(0, c - 1) == m.correlation(0, c - 1)
+        assert m.leading(8) is m
+
+    @pytest.mark.parametrize("model", [LaplaceModel(4), ArchimedeanModel("clayton", 2.0, 4),
+                                       FinitePatternModel(np.full(16, 1 / 16))],
+                             ids=["laplace", "archimedean", "finite"])
+    def test_other_models_draw_every_column(self, model):
+        assert model.leading(2) is model
+
+    @pytest.mark.parametrize("c", [0, 9, 2.5])
+    def test_column_count_out_of_range(self, c):
+        with pytest.raises(ModelSpecError):
+            NormalModel(toeplitz(8)).leading(c)
+
+    def test_leading_conditional_moments(self):
+        # X_0..X_k given X_k > gamma, with gain g_j = S_jk / S_kk: mean
+        # mu_j + g_j (E[X_k | X_k > gamma] - mu_k) and variance
+        # S_jj - g_j S_jk + g_j^2 Var(X_k | X_k > gamma)
+        m = NormalModel(toeplitz(16), np.linspace(-0.5, 0.5, 16))
+        k, gamma, n = 9, 1.0, 1 << 18
+        x = m.leading(k + 1).conditional_given_exceedance(k, gamma).draw(rng_for("leading"), n)
+        assert x.shape == (n, k + 1) and (x[:, k] > gamma).all()
+        sd = math.sqrt(m.sigma[k, k])
+        t = (gamma - m.mu[k]) / sd
+        hazard = math.exp(-t * t / 2) / math.sqrt(2 * math.pi) / norm_sf(t)
+        gain = m.sigma[:k + 1, k] / m.sigma[k, k]
+        mean = m.mu[:k + 1] + gain * sd * hazard
+        tail_var = sd**2 * (1 + t * hazard - hazard**2)
+        var = np.diag(m.sigma)[:k + 1] - gain * m.sigma[:k + 1, k] + gain**2 * tail_var
+        centred = x - x.mean(axis=0)
+        se_mean = x.std(axis=0, ddof=1) / math.sqrt(n)
+        se_var = np.sqrt(((centred**2 - centred.var(axis=0)) ** 2).mean(axis=0) / n)
+        assert (np.abs(x.mean(axis=0) - mean) < 4 * se_mean).all(), (x.mean(axis=0) - mean) / se_mean
+        assert (np.abs(x.var(axis=0) - var) < 4 * se_var).all(), (x.var(axis=0) - var) / se_var
+
+
 class TestLaplaceModel:
     def test_marginal_closed_form(self):
         m = LaplaceModel(4)
@@ -331,16 +383,39 @@ class TestArchimedeanModel:
 
     @pytest.mark.parametrize(
         "family,theta",
-        [("clayton", 2.0), ("gumbel", 2.5), ("frank", 3.0), ("amh", 0.6)],
+        # at theta = 2000 a Gamma(1/theta) frailty once underflowed to 0 in 70 %
+        # of rows and the stable frailty was nan in 30 %, and Frank's
+        # logarithmic frailty once raised from theta = 37 on
+        [("clayton", 2.0), ("gumbel", 2.5), ("frank", 3.0), ("amh", 0.6),
+         ("clayton", 2000.0), ("frank", 40.0), ("frank", 800.0), ("gumbel", 2000.0)],
     )
     def test_sampled_pair_frequency_matches_diagonal(self, family, theta):
         m = ArchimedeanModel(family, theta, 3)
         u = m.sample(rng_for(f"arch-{family}"), 200_000)
-        level = 0.85
-        p = m.pair_survival(0, 1, level)
-        emp = ((u[:, 0] > level) & (u[:, 1] > level)).mean()
-        se = math.sqrt(p * (1 - p) / u.shape[0])
-        assert abs(emp - p) < 4 * se
+        # the lower level sees rows of a tiny frailty, whose coordinates lie below 0.71
+        for level in (0.3, 0.85):
+            p = m.pair_survival(0, 1, level)
+            emp = ((u[:, 0] > level) & (u[:, 1] > level)).mean()
+            se = math.sqrt(p * (1 - p) / u.shape[0])
+            assert abs(emp - p) < 4 * se, level
+
+    @pytest.mark.parametrize("theta", [0.5, 3.0, 40.0])
+    def test_frank_frailty_is_logarithmic(self, theta):
+        # P(V = k) = p^k / (k theta) with p = 1 - e^-theta
+        v = np.exp(ArchimedeanModel("frank", theta, 2)._gen.log_frailty(rng_for(f"log-{theta}"), 400_000))
+        p = -math.expm1(-theta)
+        for k in (1, 2, 3, 5):
+            want = p**k / (k * theta)
+            se = math.sqrt(want * (1 - want) / v.size)
+            assert abs((np.round(v) == k).mean() - want) < 4 * se, k
+
+    def test_clayton_keeps_the_textbook_draw_where_it_is_exact(self):
+        # no frailty below the underflow guard: the stream and bits of psi_inv(E / V)
+        m = ArchimedeanModel("clayton", 2.0, 3)
+        rng = rng_for("clayton-stream")
+        v = rng.gamma(0.5, 2.0, 1000)
+        want = (1.0 + 2.0 * (rng.exponential(1.0, (1000, 3)) / v[:, None])) ** -0.5
+        assert m.sample(rng_for("clayton-stream"), 1000).tobytes() == want.tobytes()
 
     def test_independence_members(self):
         for family, theta in [("clayton", 0.0), ("gumbel", 1.0), ("frank", 0.0), ("amh", 0.0)]:
@@ -372,7 +447,7 @@ def _mp_pair_survival(family, theta, u):
     """``1 - 2u + C(u, u)`` at 50 digits, from the textbook generators."""
     import mpmath as mp
 
-    mp.mp.dps = 50
+    mp.mp.dps = 50 + int(abs(theta) / 2)  # Frank's e^-theta terms need theta / ln 10 digits
     u, th = mp.mpf(u), mp.mpf(theta)
     psi, psi_inv = {
         "clayton": (lambda t: (t**-th - 1) / th, lambda s: max(1 + th * s, 0) ** (-1 / th)),
@@ -420,6 +495,22 @@ class TestArchimedeanPairTail:
         for u in (0.5, 0.6, 0.9, 1.0 - 1e-6):
             want = _mp_pair_survival("clayton", 2000.0, u)
             assert float(abs(m.pair_survival(0, 1, u) - want) / want) <= 1e-14, u
+
+    @pytest.mark.parametrize("family,theta", [("clayton", 200.0), ("clayton", 2000.0), ("gumbel", 2000.0),
+                                              ("frank", 37.0), ("frank", 100.0), ("frank", 800.0),
+                                              ("frank", 5000.0)])
+    def test_large_theta_layers_match_mpmath(self, family, theta):
+        # below u = 1/2, Clayton's u^-theta and Gumbel's (-log u)^theta once overflowed
+        # (Clayton theta = 2000 read 0.4 at u = 0.3, not 0.7) and Frank's psi once
+        # rounded to 0 from theta = 37 (inf); above it expm1(theta) overflowed from 710 (nan)
+        m = ArchimedeanModel(family, theta, 2)
+        for u in (0.1, 0.3, 0.45, 0.49, 0.5, 0.6, 0.7, 0.9, 1 - 1e-4, 1 - 1e-7, 1 - 1e-10):
+            got, want = m.pair_survival(0, 1, u), _mp_pair_survival(family, theta, u)
+            assert math.isfinite(got) and 0.0 < got <= 1.0, (u, got)
+            assert float(abs(got - want) / want) * min(1.0, 10 * (1 - u)) <= 1e-14, (u, got, float(want))
+            diagonal = m.diagonal(u)
+            assert math.isfinite(diagonal) and 0.0 < diagonal <= u, (u, diagonal)
+            assert float(abs(diagonal - (want - 1 + 2 * u)) / u) <= 1e-14, (u, diagonal)
 
     def test_bonferroni_order_deep_in_the_tail(self):
         # the second bound once exceeded the first: 4.00000022e-08 > 4.00000002e-08
