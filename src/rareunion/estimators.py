@@ -102,11 +102,11 @@ class Payoff:
     is the alternating binomial sum ``sum_{i<=m} (-1)^i C(E, i)`` of the
     exceedance count, the payoff that turns a partition estimator into a
     union-probability estimator.  ``custom`` wraps any such function.
-    ``reads_coordinates`` is False only for ``constant_one``, whose value
-    reads no column of x or of the patterns.
+    ``constant_one`` alone reads no column of x or of the patterns, so a
+    partition cell with it draws only the columns its constraint reads.
     """
 
-    reads_coordinates = True
+    _reads_coordinates = True
 
     def __init__(self, fn: Callable):
         if not callable(fn):
@@ -116,7 +116,7 @@ class Payoff:
     @staticmethod
     def constant_one() -> "Payoff":
         payoff = Payoff(lambda x, patterns: np.ones(patterns.shape[0]))
-        payoff.reads_coordinates = False
+        payoff._reads_coordinates = False
         return payoff
 
     @staticmethod
@@ -289,7 +289,7 @@ def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0, first: int
         cells = (ev.partition_cells(lay.d, n) if n <= lay.d else [])[first:]
         weights = (lay.margs if n == 1 else lay.pairs)[first:]
         strata = [(w, [(w, cell.events)]) for w, cell in zip(weights, cells)]
-        columns = None if payoff.reads_coordinates else [max(cell.events) + 1 for cell in cells]
+        columns = None if payoff._reads_coordinates else [max(cell.events) + 1 for cell in cells]
         return _Estimator(
             head(lay), strata, lambda k, x, p: payoff.values(x, p) * cells[k].blocked_clear(p), columns
         )
