@@ -331,8 +331,8 @@ class _ArchGenerator:
     ``P(U_1 > 1 - v, U_2 > 1 - v)`` for v up to 1/2, written per family in
     ``v`` itself, so that no small value is rounded against 1.  Where the
     textbook forms overflow or round to a constant at large theta, a family
-    writes its ``diagonal`` and its ``sample`` in forms that do not; Gumbel
-    and Frank write both, and need no ``psi`` of their own.
+    writes its ``diagonal`` and its ``sample`` in forms that do not; Clayton,
+    Gumbel and Frank write both, and Gumbel and Frank need no ``psi``.
     """
 
     name = ""
@@ -371,48 +371,39 @@ class _Clayton(_ArchGenerator):
             base = np.maximum(base, 0.0)
         return np.power(base, -1.0 / th)
 
+    def _log_diagonal(self, lu):
+        """For theta > 0, ``log C(u, u) = log u - log(2 - u^theta) / theta``
+        from ``lu = log u``, which cannot overflow."""
+        return lu - np.log1p(-np.expm1(self.theta * lu)) / self.theta
+
     def diagonal(self, u):
-        th = self.theta
-        if th > 0.0:  # log C(u, u) = log u - log(2 - u^theta) / theta, which cannot overflow
-            lu = np.log(u)
-            return np.exp(lu - np.log1p(-np.expm1(th * lu)) / th)
+        if self.theta > 0.0:
+            return np.exp(self._log_diagonal(np.log(u)))
         return super().diagonal(u)
 
     def upper_pair(self, v):
         th, lu = self.theta, np.log1p(-v)  # lu = log u
         if th == 0.0:
             return v * v
-        if th > 0.0:  # log C(u, u) = log u - log(2 - u^theta) / theta, which cannot overflow
-            return 2.0 * v + np.expm1(lu - np.log1p(-np.expm1(th * lu)) / th)
+        if th > 0.0:
+            return 2.0 * v + np.expm1(self._log_diagonal(lu))
         e2 = 2.0 * np.expm1(-th * lu)  # 2 u^-theta - 2, in [-1, 0)
         if e2 <= -1.0:  # the generator's zero (theta = -1 at v = 1/2): C(u, u) = 0
             return 2.0 * v - 1.0
         return 2.0 * v + np.expm1(-np.log1p(e2) / th)
 
-    def frailty(self, rng, n):
-        if self.theta == 0.0:
-            return np.ones(n)
-        # Laplace transform of Gamma(1/theta, scale=theta) is (1 + theta s)^(-1/theta)
-        return rng.gamma(1.0 / self.theta, self.theta, n)
-
-    # A frailty V = theta G with G below this has lost bits or underflowed to 0,
-    # which happens with probability about LOW^(1/theta): 3 % at theta = 200
-    LOW = 1e-300
-
     def sample(self, rng, n, d):
+        """``psi_inv(E / V) = (1 + E / G)^(-1/theta)`` with ``V = theta G``,
+        G ~ Gamma(1/theta), whose Laplace transform is psi_inv.  At large
+        theta G underflows, so it is drawn in logs as ``Gamma(1 + 1/theta)
+        U^theta`` with U uniform, and the row is finished in logs."""
         th = self.theta
-        v = self.frailty(rng, n)
-        e = rng.exponential(1.0, (n, d))
-        low = np.flatnonzero(v < th * self.LOW)
-        with np.errstate(divide="ignore", over="ignore"):
-            u = self.psi_inv(e / v[:, None])
-        if low.size:
-            # Below LOW the Gamma(1/theta) density is g^(1/theta - 1) up to
-            # e^-g = 1 - 1e-300, so given G < LOW, G = LOW W^theta with W
-            # uniform; the row is then drawn in logs, where nothing underflows
-            log_v = math.log(th * self.LOW) + th * np.log1p(-rng.random(low.size))
-            u[low] = np.exp(-np.logaddexp(0.0, np.log(th * e[low]) - log_v[:, None]) / th)
-        return u
+        if th == 0.0:  # independence: V = 1
+            return np.exp(-rng.exponential(1.0, (n, d)))
+        log_g = np.log(rng.gamma(1.0 + 1.0 / th, 1.0, n)) + th * np.log1p(-rng.random(n))
+        with np.errstate(divide="ignore"):  # E = 0 gives U = 1
+            log_e = np.log(rng.exponential(1.0, (n, d)))
+        return np.exp(-np.logaddexp(0.0, log_e - log_g[:, None]) / th)
 
 
 class _GumbelHougaard(_ArchGenerator):
@@ -478,9 +469,7 @@ class _Frank(_ArchGenerator):
         a = self.theta * rng.random(n)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_q = np.where(a < math.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
-            # -log q = e^-a (1 + e^-a / 2 + ...), which is e^-a to double precision from a = 40
-            neg_log_q = np.where(a > 40.0, np.exp(-a), -log_q)
-            many = np.where(a > 700.0, np.log(-log_r) + a, np.log(np.floor(1.0 - log_r / neg_log_q)))
+            many = np.where(a > 700.0, np.log(-log_r) + a, np.log(np.floor(1.0 - log_r / -log_q)))
         return np.where(log_r >= log_q, 0.0, np.where(log_r >= 2.0 * log_q, math.log(2.0), many))
 
     def sample(self, rng, n, d):
