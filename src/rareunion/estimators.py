@@ -47,10 +47,18 @@ spreads.  The calling thread adds the weighted values in stratum order and
 merges chunk statistics in chunk order, so results are bit-identical for a
 given (model, gamma, replicates, seed) and any thread count.  Called from a
 pool thread, as in a table cell, the runner works inline.
+
+Every draw takes the stratum's value function as ``_per_row`` and returns
+the replicate values.  A Gaussian draw evaluates each row block of at most
+``samplers.ROW_BLOCK`` rows as soon as it is drawn, so its unit holds the
+values plus block-sized scratch, never the whole sample; the other models'
+draws are evaluated whole.  Each value reads only its own row, so the
+values are those of the whole draw, bit for bit.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import operator
@@ -101,7 +109,10 @@ class Payoff:
     ``constant_one`` recovers plain probabilities.  ``residual_alternating(m)``
     is the alternating binomial sum ``sum_{i<=m} (-1)^i C(E, i)`` of the
     exceedance count, the payoff that turns a partition estimator into a
-    union-probability estimator.  ``custom`` wraps any such function.
+    union-probability estimator.  ``custom`` wraps any such function.  The
+    runner calls it on blocks of rows as they are drawn, at most
+    ``samplers.ROW_BLOCK`` rows of a Gaussian model at a time, so it must
+    return one value per row and read only that row.
     ``constant_one`` alone reads no column of x or of the patterns, so a
     partition cell with it draws only the columns its constraint reads.
     """
@@ -334,11 +345,23 @@ def _check_order(n: int) -> int:
 
 
 def _sampler(model: DependenceModel, gamma: float, events: tuple):
+    """The draw of one law, as a function of ``(rng, size, _per_row)``."""
     if not events:
-        return model.sample
-    if len(events) == 1:
-        return model.conditional_given_exceedance(events[0], gamma).draw
-    return model.conditional_given_pair_exceedance(*events, gamma).draw
+        draw = model.sample
+    elif len(events) == 1:
+        draw = model.conditional_given_exceedance(events[0], gamma).draw
+    else:
+        draw = model.conditional_given_pair_exceedance(*events, gamma).draw
+    if _takes_per_row(getattr(draw, "__func__", draw)):
+        return draw
+    return lambda rng, size, _per_row: _per_row(draw(rng, size))  # a model of the user's own
+
+
+@lru_cache(maxsize=256)
+def _takes_per_row(fn) -> bool:
+    """Whether a draw takes ``_per_row``, as every draw of the package does;
+    the draw of a user's own ``DependenceModel`` subclass may not."""
+    return "_per_row" in inspect.signature(fn).parameters
 
 
 def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int) -> EstimateResult:
@@ -368,23 +391,28 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
         draws[k] = [_sampler(law, gamma, e) if w > 0.0 else None for w, e in est.strata[k][1]]
     single = len(est.strata) == 1
 
-    def values(k, draw, rng, count):
-        x = draw(rng, count)
-        return est.value(k, x, model.exceedance_patterns(x, gamma))
-
     def stratum(unit):
         chunk, count, k = unit
         rng = derive_generator(seed, chunk) if single else derive_generator(seed, k + 1, chunk)
+
+        def value(x):  # a draw hands its rows over block by block and keeps only these values
+            return est.value(k, x, model.exceedance_patterns(x, gamma))
+
         if len(draws[k]) == 1:  # one law: no pick
-            z = values(k, draws[k][0], rng, count)
+            z = draws[k][0](rng, count, _per_row=value)
         else:
             z = np.empty(count)
             picked = rng.choice(len(draws[k]), size=count, p=picks[k])
+            # each law's rows in ascending order, from one stable sort instead of a
+            # scan per law; law indices of the smallest unsigned type sort by radix
+            picked = picked.astype(np.min_scalar_type(len(draws[k]) - 1))
+            order = np.argsort(picked, kind="stable")
+            bounds = np.searchsorted(picked[order], np.arange(len(draws[k]) + 1))
             for j, draw in enumerate(draws[k]):
-                sel = np.where(picked == j)[0]
+                sel = order[bounds[j]:bounds[j + 1]]
                 if sel.size:
-                    z[sel] = values(k, draw, rng, sel.size)
-        z *= est.strata[k][0]  # every value function returns a new float array
+                    z[sel] = draw(rng, sel.size, _per_row=value)
+        z *= est.strata[k][0]  # every draw returns a new float array of values
         return z
 
     # the units come back chunk by chunk, in stratum order; each takes the running

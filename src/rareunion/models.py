@@ -66,8 +66,16 @@ class DependenceModel(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def sample(self, rng, size) -> np.ndarray:
-        """``size`` draws, one row each (shape ``(size, d)``)."""
+    def sample(self, rng, size, _per_row=None) -> np.ndarray:
+        """``size`` draws, one row each (shape ``(size, d)``).
+
+        Every draw of a model or of its conditional handles takes
+        ``_per_row``, a function of rows that returns one value per row and
+        reads only its own row; given one, the draw returns its ``(size,)``
+        values instead of the rows.  A Gaussian draw applies it to each row
+        block as it is drawn (``samplers.gaussian_rows``), the others once
+        to their whole draw.  A subclass whose draws do not take it is
+        evaluated on its whole draws."""
 
     def exceedance_patterns(self, x, gamma) -> np.ndarray:
         """Boolean event indicators for sampled rows ``x`` of shape ``(n, d)``."""
@@ -111,6 +119,11 @@ class DependenceModel(abc.ABC):
         if i == j:
             raise ModelSpecError("pair indices must differ")
         return i, j
+
+
+def _apply(per_row, x: np.ndarray) -> np.ndarray:
+    """A whole non-Gaussian draw ``x``, or the values ``per_row`` gives for it."""
+    return x if per_row is None else per_row(x)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +228,9 @@ class NormalModel(DependenceModel):
         law._sigma, law._chol = self._sigma[:c, :c], self._chol[:c, :c]
         return law
 
-    def sample(self, rng, size) -> np.ndarray:
+    def sample(self, rng, size, _per_row=None) -> np.ndarray:
         """Rows of ``mu + z @ chol.T``, drawn by ``samplers.gaussian_rows``."""
-        return samplers.gaussian_rows(self, rng, _dimension(size, "size", least=0))
+        return samplers.gaussian_rows(self, rng, _dimension(size, "size", least=0), _per_row=_per_row)
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         i = self._check_index(i)
@@ -267,11 +280,12 @@ class LaplaceModel(DependenceModel):
     def d(self) -> int:
         return self._d
 
-    def sample(self, rng, size) -> np.ndarray:
+    def sample(self, rng, size, _per_row=None) -> np.ndarray:
         n = _dimension(size, "size", least=0)
-        r = rng.exponential(1.0, n)
-        y = rng.standard_normal((n, self._d))
-        return np.sqrt(r)[:, None] * y
+        r = rng.exponential(1.0, n)  # every radius before any normal: the draw is not split
+        x = rng.standard_normal((n, self._d))
+        x *= np.sqrt(r)[:, None]
+        return _apply(_per_row, x)
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         self._check_index(i)
@@ -311,8 +325,8 @@ class _LaplaceTail:
         self.i = i
         self.gamma = gamma
 
-    def draw(self, rng, size) -> np.ndarray:
-        return samplers.laplace_conditional_exceedance(self.d, self.i, self.gamma, rng, size)
+    def draw(self, rng, size, _per_row=None) -> np.ndarray:
+        return _apply(_per_row, samplers.laplace_conditional_exceedance(self.d, self.i, self.gamma, rng, size))
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +587,13 @@ class ArchimedeanModel(DependenceModel):
             )
         return u
 
-    def sample(self, rng, size) -> np.ndarray:
+    def sample(self, rng, size, _per_row=None) -> np.ndarray:
         if not self._gen.sampleable.contains(self.theta):
             raise CapabilityError(
                 f"no frailty construction for {self.family} with theta={self.theta}; "
                 "sampling supports the non-negative-association range only"
             )
-        return self._gen.sample(rng, _dimension(size, "size", least=0), self._d)
+        return _apply(_per_row, self._gen.sample(rng, _dimension(size, "size", least=0), self._d))
 
     def diagonal(self, u: float) -> float:
         """Copula diagonal ``C(u, u)``."""
@@ -644,9 +658,9 @@ class FinitePatternModel(DependenceModel):
     def exceedance_patterns(self, x, gamma) -> np.ndarray:
         return np.asarray(x, dtype=float) > 0.5
 
-    def sample(self, rng, size) -> np.ndarray:
+    def sample(self, rng, size, _per_row=None) -> np.ndarray:
         # the pmf as given, not renormalised: the draw sees the model's own p
-        return _FiniteConditional(self, np.arange(self._pmf.size), self._pmf).draw(rng, size)
+        return _FiniteConditional(self, np.arange(self._pmf.size), self._pmf).draw(rng, size, _per_row)
 
     def _given(self, events) -> np.ndarray:
         """The mask of the patterns in which every event in ``events`` occurs."""
@@ -682,9 +696,9 @@ class _FiniteConditional:
         self.indices = indices
         self.probs = probs
 
-    def draw(self, rng, size) -> np.ndarray:
+    def draw(self, rng, size, _per_row=None) -> np.ndarray:
         pick = rng.choice(self.indices.size, size=_dimension(size, "size", least=0), p=self.probs)
-        return self.model.patterns[self.indices[pick]].astype(float)
+        return _apply(_per_row, self.model.patterns[self.indices[pick]].astype(float))
 
 
 # ---------------------------------------------------------------------------

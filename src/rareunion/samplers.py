@@ -8,7 +8,10 @@ functions of their parameters, except the Gaussian conditional law
 (:class:`GaussianConditional`), a handle that holds its model.  All
 Gaussian rows come from one row-block pass, :func:`gaussian_rows`, which
 krigs each block as it is drawn: an unconditional block moved by a
-per-law gain, so no law factors a covariance of its own.
+per-law gain, so no law factors a covariance of its own.  Given a per-row
+function, the pass hands each finished block to it and keeps only the values
+it returns, so an estimator's draw holds O(``ROW_BLOCK`` d) scratch instead
+of its whole sample.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ __all__ = [
 
 # Rows per block of a Gaussian draw.  A block's normals and matrix products
 # live in block-sized buffers, so a draw holds its output plus O(ROW_BLOCK)
-# scratch instead of three whole-size temporaries.
+# scratch instead of three whole-size temporaries; with a per-row function
+# the output is one value per row.
 ROW_BLOCK = 4096
 
 
@@ -113,7 +117,7 @@ def sample_truncated_std_normal(gamma: float, rng, size):
     return _trunc_std_normal_batch(np.full(_dimension(size, "size", least=0), gamma), rng)
 
 
-def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None) -> np.ndarray:
+def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None, _per_row=None) -> np.ndarray:
     """n rows of a Gaussian model, block by block, with the bits of
     ``mu + z @ chol.T`` on one ``(n, d)`` normal draw.
 
@@ -123,12 +127,20 @@ def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None) -> np.nd
     (Hoffman & Ribak 1991), which needs no factor of the conditional
     covariance.  The product reuses the block's normal buffer, and the
     conditioned columns are then exactly ``values``.
+
+    Each finished block is handed to ``_per_row``, a function of one block
+    of rows that returns one value per row and reads only its own row, and
+    the ``(n,)`` values it gives are returned; the rows themselves live in
+    block-sized scratch only, so the draw never holds all n of them.  With
+    no function the ``(n, d)`` rows are returned.
     """
-    x = np.empty((n, model.d))
-    buf = np.empty((min(n, ROW_BLOCK), model.d))
+    rows = _per_row is None
+    out = np.empty((n, model.d) if rows else n)
+    scratch = np.empty((1 if rows else 2, min(n, ROW_BLOCK), model.d))
     chol_t, cols = model.chol.T, list(given)
     for start, stop in row_blocks(n):
-        block, z = x[start:stop], buf[:stop - start]
+        z = scratch[-1, :stop - start]
+        block = out[start:stop] if rows else scratch[0, :stop - start]
         rng.standard_normal(out=z)
         np.matmul(z, chol_t, out=block)
         block += model.mu
@@ -137,7 +149,9 @@ def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None) -> np.nd
             np.matmul(v - block[:, cols], gain.T, out=z)
             block += z
             block[:, cols] = v
-    return x
+        if not rows:
+            out[start:stop] = _per_row(block)
+    return out
 
 
 class GaussianConditional:
@@ -165,14 +179,14 @@ class GaussianConditional:
         if len(given) == 2:
             self._rho = model.correlation(*given)
 
-    def draw(self, rng, size) -> np.ndarray:
+    def draw(self, rng, size, _per_row=None) -> np.ndarray:
         n = _dimension(size, "size", least=0)
         if len(self.given) == 1:
             z = (sample_truncated_std_normal(self._t[0], rng, n),)
         else:
             z = sample_truncated_std_normal_pair(*self._t, self._rho, rng, size=n)
         values = self._mu + self._sd * np.column_stack(z)
-        return gaussian_rows(self.model, rng, n, self.given, values, self.gain)
+        return gaussian_rows(self.model, rng, n, self.given, values, self.gain, _per_row)
 
 
 class _PairLaw:

@@ -67,15 +67,19 @@ def test_every_draw_takes_a_required_size():
 _PAPER = NormalModel.equicorrelated(3, 0.5)
 _FINITE = models.FinitePatternModel(np.full(8, 0.125))
 
-# one call of each concrete entry point above, as a function of ``size``
+# one call of each concrete entry point above, as a function of ``size``; a
+# model's or handle's draw also passes on its keywords (``_per_row``)
 DRAW_CALLS = {
-    "NormalModel.sample": lambda rng, size: _PAPER.sample(rng, size),
-    "LaplaceModel.sample": lambda rng, size: models.LaplaceModel(3).sample(rng, size),
-    "ArchimedeanModel.sample": lambda rng, size: models.ArchimedeanModel("clayton", 2.0, 3).sample(rng, size),
-    "FinitePatternModel.sample": lambda rng, size: _FINITE.sample(rng, size),
-    "GaussianConditional.draw": lambda rng, size: _PAPER.conditional_given_pair_exceedance(0, 1, 2.0).draw(rng, size),
-    "_LaplaceTail.draw": lambda rng, size: models.LaplaceModel(3).conditional_given_exceedance(0, 2.0).draw(rng, size),
-    "_FiniteConditional.draw": lambda rng, size: _FINITE.conditional_given_exceedance(0).draw(rng, size),
+    "NormalModel.sample": lambda rng, size, **kw: _PAPER.sample(rng, size, **kw),
+    "LaplaceModel.sample": lambda rng, size, **kw: models.LaplaceModel(3).sample(rng, size, **kw),
+    "ArchimedeanModel.sample":
+        lambda rng, size, **kw: models.ArchimedeanModel("clayton", 2.0, 3).sample(rng, size, **kw),
+    "FinitePatternModel.sample": lambda rng, size, **kw: _FINITE.sample(rng, size, **kw),
+    "GaussianConditional.draw":
+        lambda rng, size, **kw: _PAPER.conditional_given_pair_exceedance(0, 1, 2.0).draw(rng, size, **kw),
+    "_LaplaceTail.draw":
+        lambda rng, size, **kw: models.LaplaceModel(3).conditional_given_exceedance(0, 2.0).draw(rng, size, **kw),
+    "_FiniteConditional.draw": lambda rng, size, **kw: _FINITE.conditional_given_exceedance(0).draw(rng, size, **kw),
     "sample_truncated_std_normal": lambda rng, size: sample_truncated_std_normal(2.0, rng, size),
     "sample_truncated_std_normal_pair": lambda rng, size: sample_truncated_std_normal_pair(2.0, 1.5, 0.5, rng, size),
     "gibbs_bivariate_truncated": lambda rng, size: gibbs_bivariate_truncated(_PAPER, 0, 1, 2.0, 3, rng, size),
@@ -103,6 +107,36 @@ def test_size_is_a_non_negative_integer(name):
     out = draw(rng_for(name), np.int64(3))
     for part in out if isinstance(out, tuple) else (out,):
         assert len(part) == 3
+
+
+def _row_values(x):
+    """A per-row function that reads only its own row, for the ``_per_row`` draws."""
+    return x[:, 0] * x[:, -1] + x.max(axis=1) - (x > 0.5).sum(axis=1)
+
+
+# the draws of a model or of its conditional handles; the estimators hand each
+# of them the function that turns a row into its replicate value
+PER_ROW_DRAWS = [
+    fn.__qualname__ for fn in DRAW_ENTRY_POINTS if "_per_row" in inspect.signature(fn).parameters
+]
+
+
+def test_every_model_and_handle_draw_takes_a_per_row_function():
+    assert set(PER_ROW_DRAWS) == {
+        "DependenceModel.sample", "NormalModel.sample", "LaplaceModel.sample", "ArchimedeanModel.sample",
+        "FinitePatternModel.sample", "GaussianConditional.draw", "_LaplaceTail.draw", "_FiniteConditional.draw",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(PER_ROW_DRAWS) - {"DependenceModel.sample"}))
+@pytest.mark.parametrize("size", [0, 1, 7])
+def test_per_row_draw_returns_one_value_per_row(name, size):
+    # ``size`` values, the count the benchmark's tracer reads as rows, with
+    # the bits of the function on the whole draw from the same stream
+    draw = DRAW_CALLS[name]
+    got = draw(rng_for(name), size, _per_row=_row_values)
+    assert got.shape == (size,)
+    assert list(map(float.hex, got)) == list(map(float.hex, _row_values(draw(rng_for(name), size))))
 
 
 class TestTruncatedNormal:
@@ -266,21 +300,34 @@ class TestRowBlockedDraws:
     on the same stream, also for a 1-row draw and just past one block."""
 
     D = 64
+    # each size without and with a per-row function
+    SIZES = [pytest.param(n, None, id=str(n)) for n in (1, 2, ROW_BLOCK + 1, 1 << 16)] + [
+        pytest.param(n, _row_values, id=f"{n}-per_row") for n in (1, 2, ROW_BLOCK + 1, 1 << 16)
+    ]
 
     @pytest.fixture(scope="class")
     def model(self):
         lags = np.abs(np.subtract.outer(np.arange(self.D), np.arange(self.D)))
         return NormalModel(0.5**lags, mu=np.linspace(-1.0, 1.0, self.D))
 
-    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK + 1, 1 << 16])
-    def test_sample_matches_plain_expression(self, model, n):
+    @staticmethod
+    def check(got, want, per_row):
+        """With a per-row function, the draw returns its values on each
+        block, which must be its values on the whole expression, bit for bit."""
+        if per_row is None:
+            assert np.array_equal(got, want)
+        else:
+            assert list(map(float.hex, got)) == list(map(float.hex, per_row(want)))
+
+    @pytest.mark.parametrize("n, per_row", SIZES)
+    def test_sample_matches_plain_expression(self, model, n, per_row):
         z = derive_generator(3, n).standard_normal((n, self.D))
         want = model.mu + z @ model.chol.T
-        assert np.array_equal(model.sample(derive_generator(3, n), n), want)
+        self.check(model.sample(derive_generator(3, n), n, _per_row=per_row), want, per_row)
 
     @pytest.mark.parametrize("given", [(5,), (40, 7)])
-    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK + 1, 1 << 16])
-    def test_conditional_draw_matches_plain_expression(self, model, n, given):
+    @pytest.mark.parametrize("n, per_row", SIZES)
+    def test_conditional_draw_matches_plain_expression(self, model, n, given, per_row):
         # the whole-array kriging step: one model draw X moved by
         # (values - X_S) K^T, with K = sigma[:, S] sigma[S, S]^-1
         cols = list(given)
@@ -289,7 +336,8 @@ class TestRowBlockedDraws:
         x = model.mu + derive_generator(5, n).standard_normal((n, self.D)) @ model.chol.T
         want = x + (values - x[:, cols]) @ gain.T
         want[:, cols] = values
-        assert np.array_equal(gaussian_rows(model, derive_generator(5, n), n, given, values, gain), want)
+        got = gaussian_rows(model, derive_generator(5, n), n, given, values, gain, _per_row=per_row)
+        self.check(got, want, per_row)
 
 
 @pytest.mark.parametrize("events", [(2,), (0, 2)])
