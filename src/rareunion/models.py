@@ -16,6 +16,7 @@ anything, so an unsupported law fails before any sampling.
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -365,6 +366,14 @@ class _ArchGenerator:
         return self.psi_inv(rng.exponential(1.0, (n, d)) / v[:, None])
 
 
+@functools.cache
+def _gauss_legendre12():
+    """12-point Gauss-Legendre nodes and weights on [0, 1], made on first use
+    so that ``import rareunion`` does not load ``numpy.polynomial``."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 class _Clayton(_ArchGenerator):
     name = "clayton"
     valid = Interval(-1.0, math.inf)
@@ -396,11 +405,23 @@ class _Clayton(_ArchGenerator):
         return super().diagonal(u)
 
     def upper_pair(self, v):
+        """For theta > 0, with ``f(x) = (1 + x)^(-1/theta)`` and ``a = u^-theta
+        - 1``, ``f(0) = 1``, ``f(a) = u`` and ``f(2a) = C(u, u)``, so the
+        corner is the second difference ``int_0^2a f''(w) min(w, 2a - w) dw``
+        of a positive integrand, which cannot cancel.  Where a <= 1 it is
+        summed by 12-point Gauss-Legendre on [0, a] and [a, 2a], scaled by
+        ``(a / theta)^2``, which stays finite as theta tends to 0; beyond, the
+        corner is not small against v, so ``2v - 1 + C(u, u)`` cancels little."""
         th, lu = self.theta, np.log1p(-v)  # lu = log u
         if th == 0.0:
             return v * v
         if th > 0.0:
-            return 2.0 * v + np.expm1(self._log_diagonal(lu))
+            if -th * lu > math.log(2.0):  # a > 1
+                return 2.0 * v + np.expm1(self._log_diagonal(lu))
+            a = np.expm1(-th * lu)
+            t, wt = _gauss_legendre12()
+            g = lambda w: np.exp(-(1.0 / th + 2.0) * np.log1p(w))  # f''(w) theta^2 / (1 + theta)
+            return (a / th) ** 2 * (1.0 + th) * np.dot(wt, t * g(a * t) + (1.0 - t) * g(a + a * t))
         e2 = 2.0 * np.expm1(-th * lu)  # 2 u^-theta - 2, in [-1, 0)
         if e2 <= -1.0:  # the generator's zero (theta = -1 at v = 1/2): C(u, u) = 0
             return 2.0 * v - 1.0

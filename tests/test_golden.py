@@ -10,7 +10,7 @@ conditioning row on a normal model (``alpha1_is``, ``alpha2_is``,
 ``beta1_alpha``, ``beta2_alpha``) was recorded again when Gaussian
 conditionals moved to kriging, which draws the whole vector from the
 model's own factor and so gives those draws a new random stream.  The
-values also pin numpy's Philox streams under ``SeedSequence`` spawn keys
+values also pin numpy's SFC64 streams under ``SeedSequence`` spawn keys
 and the substream keys: a record of one stratum draws chunk c from
 ``(seed, c)``, and stratum k of several from ``(seed, k + 1, c)``.  The
 ``beta1_alpha`` row on ``normal2`` was recorded again when that rule
@@ -23,9 +23,16 @@ because the marginal tails moved by an ulp or two, each closer to 40-digit
 mpmath.  The two ``beta1_alpha`` rows on ``normal`` were recorded again
 when a Gaussian partition cell k began to draw only ``X_0..X_k``, the
 columns its value reads: a shorter normal draw per row moves the stream.
-They sit 0.67 and -0.41 s.e. from the QMC oracle 0.15343808804.  A numpy
-release that changes the streams changes them too.
+Every sampled row was recorded again when the substreams moved from
+Philox to SFC64, whose normals, exponentials and uniforms are cheaper; the
+law is the same, and the re-recorded rows sit from -1.56 to +1.53 s.e. of
+their truths (``test_every_recorded_row_lies_within_4_se_of_its_truth``),
+where the Philox records reached -4.91 (``alpha2`` on ``normal``, seed 11).
+A numpy release that changes the streams changes them too;
+``tests/test_samplers.py`` pins the first draws of two substreams.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -48,46 +55,46 @@ MODELS = {
 # 2**16 + 500 replicates cross a chunk boundary; the last two rows are the
 # deterministic branches (d=1 beta1_alpha, alpha2_is with q = 0).
 GOLDEN = {
-    ('cmc', 'finite', 2000, 11): ('0x1.e0c49ba5e353fp-1', '0x1.ea4564d10f9f1p-3', 2000, False),
+    ('cmc', 'finite', 2000, 11): ('0x1.e5604189374bcp-1', '0x1.c6d337afe016dp-3', 2000, False),
     ('cmc', 'finite', 2000, 2024): ('0x1.e5a1cac083127p-1', '0x1.c4c0a258ab46ep-3', 2000, False),
-    ('alpha1', 'finite', 2000, 11): ('0x1.ef5c28f5c28f8p-1', '0x1.830d887b0ace7p-1', 2000, False),
-    ('alpha1', 'finite', 2000, 2024): ('0x1.d78d4fdf3b648p-1', '0x1.839533f569eafp-1', 2000, False),
-    ('alpha2', 'finite', 2000, 11): ('0x1.e6a7ef9db22d3p-1', '0x1.9a16066057448p-2', 2000, False),
-    ('alpha2', 'finite', 2000, 2024): ('0x1.ee5604189374ep-1', '0x1.a5246150f4058p-2', 2000, False),
-    ('alpha1_is', 'finite', 2000, 11): ('0x1.e70cf87d9c54cp-1', '0x1.b53cb3f012992p-2', 2000, False),
-    ('alpha1_is', 'finite', 2000, 2024): ('0x1.f0624dd2f1aa2p-1', '0x1.bb9c570cf4d0ap-2', 2000, False),
-    ('alpha2_is', 'finite', 2000, 11): ('0x1.e6e978d4fdf3dp-1', '0x1.4e189004364eap-3', 2000, False),
-    ('alpha2_is', 'finite', 2000, 2024): ('0x1.e37fa89e60f07p-1', '0x1.50ae888ea5bd6p-3', 2000, False),
-    ('beta1_alpha', 'finite', 2000, 11): ('0x1.e51eb851eb852p-1', '0x1.86226c3a44c4ap-2', 1000, False),
-    ('beta1_alpha', 'finite', 2000, 2024): ('0x1.e61e4f765fd8bp-1', '0x1.8ab4c9ff72ef4p-2', 1000, False),
-    ('beta2_alpha', 'finite', 2000, 11): ('0x1.e7211591ec80cp-1', '0x1.20cdcb2fa8007p-2', 667, False),
-    ('beta2_alpha', 'finite', 2000, 2024): ('0x1.ed6c76d3b5637p-1', '0x1.1e7ad929abfadp-2', 667, False),
-    ('cmc', 'normal', 2000, 11): ('0x1.3333333333333p-3', '0x1.6dbb8a5ee2559p-2', 2000, False),
-    ('cmc', 'normal', 2000, 2024): ('0x1.374bc6a7ef9dbp-3', '0x1.6fbab5c2ffa83p-2', 2000, False),
-    ('alpha1', 'normal', 2000, 11): ('0x1.52c88fd33576ap-3', '0x1.93614d717e3f9p-3', 2000, False),
-    ('alpha1', 'normal', 2000, 2024): ('0x1.436c66dd72e75p-3', '0x1.d1c14aef39921p-3', 2000, False),
-    ('alpha2', 'normal', 2000, 11): ('0x1.2f01b56d25273p-3', '0x1.9930a32d6039fp-5', 2000, False),
-    ('alpha2', 'normal', 2000, 2024): ('0x1.3526929c3fc6fp-3', '0x1.2f01b9a24b420p-4', 2000, False),
-    ('alpha1_is', 'normal', 2000, 11): ('0x1.3b4de8f734e25p-3', '0x1.c1edd8215c35ap-5', 2000, False),
-    ('alpha1_is', 'normal', 2000, 2024): ('0x1.3914bbea69071p-3', '0x1.c2c364393f2aap-5', 2000, False),
-    ('alpha2_is', 'normal', 2000, 11): ('0x1.3b1797a4269aep-3', '0x1.2b3e62feee9c2p-7', 2000, False),
-    ('alpha2_is', 'normal', 2000, 2024): ('0x1.3a490d2f2da39p-3', '0x1.29e2faf5ba4dbp-7', 2000, False),
-    ('beta1_alpha', 'normal', 2000, 11): ('0x1.3c319495ecd3bp-3', '0x1.703e08360c467p-5', 1000, False),
-    ('beta1_alpha', 'normal', 2000, 2024): ('0x1.390bfa3cebcc9p-3', '0x1.6d4a3ecd95ecfp-5', 1000, False),
-    ('beta2_alpha', 'normal', 2000, 11): ('0x1.381073442c697p-3', '0x1.045221f3f9361p-6', 667, False),
-    ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3b8d69bbf65d8p-3', '0x1.fcc07dc13772ap-7', 667, False),
-    ('cmc', 'laplace', 2000, 11): ('0x1.45a1cac083127p-3', '0x1.768bc4103c8a1p-2', 2000, False),
-    ('cmc', 'laplace', 2000, 2024): ('0x1.4bc6a7ef9db23p-3', '0x1.79635340a13bcp-2', 2000, False),
-    ('alpha1', 'laplace', 2000, 11): ('0x1.3c06d0d9f256dp-3', '0x1.5bf1b5f826433p-3', 2000, False),
-    ('alpha1', 'laplace', 2000, 2024): ('0x1.4d6f438a131b6p-3', '0x1.08d0339a591c0p-3', 2000, False),
-    ('alpha2', 'laplace', 2000, 11): ('0x1.43e84b0371136p-3', '0x1.6e15161df5ec5p-5', 2000, False),
-    ('alpha2', 'laplace', 2000, 2024): ('0x1.3fcfb78eb4a8cp-3', '0x0.0p+0', 2000, True),
-    ('alpha1_is', 'laplace', 2000, 11): ('0x1.432bad1f64dcep-3', '0x1.43eb4fdf95741p-5', 2000, False),
-    ('alpha1_is', 'laplace', 2000, 2024): ('0x1.431bf6d8042a8p-3', '0x1.458bfa24e0782p-5', 2000, False),
-    ('beta1_alpha', 'laplace', 2000, 11): ('0x1.42d54296d107cp-3', '0x1.0e74124e48ae1p-5', 1000, False),
-    ('beta1_alpha', 'laplace', 2000, 2024): ('0x1.42f4af25926c9p-3', '0x1.0803a72dc2ad9p-5', 1000, False),
-    ('cmc', 'normal2', 66036, 5): ('0x1.06e28d839af56p-2', '0x1.bf50130d5f393p-2', 66036, False),
-    ('beta1_alpha', 'normal2', 66036, 5): ('0x1.04e9dda6c7c61p-2', '0x1.3d8b5fcec6b21p-4', 66036, False),
+    ('alpha1', 'finite', 2000, 11): ('0x1.ecccccccccccfp-1', '0x1.7926cb1c12cf0p-1', 2000, False),
+    ('alpha1', 'finite', 2000, 2024): ('0x1.eac083126e97bp-1', '0x1.7a6e291e4c574p-1', 2000, False),
+    ('alpha2', 'finite', 2000, 11): ('0x1.e000000000002p-1', '0x1.8fc7a2e577589p-2', 2000, False),
+    ('alpha2', 'finite', 2000, 2024): ('0x1.e189374bc6a81p-1', '0x1.923883390fc44p-2', 2000, False),
+    ('alpha1_is', 'finite', 2000, 11): ('0x1.e0c756b2dbd1bp-1', '0x1.ad6e851c8e66fp-2', 2000, False),
+    ('alpha1_is', 'finite', 2000, 2024): ('0x1.ebe76c8b43959p-1', '0x1.b45cffa08666ap-2', 2000, False),
+    ('alpha2_is', 'finite', 2000, 11): ('0x1.e81b4e81b4e84p-1', '0x1.4d0dcc2e79d6bp-3', 2000, False),
+    ('alpha2_is', 'finite', 2000, 2024): ('0x1.e508dfea27986p-1', '0x1.4f96e2d91875cp-3', 2000, False),
+    ('beta1_alpha', 'finite', 2000, 11): ('0x1.ecccccccccccdp-1', '0x1.81f493e72d4b6p-2', 1000, False),
+    ('beta1_alpha', 'finite', 2000, 2024): ('0x1.ea92a30553260p-1', '0x1.854bc28eca543p-2', 1000, False),
+    ('beta2_alpha', 'finite', 2000, 11): ('0x1.e63545c6bc5f9p-1', '0x1.1ab0fdb8a7a91p-2', 667, False),
+    ('beta2_alpha', 'finite', 2000, 2024): ('0x1.eb3c69512314ap-1', '0x1.17a2586035567p-2', 667, False),
+    ('cmc', 'normal', 2000, 11): ('0x1.3020c49ba5e35p-3', '0x1.6c386386f66f4p-2', 2000, False),
+    ('cmc', 'normal', 2000, 2024): ('0x1.395810624dd2fp-3', '0x1.70b82a04ba3c1p-2', 2000, False),
+    ('alpha1', 'normal', 2000, 11): ('0x1.392ef6399bdd1p-3', '0x1.019545fb0ba04p-2', 2000, False),
+    ('alpha1', 'normal', 2000, 2024): ('0x1.2ef18595c4d2dp-3', '0x1.1258e4a9721efp-2', 2000, False),
+    ('alpha2', 'normal', 2000, 11): ('0x1.3c5194a889814p-3', '0x1.82ecc36cd5880p-4', 2000, False),
+    ('alpha2', 'normal', 2000, 2024): ('0x1.406a281d45ebcp-3', '0x1.ab5464966c510p-4', 2000, False),
+    ('alpha1_is', 'normal', 2000, 11): ('0x1.3a0129369e32fp-3', '0x1.c412043e92afdp-5', 2000, False),
+    ('alpha1_is', 'normal', 2000, 2024): ('0x1.3ad3517a5baf2p-3', '0x1.c3e122154e7c4p-5', 2000, False),
+    ('alpha2_is', 'normal', 2000, 11): ('0x1.3acf8b102f032p-3', '0x1.2ad599b9941f2p-7', 2000, False),
+    ('alpha2_is', 'normal', 2000, 2024): ('0x1.39d0f83890fc1p-3', '0x1.28d633467b7eap-7', 2000, False),
+    ('beta1_alpha', 'normal', 2000, 11): ('0x1.3af6583050993p-3', '0x1.7143fb44c77bap-5', 1000, False),
+    ('beta1_alpha', 'normal', 2000, 2024): ('0x1.3839d1f92e504p-3', '0x1.6c3acc9a3dd8fp-5', 1000, False),
+    ('beta2_alpha', 'normal', 2000, 11): ('0x1.39a3b948b92a4p-3', '0x1.0545b065c2957p-6', 667, False),
+    ('beta2_alpha', 'normal', 2000, 2024): ('0x1.3b7f02a9839fcp-3', '0x1.0bd5c854f7fddp-6', 667, False),
+    ('cmc', 'laplace', 2000, 11): ('0x1.3126e978d4fdfp-3', '0x1.6cb9cd439d652p-2', 2000, False),
+    ('cmc', 'laplace', 2000, 2024): ('0x1.3645a1cac0831p-3', '0x1.6f3b73d3e9893p-2', 2000, False),
+    ('alpha1', 'laplace', 2000, 11): ('0x1.4331d2e63c112p-3', '0x1.40bf60007ab96p-3', 2000, False),
+    ('alpha1', 'laplace', 2000, 2024): ('0x1.4644417dc9610p-3', '0x1.296bb70485c95p-3', 2000, False),
+    ('alpha2', 'laplace', 2000, 11): ('0x1.42e2262641f8cp-3', '0x1.3d1db4bf7f51ep-5', 2000, False),
+    ('alpha2', 'laplace', 2000, 2024): ('0x1.40d5dc6be3c38p-3', '0x1.6e5b7d16657e3p-6', 2000, False),
+    ('alpha1_is', 'laplace', 2000, 11): ('0x1.4465eab2f2cc5p-3', '0x1.43a351a82b25dp-5', 2000, False),
+    ('alpha1_is', 'laplace', 2000, 2024): ('0x1.452a512f2b821p-3', '0x1.3ec6bc741532ap-5', 2000, False),
+    ('beta1_alpha', 'laplace', 2000, 11): ('0x1.400281c370fa8p-3', '0x1.0c6a8d1f9ea73p-5', 1000, False),
+    ('beta1_alpha', 'laplace', 2000, 2024): ('0x1.43f0139b9d929p-3', '0x1.061b2c34815d4p-5', 1000, False),
+    ('cmc', 'normal2', 66036, 5): ('0x1.035d6d86161cdp-2', '0x1.bd558d1fb0065p-2', 66036, False),
+    ('beta1_alpha', 'normal2', 66036, 5): ('0x1.05095b4b86f38p-2', '0x1.3d6ff32969740p-4', 66036, False),
     ('beta1_alpha', 'normal1', 100, 3): ('0x1.44ed0bb7cb20bp-3', '0x0.0p+0', 0, True),
     ('alpha2_is', 'disjoint', 100, 1): ('0x1.3333333333334p-1', '0x0.0p+0', 0, True),
 }
@@ -109,14 +116,18 @@ def test_bit_identical_to_recorded_values(case):
 # the conditioning rows were recorded again when Gaussian conditionals moved
 # to kriging, and every row but cmc when the package's own special functions
 # replaced scipy's (at most 1.3e-15 relative).  The beta1_alpha row was
-# recorded again when its cell k began to draw only X_0..X_k; it sits 2.6 s.e.
-# from the Markov-recursion value 0.0019921269445957 (the mean z of 20 fresh
-# 4e5-replicate runs is -0.46 +- 0.22).  131,073 replicates are chunks
-# of 65,536 + 65,536 + 1, so the last chunk is a 1-row draw; beta2_alpha's
-# 65,537 sweeps on equicorr4 end in a 1-row chunk too.  The toeplitz16 pair
-# rows condition on non-adjacent columns; its beta2_alpha runs 1,093 sweeps
-# of 120 pair strata, so it is one chunk of many pool units (two chunks would
-# be 7.9M draws).
+# recorded again when its cell k began to draw only X_0..X_k.  Every row was
+# recorded again when the substreams moved from Philox to SFC64: the
+# toeplitz64 rows sit -1.10, +1.81, +2.02 and -0.26 s.e. from the
+# Markov-recursion value 0.0019921269445957 (20 fresh 4e5-replicate runs
+# give z of mean -0.25, sd 0.88 for alpha1_is and -0.39, 0.96 for
+# beta1_alpha), the equicorr4 rows +0.30 and -0.66 from the one-factor
+# oracle, and the toeplitz16 pair agree within 0.10 combined s.e.
+# 131,073 replicates are chunks of 65,536 + 65,536 + 1, so the last chunk
+# is a 1-row draw; beta2_alpha's 65,537 sweeps on equicorr4 end in a 1-row
+# chunk too.  The toeplitz16 pair rows condition on non-adjacent columns;
+# its beta2_alpha runs 1,093 sweeps of 120 pair strata, so it is one chunk
+# of many pool units (two chunks would be 7.9M draws).
 MULTI_CHUNK_MODELS = {
     "toeplitz64": (lambda: ru.NormalModel(0.5 ** abs(np.subtract.outer(np.arange(64), np.arange(64)))), 4.0),
     "equicorr4": (lambda: ru.NormalModel.equicorrelated(4, 0.75), 2.0),
@@ -125,14 +136,14 @@ MULTI_CHUNK_MODELS = {
 
 # (estimator, model, replicates): (estimate, sample_std), all at seed 2026
 MULTI_CHUNK = {
-    ("cmc", "toeplitz64", 131073): ("0x1.07ff7c0041ffep-9", "0x1.6f481502327e5p-5"),
-    ("alpha1", "toeplitz64", 131073): ("0x1.04ad7bd4aebfep-9", "0x1.94c389b681dc7p-8"),
-    ("alpha1_is", "toeplitz64", 131073): ("0x1.0513724f15dfdp-9", "0x1.86f47e864e2fdp-13"),
-    ("beta1_alpha", "toeplitz64", 131073): ("0x1.055ad87543afdp-9", "0x1.0de348e004548p-15"),
-    ("alpha2_is", "equicorr4", 393222): ("0x1.cd7df0ba96f2bp-5", "0x1.445a790e2bc1dp-7"),
-    ("beta2_alpha", "equicorr4", 393222): ("0x1.cdefade1f6b6cp-5", "0x1.ac9e5609c2ce6p-7"),
-    ("alpha2_is", "toeplitz16", 131073): ("0x1.05883210dd194p-11", "0x1.486ee84101667p-21"),
-    ("beta2_alpha", "toeplitz16", 131073): ("0x1.05898501a905ap-11", "0x1.8fecdee639d40p-22"),
+    ("cmc", "toeplitz64", 131073): ("0x1.e7ff0c0079ffcp-10", "0x1.611f56863da64p-5"),
+    ("alpha1", "toeplitz64", 131073): ("0x1.07ad7a54af7fep-9", "0x1.ffff00003fffep-9"),
+    ("alpha1_is", "toeplitz64", 131073): ("0x1.053efd9d530f5p-9", "0x1.803c88fb0fcaap-13"),
+    ("beta1_alpha", "toeplitz64", 131073): ("0x1.05166a54c881fp-9", "0x1.141f0e0fb217fp-15"),
+    ("alpha2_is", "equicorr4", 393222): ("0x1.cd826206eae30p-5", "0x1.444dced4ae99cp-7"),
+    ("beta2_alpha", "equicorr4", 393222): ("0x1.cd318e29e40cfp-5", "0x1.ab2ad796a6ff3p-7"),
+    ("alpha2_is", "toeplitz16", 131073): ("0x1.05889f7226ccfp-11", "0x1.4ae3e9d3654ecp-21"),
+    ("beta2_alpha", "toeplitz16", 131073): ("0x1.0588c68d9a002p-11", "0x1.7ee8f3c4feb41p-22"),
 }
 
 
@@ -149,3 +160,46 @@ def test_multi_chunk_bit_identical_for_any_thread_count(case, threads, multi_chu
     m, gamma = multi_chunk_models[model]
     r = ru.run_estimator(name, m, gamma, replicates, 2026)
     assert (r.estimate.hex(), r.sample_std.hex()) == MULTI_CHUNK[case]
+
+
+# Every recorded row with a spread must sit within 4 s.e. of its truth, so
+# that a re-recording cannot pin a biased stream: the exact mean on a finite
+# model, the deterministic oracle on a normal (d <= 8) or Laplace model, and
+# on toeplitz64 the Markov-recursion value.  toeplitz16 has no oracle here,
+# so its two rows must agree within 4 combined s.e.
+TOEPLITZ64_UNION = 0.0019921269445957
+
+
+def _recorded_rows():
+    """(estimator, model name, model, gamma, estimate, s.e.) of every recorded row."""
+    built = {}
+    for (name, model, _, _), (estimate, std, replicates, _) in GOLDEN.items():
+        build, gamma = MODELS[model]
+        se = float.fromhex(std) / math.sqrt(max(replicates, 1))
+        yield name, model, built.setdefault(model, build()), gamma, float.fromhex(estimate), se
+    for (name, model, replicates), (estimate, std) in MULTI_CHUNK.items():
+        build, gamma = MULTI_CHUNK_MODELS[model]
+        m = built.setdefault(model, build())
+        strata = {"beta1_alpha": m.d - 1, "beta2_alpha": math.comb(m.d, 2)}.get(name, 1)
+        se = float.fromhex(std) / math.sqrt(-(-replicates // strata))  # one replicate per sweep
+        yield name, model, m, gamma, float.fromhex(estimate), se
+
+
+def test_every_recorded_row_lies_within_4_se_of_its_truth():
+    rows = [row for row in _recorded_rows() if row[5] > 0.0]
+    toeplitz16 = {name: (estimate, se) for name, model, _, _, estimate, se in rows if model == "toeplitz16"}
+    far = []
+    for name, model, m, gamma, estimate, se in rows:
+        if model == "toeplitz16":
+            (other, other_se), = (v for k, v in toeplitz16.items() if k != name)
+            truth, se = other, math.hypot(se, other_se)
+        elif model == "toeplitz64":
+            truth = TOEPLITZ64_UNION
+        elif isinstance(m, ru.FinitePatternModel):
+            truth = ru.exhaustive_estimator_mean(name, m)
+        else:
+            truth = ru.oracle_for_model(m, gamma)
+        z = (estimate - truth) / se
+        if abs(z) > 4.0:
+            far.append((name, model, round(z, 2)))
+    assert not far

@@ -604,9 +604,12 @@ class TestDeterminism:
         assert not np.array_equal(a, c)
 
     def test_frozen_stream_values(self):
-        # guards against accidental changes to the stream derivation
-        rng = derive_generator(2718, 0)
-        got = rng.standard_normal(3)
-        rng2 = derive_generator(2718, 0)
-        assert np.array_equal(got, rng2.standard_normal(3))
-        assert derive_generator(2718).bit_generator.state["bit_generator"] == "Philox"
+        # guards against changes to the stream derivation, in the package or in
+        # numpy: every recorded estimate in test_golden.py moves with these draws
+        assert derive_generator(2718).bit_generator.state["bit_generator"] == "SFC64"
+        first = {
+            (0,): ["0x1.179c96b9f29f7p-1", "0x1.b7019dad245f6p-1", "0x1.2fe418c7ebaadp-4"],
+            (1, 0): ["0x1.07f15df699c09p-2", "-0x1.5ca867b90df4dp-1", "-0x1.7eff05982bf21p-2"],
+        }
+        for key, want in first.items():
+            assert [x.hex() for x in derive_generator(2718, *key).standard_normal(3)] == want, key
