@@ -9,9 +9,9 @@ the stratum's laws in proportion to their weights.  Each estimator is
 described once, as an ``_Estimator`` record of head, strata and per-stratum
 value function:
 
-* ``cmc`` and ``alpha_n`` are one stratum of the unconditional law;
-  ``alpha_n`` amounts to unit-weight control variates built from the
-  exceedance count (optimized weights are not implemented).
+* ``alpha_n`` is one stratum of the unconditional law; it amounts to
+  unit-weight control variates built from the exceedance count (optimized
+  weights are not implemented), and ``cmc`` is its order-0 member.
 * ``alpha1_is`` and ``alpha2_is`` are one stratum mixing the laws given each
   event or pair (the conditioning mixture of Adler, Blanchet & Liu 2012).
 * ``beta_n``, ``beta1_alpha`` and ``beta2_alpha`` have one stratum per
@@ -20,6 +20,9 @@ value function:
   reads only ``X_0..X_k``, so the record names that column count and the
   runner draws from the model's law of those columns (``leading``); the
   exact enumerator reads every column.
+
+One builder per family serves every order: it reads the order-n
+probabilities ``layer(n)`` and the depth-n head ``head(n)`` off ``_Layers``.
 
 ``run_estimator(name, model, gamma, replicates, seed)`` runs the seven
 union-probability estimators above by registry name (``alpha_n`` is
@@ -48,12 +51,14 @@ merges chunk statistics in chunk order, so results are bit-identical for a
 given (model, gamma, replicates, seed) and any thread count.  Called from a
 pool thread, as in a table cell, the runner works inline.
 
-Every draw takes the stratum's value function as ``_per_row`` and returns
-the replicate values.  A Gaussian draw evaluates each row block of at most
-``samplers.ROW_BLOCK`` rows as soon as it is drawn, so its unit holds the
-values plus block-sized scratch, never the whole sample; the other models'
-draws are evaluated whole.  Each value reads only its own row, so the
-values are those of the whole draw, bit for bit.
+A draw returns its rows, and the runner turns them into the stratum's
+replicate values.  The two Gaussian draws, ``NormalModel.sample`` and
+``GaussianConditional.draw``, instead take the value function as
+``_per_row`` and evaluate each row block of at most ``samplers.ROW_BLOCK``
+rows as soon as it is drawn, so their unit holds the values plus
+block-sized scratch, never the whole sample; every other draw is evaluated
+whole.  Each value reads only its own row, so the values are those of the
+whole draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -192,7 +197,8 @@ def _result(estimate: float, std: float, replicates: int, degenerate: bool, seed
 
 
 class _Layers:
-    """The inclusion-exclusion layers of one (model, gamma), each computed on first use."""
+    """The inclusion-exclusion layers of one (model, gamma) for the orders in
+    ``_ORDERS``, each computed on first use."""
 
     def __init__(self, model: DependenceModel, gamma: float):
         self.model = model
@@ -209,13 +215,18 @@ class _Layers:
         """``P(A_i A_j)`` for i < j in lexicographic order, the order of the pair cells."""
         return self.model.pair_survivals(self.gamma)
 
-    @cached_property
-    def abar(self) -> float:
-        return float(np.sum(self.margs))
+    def layer(self, n: int) -> np.ndarray:
+        """The order-n probabilities ``P(A_I)``, |I| = n, in the order of
+        ``itertools.combinations(range(d), n)``."""
+        return self.margs if n == 1 else self.pairs
 
-    @cached_property
-    def q(self) -> float:
-        return float(np.sum(self.pairs))
+    def head(self, n: int) -> float:
+        """The depth-n inclusion-exclusion truncation ``S_1 - S_2 + ... +
+        (-1)^(n-1) S_n``, with ``S_k`` the sum of layer k; 0 for n = 0."""
+        return sum(((-1.0) ** (k - 1) * float(np.sum(self.layer(k))) for k in range(1, n + 1)), 0.0)
+
+
+_ORDERS = (1, 2)  # the orders _Layers.layer knows
 
 
 # The layers are a pure function of (model, gamma), and every estimate on
@@ -231,7 +242,7 @@ def bonferroni_bounds(model: DependenceModel, gamma: float) -> BonferroniBounds:
     """First two inclusion-exclusion truncations: the upper bound
     ``sum_i P(A_i)`` and the lower bound with pairwise terms subtracted."""
     layers = _shared_layers(model, model.check_threshold(gamma))
-    return BonferroniBounds(upper=layers.abar, second=layers.abar - layers.q)
+    return BonferroniBounds(upper=layers.head(1), second=layers.head(2))
 
 
 # ---------------------------------------------------------------------------
@@ -248,44 +259,34 @@ class _Estimator(NamedTuple):
 _UNCONDITIONAL = [(1.0, [(1.0, ())])]
 
 
-def _crude(lay: _Layers) -> _Estimator:
-    """Crude Monte Carlo (``cmc``): mean of the union indicator ``1{E >= 1}``."""
-    return _Estimator(0.0, _UNCONDITIONAL, lambda k, x, p: (p.sum(axis=1) >= 1).astype(float))
-
-
 def _alpha_n(n: int):
-    """``alpha1``/``alpha2``: exact inclusion-exclusion head of depth n (1:
-    marginals, 2: also pairs) plus the sampled alternating remainder.  The
-    remainder vanishes unless a replicate has more than n exceedances, so
-    deep in the tail the estimator degenerates to the matching Bonferroni
-    bound."""
+    """``alpha_n``: the exact inclusion-exclusion head of depth n plus the
+    sampled alternating remainder, which vanishes unless a replicate has
+    more than n exceedances, so deep in the tail the estimator degenerates
+    to the matching Bonferroni bound.  At n = 0 the head is 0 and the
+    remainder is the union indicator ``1{E >= 1}``: crude Monte Carlo."""
 
     def build(lay: _Layers) -> _Estimator:
-        head = lay.abar if n == 1 else lay.abar - lay.q
         table = ev.residual_term_table(lay.d, n)
-        return _Estimator(head, _UNCONDITIONAL, lambda k, x, p: table[p.sum(axis=1)])
+        return _Estimator(lay.head(n), _UNCONDITIONAL, lambda k, x, p: table[p.sum(axis=1)])
 
     return build
 
 
-def _alpha1_is(lay: _Layers) -> _Estimator:
-    """First-order conditioning mixture: event i is picked with probability
-    ``P(A_i) / abar``, with ``abar`` the marginal sum, and the replicate
-    value is ``abar / E``.  The union has probability one under the
-    mixture, so no replicate is wasted."""
-    abar = lay.abar
-    laws = [(w, (i,)) for i, w in enumerate(lay.margs)]
-    return _Estimator(0.0, [(1.0, laws)], lambda k, x, p: abar / p.sum(axis=1))
+def _alpha_n_is(n: int):
+    """The order-n conditioning mixture: the n-subset I is picked with
+    probability ``P(A_I) / S_n``, with ``S_n`` the order-n layer sum, and the
+    replicate value is ``head(n - 1) + (-1)^(n-1) n S_n / E``.  At n = 1 the
+    union has probability one under the mixture, so no replicate is wasted.
+    When ``S_n`` is exactly zero there is nothing to sample: the value is the
+    head, flagged degenerate."""
 
+    def build(lay: _Layers) -> _Estimator:
+        laws = list(zip(lay.layer(n), itertools.combinations(range(lay.d), n)))
+        scale = (-1) ** (n - 1) * n * float(np.sum(lay.layer(n)))
+        return _Estimator(lay.head(n - 1), [(1.0, laws)], lambda k, x, p: scale / p.sum(axis=1))
 
-def _alpha2_is(lay: _Layers) -> _Estimator:
-    """Second-order conditioning mixture: pair (i, j) is picked with
-    probability ``P(A_i A_j) / q``, with ``q`` the pairwise sum, and the
-    value is ``abar - 2 q / E``.  When ``q`` is exactly zero there is
-    nothing to sample: the value is the marginal sum, flagged degenerate."""
-    q = lay.q
-    laws = list(zip(lay.pairs, itertools.combinations(range(lay.d), 2)))
-    return _Estimator(lay.abar, [(1.0, laws)], lambda k, x, p: -2.0 * q / p.sum(axis=1))
+    return build
 
 
 def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0, first: int = 0):
@@ -298,7 +299,7 @@ def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0, first: int
 
     def build(lay: _Layers) -> _Estimator:
         cells = (ev.partition_cells(lay.d, n) if n <= lay.d else [])[first:]
-        weights = (lay.margs if n == 1 else lay.pairs)[first:]
+        weights = lay.layer(n)[first:]
         strata = [(w, [(w, cell.events)]) for w, cell in zip(weights, cells)]
         columns = None if payoff._reads_coordinates else [max(cell.events) + 1 for cell in cells]
         return _Estimator(
@@ -309,11 +310,11 @@ def _beta_n(n: int, payoff: Payoff, head: Callable = lambda lay: 0.0, first: int
 
 
 _ESTIMATORS = {
-    "cmc": _crude,
+    "cmc": _alpha_n(0),
     "alpha1": _alpha_n(1),
     "alpha2": _alpha_n(2),
-    "alpha1_is": _alpha1_is,
-    "alpha2_is": _alpha2_is,
+    "alpha1_is": _alpha_n_is(1),
+    "alpha2_is": _alpha_n_is(2),
     # union probability through the order-1 partition: the first cell's
     # conditional expectation is identically one, so its contribution is the
     # exact P(A_1) and only the remaining d - 1 cells are sampled
@@ -322,7 +323,7 @@ _ESTIMATORS = {
     # exact and the pair cells estimate the alternating remainder with payoff
     # 1 - E; the cell constraint indicator keeps the cells disjoint, which is
     # what makes the estimator unbiased beyond two dimensions
-    "beta2_alpha": _beta_n(2, Payoff.residual_alternating(1), head=lambda lay: lay.abar),
+    "beta2_alpha": _beta_n(2, Payoff.residual_alternating(1), head=lambda lay: lay.head(1)),
 }
 
 ESTIMATOR_NAMES = tuple(_ESTIMATORS) + ("bonferroni",)
@@ -335,7 +336,7 @@ def _lookup(name: str):
 
 
 def _check_order(n: int) -> int:
-    if n not in (1, 2):
+    if n not in _ORDERS:
         raise ModelSpecError("only the first- and second-order variants are implemented")
     return n
 
@@ -354,13 +355,13 @@ def _sampler(model: DependenceModel, gamma: float, events: tuple):
         draw = model.conditional_given_pair_exceedance(*events, gamma).draw
     if _takes_per_row(getattr(draw, "__func__", draw)):
         return draw
-    return lambda rng, size, _per_row: _per_row(draw(rng, size))  # a model of the user's own
+    return lambda rng, size, _per_row: _per_row(draw(rng, size))  # evaluated on the whole draw
 
 
 @lru_cache(maxsize=256)
 def _takes_per_row(fn) -> bool:
-    """Whether a draw takes ``_per_row``, as every draw of the package does;
-    the draw of a user's own ``DependenceModel`` subclass may not."""
+    """Whether a draw takes ``_per_row``, as only the two Gaussian draws do:
+    every other draw, a user's own model's too, returns its rows."""
     return "_per_row" in inspect.signature(fn).parameters
 
 

@@ -67,16 +67,16 @@ class DependenceModel(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def sample(self, rng, size, _per_row=None) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         """``size`` draws, one row each (shape ``(size, d)``).
 
-        Every draw of a model or of its conditional handles takes
-        ``_per_row``, a function of rows that returns one value per row and
-        reads only its own row; given one, the draw returns its ``(size,)``
-        values instead of the rows.  A Gaussian draw applies it to each row
-        block as it is drawn (``samplers.gaussian_rows``), the others once
-        to their whole draw.  A subclass whose draws do not take it is
-        evaluated on its whole draws."""
+        A draw of a model or of its conditional handles returns its rows.
+        Two draws also take ``_per_row``, a function of rows that returns one
+        value per row and reads only its own row: ``NormalModel.sample`` and
+        ``GaussianConditional.draw`` hand it each row block as it is drawn
+        (``samplers.gaussian_rows``) and return the ``(size,)`` values, so a
+        wide Gaussian sample is never held whole.  The estimators evaluate
+        every other draw on its whole output."""
 
     def exceedance_patterns(self, x, gamma) -> np.ndarray:
         """Boolean event indicators for sampled rows ``x`` of shape ``(n, d)``."""
@@ -120,11 +120,6 @@ class DependenceModel(abc.ABC):
         if i == j:
             raise ModelSpecError("pair indices must differ")
         return i, j
-
-
-def _apply(per_row, x: np.ndarray) -> np.ndarray:
-    """A whole non-Gaussian draw ``x``, or the values ``per_row`` gives for it."""
-    return x if per_row is None else per_row(x)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +276,12 @@ class LaplaceModel(DependenceModel):
     def d(self) -> int:
         return self._d
 
-    def sample(self, rng, size, _per_row=None) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         n = _dimension(size, "size", least=0)
         r = rng.exponential(1.0, n)  # every radius before any normal: the draw is not split
         x = rng.standard_normal((n, self._d))
         x *= np.sqrt(r)[:, None]
-        return _apply(_per_row, x)
+        return x
 
     def marginal_survival(self, i: int, gamma: float) -> float:
         self._check_index(i)
@@ -326,8 +321,8 @@ class _LaplaceTail:
         self.i = i
         self.gamma = gamma
 
-    def draw(self, rng, size, _per_row=None) -> np.ndarray:
-        return _apply(_per_row, samplers.laplace_conditional_exceedance(self.d, self.i, self.gamma, rng, size))
+    def draw(self, rng, size) -> np.ndarray:
+        return samplers.laplace_conditional_exceedance(self.d, self.i, self.gamma, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +400,25 @@ class _Clayton(_ArchGenerator):
         return super().diagonal(u)
 
     def upper_pair(self, v):
-        """For theta > 0, with ``f(x) = (1 + x)^(-1/theta)`` and ``a = u^-theta
-        - 1``, ``f(0) = 1``, ``f(a) = u`` and ``f(2a) = C(u, u)``, so the
-        corner is the second difference ``int_0^2a f''(w) min(w, 2a - w) dw``
-        of a positive integrand, which cannot cancel.  Where a <= 1 it is
-        summed by 12-point Gauss-Legendre on [0, a] and [a, 2a], scaled by
-        ``(a / theta)^2``, which stays finite as theta tends to 0; beyond, the
-        corner is not small against v, so ``2v - 1 + C(u, u)`` cancels little."""
+        """With ``f(x) = (1 + x)^(-1/theta)`` and ``a = u^-theta - 1``,
+        ``f(0) = 1``, ``f(a) = u`` and ``f(2a) = C(u, u)``, so the corner is
+        the second difference ``a^2 int_0^1 t f''(a t) + (1 - t) f''(a + a t)
+        dt`` of a positive integrand, which cannot cancel.  Where -1/4 <= a
+        <= 1, for either sign of theta, it is summed by 12-point
+        Gauss-Legendre, scaled by ``(a / theta)^2``, which stays finite as
+        theta tends to 0; beyond, the corner is not small against v, so
+        ``2v - 1 + C(u, u)`` cancels little."""
         th, lu = self.theta, np.log1p(-v)  # lu = log u
         if th == 0.0:
             return v * v
-        if th > 0.0:
-            if -th * lu > math.log(2.0):  # a > 1
-                return 2.0 * v + np.expm1(self._log_diagonal(lu))
-            a = np.expm1(-th * lu)
+        a = np.expm1(min(-th * lu, 1.0))  # u^-theta - 1, capped at e - 1: past 1 only a > 1 is read
+        if -0.25 <= a <= 1.0:
             t, wt = _gauss_legendre12()
             g = lambda w: np.exp(-(1.0 / th + 2.0) * np.log1p(w))  # f''(w) theta^2 / (1 + theta)
             return (a / th) ** 2 * (1.0 + th) * np.dot(wt, t * g(a * t) + (1.0 - t) * g(a + a * t))
-        e2 = 2.0 * np.expm1(-th * lu)  # 2 u^-theta - 2, in [-1, 0)
+        if th > 0.0:
+            return 2.0 * v + np.expm1(self._log_diagonal(lu))
+        e2 = 2.0 * a  # 2 u^-theta - 2, in [-1, -1/2)
         if e2 <= -1.0:  # the generator's zero (theta = -1 at v = 1/2): C(u, u) = 0
             return 2.0 * v - 1.0
         return 2.0 * v + np.expm1(-np.log1p(e2) / th)
@@ -608,13 +604,13 @@ class ArchimedeanModel(DependenceModel):
             )
         return u
 
-    def sample(self, rng, size, _per_row=None) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         if not self._gen.sampleable.contains(self.theta):
             raise CapabilityError(
                 f"no frailty construction for {self.family} with theta={self.theta}; "
                 "sampling supports the non-negative-association range only"
             )
-        return _apply(_per_row, self._gen.sample(rng, _dimension(size, "size", least=0), self._d))
+        return self._gen.sample(rng, _dimension(size, "size", least=0), self._d)
 
     def diagonal(self, u: float) -> float:
         """Copula diagonal ``C(u, u)``."""
@@ -679,9 +675,9 @@ class FinitePatternModel(DependenceModel):
     def exceedance_patterns(self, x, gamma) -> np.ndarray:
         return np.asarray(x, dtype=float) > 0.5
 
-    def sample(self, rng, size, _per_row=None) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         # the pmf as given, not renormalised: the draw sees the model's own p
-        return _FiniteConditional(self, np.arange(self._pmf.size), self._pmf).draw(rng, size, _per_row)
+        return _FiniteConditional(self, np.arange(self._pmf.size), self._pmf).draw(rng, size)
 
     def _given(self, events) -> np.ndarray:
         """The mask of the patterns in which every event in ``events`` occurs."""
@@ -717,9 +713,9 @@ class _FiniteConditional:
         self.indices = indices
         self.probs = probs
 
-    def draw(self, rng, size, _per_row=None) -> np.ndarray:
+    def draw(self, rng, size) -> np.ndarray:
         pick = rng.choice(self.indices.size, size=_dimension(size, "size", least=0), p=self.probs)
-        return _apply(_per_row, self.model.patterns[self.indices[pick]].astype(float))
+        return self.model.patterns[self.indices[pick]].astype(float)
 
 
 # ---------------------------------------------------------------------------

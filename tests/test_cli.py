@@ -421,6 +421,23 @@ class TestCommandLine:
         proc = run_cli("table", "--config", str(path))
         assert proc.returncode == 2
 
+    def test_config_that_is_a_list_exits_two(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"model": {"type": "laplace", "d": 2}, "gamma_grid": [6.0]}]))
+        proc = run_cli("table", "--config", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "JSON object" in proc.stderr
+
+    def test_classify_family_without_theta_exits_two(self):
+        proc = run_cli("classify", "--family", "clayton")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "--theta" in proc.stderr
+
+    def test_ratio_gamma_that_is_not_a_number_exits_two(self):
+        proc = run_cli("ratio", "--model", '{"type":"normal","d":2,"rho":0.75}', "--gammas", "1,x")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "--gammas" in proc.stderr
+
     def test_unknown_config_key_exits_two(self, tmp_path):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({"model": {"type": "laplace", "d": 2}, "gamma_grid": [6.0], "estimator": ["cmc"]}))

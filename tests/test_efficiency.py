@@ -383,6 +383,12 @@ class TestEmpiricalRatio:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert diag.strict_trend == "increasing"
 
+    def test_grid_out_of_order_has_mixed_trend(self):
+        # the ratio grows with the threshold, so the grid 1, 3, 2 goes up and then down
+        m = NormalModel.equicorrelated(2, 0.75)
+        diag = empirical_efficiency_ratio(m, [1.0, 3.0, 2.0])
+        assert diag.strict_trend == diag.relaxed_trend == "mixed"
+
     def test_laplace_pair_ratio_grows(self):
         m = LaplaceModel(2)
         diag = empirical_efficiency_ratio(m, [4.0, 6.0, 8.0, 10.0])

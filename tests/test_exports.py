@@ -54,6 +54,9 @@ def test_moved_interval_keeps_its_import_path():
     assert all(isinstance(rule.valid, models.Interval) for rule in efficiency.ARCHIMEDEAN_TABLE)
 
 
+SOURCES = sorted(Path(rareunion.__file__).parent.glob("*.py"))
+
+
 def _imported_top_packages(path):
     """The top-level package of every absolute import in one source file."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -66,7 +69,34 @@ def _imported_top_packages(path):
 
 def test_no_module_imports_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone
-    sources = sorted(Path(rareunion.__file__).parent.glob("*.py"))
-    importers = [path.name for path in sources if "scipy" in set(_imported_top_packages(path))]
-    assert len(sources) > 10
+    importers = [path.name for path in SOURCES if "scipy" in set(_imported_top_packages(path))]
+    assert len(SOURCES) > 10
     assert importers == []
+
+
+def _unused_imports(path):
+    """``file:line name`` of each module-level import in one source file that
+    the module never reads, exports in ``__all__`` or marks ``# noqa: F401``."""
+    source = path.read_text(encoding="utf-8")
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.end_lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and name not in exported:
+                yield f"{path.name}:{node.lineno} {name}"
+
+
+def test_every_module_level_import_is_used():
+    # no linter runs on the package, so an import a refactor leaves behind
+    # would stay; __init__.py imports only to re-export
+    unused = [hit for path in SOURCES if path.name != "__init__.py" for hit in _unused_imports(path)]
+    assert unused == []

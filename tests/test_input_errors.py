@@ -22,11 +22,14 @@ from rareunion import samplers
 from rareunion.special import integrate
 from rareunion.efficiency import (
     NORMAL_RADIAL,
+    EfficiencyVerdict,
     EllipticalInput,
+    KotzRadial,
     berman_univariate_asymptotic,
     bivariate_type1_asymptotic_rate,
     gaussian_copula_ledford_tawn,
 )
+from rareunion.oracles import oracle_union_normal_equicorr
 
 
 def _rng():
@@ -99,6 +102,18 @@ CASES = {
     "brute_force_tail_boolean_order": lambda: ev.brute_force_tail_expectation(_FINITE, True),
     "brute_force_tail_fractional_order": lambda: ev.brute_force_tail_expectation(_FINITE, 1.5),
     "brute_force_tail_negative_order": lambda: ev.brute_force_tail_expectation(_FINITE, -3),
+    "verdict_unknown_label": lambda: EfficiencyVerdict("bogus"),
+    "ledford_tawn_comonotone": lambda: gaussian_copula_ledford_tawn(1.0),
+    "kotz_zero_scale": lambda: KotzRadial(K=0.0),
+    "kotz_sf_at_zero": lambda: KotzRadial().sf(0.0),
+    "elliptical_mismatched_covariance": lambda: EllipticalInput([0, 0], np.eye(3)),
+    "elliptical_singular_covariance": lambda: EllipticalInput([0, 0], [[0, 0], [0, 1]]),
+    "elliptical_one_coordinate_extremal_pair": lambda: EllipticalInput([0.0], [[1.0]]).extremal_pair_params(),
+    "berman_zero_scale": lambda: berman_univariate_asymptotic(NORMAL_RADIAL, 0.0, 0.0, 1.0),
+    "partition_cells_order_above_dimension": lambda: ev.partition_cells(2, 3),
+    "exhaustive_beta_n_without_order": lambda: exhaustive_estimator_mean("beta_n", _FINITE),
+    "finite_pmf_beyond_twenty": lambda: FinitePatternModel(np.full(1 << 21, 2.0**-21)),
+    "equicorr_oracle_comonotone": lambda: oracle_union_normal_equicorr(4, 1.0, 2.0),
 }
 
 

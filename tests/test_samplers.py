@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import invgauss, kstest
 
-from rareunion import ModelSpecError, NormalModel, models
+from rareunion import ModelSpecError, NormalModel, estimators, models
 from rareunion.samplers import (
     ROW_BLOCK,
     GaussianConditional,
@@ -67,19 +67,18 @@ def test_every_draw_takes_a_required_size():
 _PAPER = NormalModel.equicorrelated(3, 0.5)
 _FINITE = models.FinitePatternModel(np.full(8, 0.125))
 
-# one call of each concrete entry point above, as a function of ``size``; a
-# model's or handle's draw also passes on its keywords (``_per_row``)
+# one call of each concrete entry point above, as a function of ``size``
 DRAW_CALLS = {
-    "NormalModel.sample": lambda rng, size, **kw: _PAPER.sample(rng, size, **kw),
-    "LaplaceModel.sample": lambda rng, size, **kw: models.LaplaceModel(3).sample(rng, size, **kw),
+    "NormalModel.sample": lambda rng, size: _PAPER.sample(rng, size),
+    "LaplaceModel.sample": lambda rng, size: models.LaplaceModel(3).sample(rng, size),
     "ArchimedeanModel.sample":
-        lambda rng, size, **kw: models.ArchimedeanModel("clayton", 2.0, 3).sample(rng, size, **kw),
-    "FinitePatternModel.sample": lambda rng, size, **kw: _FINITE.sample(rng, size, **kw),
+        lambda rng, size: models.ArchimedeanModel("clayton", 2.0, 3).sample(rng, size),
+    "FinitePatternModel.sample": lambda rng, size: _FINITE.sample(rng, size),
     "GaussianConditional.draw":
-        lambda rng, size, **kw: _PAPER.conditional_given_pair_exceedance(0, 1, 2.0).draw(rng, size, **kw),
+        lambda rng, size: _PAPER.conditional_given_pair_exceedance(0, 1, 2.0).draw(rng, size),
     "_LaplaceTail.draw":
-        lambda rng, size, **kw: models.LaplaceModel(3).conditional_given_exceedance(0, 2.0).draw(rng, size, **kw),
-    "_FiniteConditional.draw": lambda rng, size, **kw: _FINITE.conditional_given_exceedance(0).draw(rng, size, **kw),
+        lambda rng, size: models.LaplaceModel(3).conditional_given_exceedance(0, 2.0).draw(rng, size),
+    "_FiniteConditional.draw": lambda rng, size: _FINITE.conditional_given_exceedance(0).draw(rng, size),
     "sample_truncated_std_normal": lambda rng, size: sample_truncated_std_normal(2.0, rng, size),
     "sample_truncated_std_normal_pair": lambda rng, size: sample_truncated_std_normal_pair(2.0, 1.5, 0.5, rng, size),
     "gibbs_bivariate_truncated": lambda rng, size: gibbs_bivariate_truncated(_PAPER, 0, 1, 2.0, 3, rng, size),
@@ -114,29 +113,39 @@ def _row_values(x):
     return x[:, 0] * x[:, -1] + x.max(axis=1) - (x > 0.5).sum(axis=1)
 
 
-# the draws of a model or of its conditional handles; the estimators hand each
-# of them the function that turns a row into its replicate value
+# the draws that take the estimators' value function and evaluate each row
+# block as it is drawn; every other draw returns its rows
 PER_ROW_DRAWS = [
     fn.__qualname__ for fn in DRAW_ENTRY_POINTS if "_per_row" in inspect.signature(fn).parameters
 ]
 
 
-def test_every_model_and_handle_draw_takes_a_per_row_function():
-    assert set(PER_ROW_DRAWS) == {
-        "DependenceModel.sample", "NormalModel.sample", "LaplaceModel.sample", "ArchimedeanModel.sample",
-        "FinitePatternModel.sample", "GaussianConditional.draw", "_LaplaceTail.draw", "_FiniteConditional.draw",
-    }
+def test_only_the_gaussian_draws_take_a_per_row_function():
+    assert set(PER_ROW_DRAWS) == {"NormalModel.sample", "GaussianConditional.draw"}
 
 
-@pytest.mark.parametrize("name", sorted(set(PER_ROW_DRAWS) - {"DependenceModel.sample"}))
+# the (model, gamma, events) of each model and handle draw in DRAW_CALLS, as
+# the estimators' runner looks its draw up
+RUNNER_LAWS = {
+    "NormalModel.sample": (_PAPER, 2.0, ()),
+    "LaplaceModel.sample": (models.LaplaceModel(3), 2.0, ()),
+    "ArchimedeanModel.sample": (models.ArchimedeanModel("clayton", 2.0, 3), 0.5, ()),
+    "FinitePatternModel.sample": (_FINITE, 0.0, ()),
+    "GaussianConditional.draw": (_PAPER, 2.0, (0, 1)),
+    "_LaplaceTail.draw": (models.LaplaceModel(3), 2.0, (0,)),
+    "_FiniteConditional.draw": (_FINITE, 0.0, (0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNER_LAWS))
 @pytest.mark.parametrize("size", [0, 1, 7])
 def test_per_row_draw_returns_one_value_per_row(name, size):
-    # ``size`` values, the count the benchmark's tracer reads as rows, with
-    # the bits of the function on the whole draw from the same stream
-    draw = DRAW_CALLS[name]
-    got = draw(rng_for(name), size, _per_row=_row_values)
+    # through the runner every model and handle draw gives ``size`` values,
+    # the count the benchmark's tracer reads as rows, with the bits of the
+    # function on the whole draw from the same stream
+    got = estimators._sampler(*RUNNER_LAWS[name])(rng_for(name), size, _per_row=_row_values)
     assert got.shape == (size,)
-    assert list(map(float.hex, got)) == list(map(float.hex, _row_values(draw(rng_for(name), size))))
+    assert list(map(float.hex, got)) == list(map(float.hex, _row_values(DRAW_CALLS[name](rng_for(name), size))))
 
 
 class TestTruncatedNormal:
