@@ -54,11 +54,13 @@ pool thread, as in a table cell, the runner works inline.
 A draw returns its rows, and the runner turns them into the stratum's
 replicate values.  The two Gaussian draws, ``NormalModel.sample`` and
 ``GaussianConditional.draw``, instead take the value function as
-``_per_row`` and evaluate each row block of at most ``samplers.ROW_BLOCK``
-rows as soon as it is drawn, so their unit holds the values plus
-block-sized scratch, never the whole sample; every other draw is evaluated
-whole.  Each value reads only its own row, so the values are those of the
-whole draw, bit for bit.
+``_per_row`` and evaluate each row block of at most
+``samplers.block_rows(d)`` rows (4,096, or 2^16 values where that is more
+rows) as soon as it is drawn, so their unit holds the values plus two
+block buffers of scratch, never the whole sample; every other draw is
+evaluated whole.  Each value reads only its own row, so the values are
+those of the whole draw, bit for bit.  The count-based values read the
+exceedance count from ``events.exceedance_count``.
 """
 
 from __future__ import annotations
@@ -116,8 +118,9 @@ class Payoff:
     exceedance count, the payoff that turns a partition estimator into a
     union-probability estimator.  ``custom`` wraps any such function.  The
     runner calls it on blocks of rows as they are drawn, at most
-    ``samplers.ROW_BLOCK`` rows of a Gaussian model at a time, so it must
-    return one value per row and read only that row.
+    ``samplers.block_rows(d)`` = max(4,096, 2^16 / d) rows of a Gaussian
+    model at a time, so it must return one value per row and read only that
+    row.
     ``constant_one`` alone reads no column of x or of the patterns, so a
     partition cell with it draws only the columns its constraint reads.
     """
@@ -139,7 +142,7 @@ class Payoff:
     def residual_alternating(order: int) -> "Payoff":
         order = _dimension(order, "order", least=0)
         return Payoff(
-            lambda x, patterns: ev.payoff_alternating_table(patterns.shape[1], order)[patterns.sum(axis=1)]
+            lambda x, p: ev.payoff_alternating_table(p.shape[1], order).take(ev.exceedance_count(p))
         )
 
     @staticmethod
@@ -268,7 +271,7 @@ def _alpha_n(n: int):
 
     def build(lay: _Layers) -> _Estimator:
         table = ev.residual_term_table(lay.d, n)
-        return _Estimator(lay.head(n), _UNCONDITIONAL, lambda k, x, p: table[p.sum(axis=1)])
+        return _Estimator(lay.head(n), _UNCONDITIONAL, lambda k, x, p: table.take(ev.exceedance_count(p)))
 
     return build
 
@@ -284,7 +287,7 @@ def _alpha_n_is(n: int):
     def build(lay: _Layers) -> _Estimator:
         laws = list(zip(lay.layer(n), itertools.combinations(range(lay.d), n)))
         scale = (-1) ** (n - 1) * n * float(np.sum(lay.layer(n)))
-        return _Estimator(lay.head(n - 1), [(1.0, laws)], lambda k, x, p: scale / p.sum(axis=1))
+        return _Estimator(lay.head(n - 1), [(1.0, laws)], lambda k, x, p: scale / ev.exceedance_count(p))
 
     return build
 
@@ -507,9 +510,8 @@ def exhaustive_estimator_mean(
 def exhaustive_residual_second_moment(model: FinitePatternModel, n: int = 1) -> float:
     """Exact ``E[R_n^2]`` of the alternating remainder."""
     model = ev._finite_model(model)
-    counts = model.patterns.sum(axis=1)
     table = ev.residual_term_table(model.d, n)
-    vals = table[counts]
+    vals = table[ev.exceedance_count(model.patterns)]
     return float((model.pmf * vals * vals).sum())
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "binomial_term",
     "residual_term",
     "residual_term_table",
+    "exceedance_count",
     "payoff_alternating_table",
     "enumerate_patterns",
     "PartitionCell",
@@ -75,6 +76,17 @@ def payoff_alternating_table(d: int, order: int) -> np.ndarray:
     """
     d, order = _dimension(d, "d", least=0), _dimension(order, "order", least=0)
     return np.array([1] + [(-1) ** order * math.comb(e - 1, order) for e in range(1, d + 1)], dtype=float)
+
+
+def exceedance_count(patterns) -> np.ndarray:
+    """The exceedance count ``E`` of each row of a ``(rows, d)`` boolean
+    pattern array, exact for any d, in the smallest unsigned type holding d.
+
+    The rows are read as bytes and summed by ``einsum`` in that type: on
+    narrow rows, a sum of booleans along the short axis widens every
+    element to ``intp`` and is several times slower (4-6x at d = 4)."""
+    patterns = np.asarray(patterns, dtype=bool)
+    return np.einsum("ij->i", patterns.view(np.uint8), dtype=np.min_scalar_type(patterns.shape[1]))
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +194,7 @@ def brute_force_tail_expectation(model, n: int, payoff: Optional[Callable] = Non
     model = _finite_model(model)
     n = _dimension(n, "n", least=0)
     patterns = model.patterns
-    counts = patterns.sum(axis=1)
+    counts = exceedance_count(patterns)
     if payoff is None:
         y = np.ones(patterns.shape[0])
     else:

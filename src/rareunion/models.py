@@ -406,22 +406,32 @@ class _Clayton(_ArchGenerator):
         dt`` of a positive integrand, which cannot cancel.  Where -1/4 <= a
         <= 1, for either sign of theta, it is summed by 12-point
         Gauss-Legendre, scaled by ``(a / theta)^2``, which stays finite as
-        theta tends to 0; beyond, the corner is not small against v, so
-        ``2v - 1 + C(u, u)`` cancels little."""
+        theta tends to 0; beyond 1 the corner is not small against v, so
+        ``2v - 1 + C(u, u)`` cancels little.  Below -1/4 (theta near -1, u
+        near 1/2) the second piece is summed on panels graded towards the
+        integrand's singularity at -1."""
         th, lu = self.theta, np.log1p(-v)  # lu = log u
         if th == 0.0:
             return v * v
         a = np.expm1(min(-th * lu, 1.0))  # u^-theta - 1, capped at e - 1: past 1 only a > 1 is read
-        if -0.25 <= a <= 1.0:
-            t, wt = _gauss_legendre12()
-            g = lambda w: np.exp(-(1.0 / th + 2.0) * np.log1p(w))  # f''(w) theta^2 / (1 + theta)
-            return (a / th) ** 2 * (1.0 + th) * np.dot(wt, t * g(a * t) + (1.0 - t) * g(a + a * t))
-        if th > 0.0:
+        if th > 0.0 and a > 1.0:
             return 2.0 * v + np.expm1(self._log_diagonal(lu))
-        e2 = 2.0 * a  # 2 u^-theta - 2, in [-1, -1/2)
-        if e2 <= -1.0:  # the generator's zero (theta = -1 at v = 1/2): C(u, u) = 0
+        p = -(1.0 / th + 2.0)  # f''(w) theta^2 / (1 + theta) = (1 + w)^p
+        t, wt = _gauss_legendre12()
+        g = lambda w: np.exp(p * np.log1p(w))
+        if a >= -0.25:
+            return (a / th) ** 2 * (1.0 + th) * np.dot(wt, t * g(a * t) + (1.0 - t) * g(a + a * t))
+        # theta < 0 and a in (-1/2, -1/4): the piece on [2a, a] runs to within
+        # s0 = 1 + 2a of the integrand's singularity at w = -1.  In s = 1 + w it
+        # is int (s - s0) s^p ds on [s0, 1 + a], summed by 12 points on each of
+        # panels doubling away from s0, none longer than its distance from 0
+        s0, s1 = 1.0 + 2.0 * a, 1.0 + a  # 1 + 2a is exact
+        if s0 <= 0.0:  # the generator's zero (theta = -1 at v = 1/2): C(u, u) = 0
             return 2.0 * v - 1.0
-        return 2.0 * v + np.expm1(-np.log1p(e2) / th)
+        edges = np.append(s0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(s1 / s0)))), s1)
+        lo, width = edges[:-1, None], np.diff(edges)[:, None]
+        near = np.sum(width * wt * (lo - s0 + width * t) * np.exp(p * np.log(lo + width * t)))
+        return (1.0 + th) / th**2 * (a * a * np.dot(wt, t * g(a * t)) + near)
 
     def sample(self, rng, n, d):
         """``psi_inv(E / V) = (1 + E / G)^(-1/theta)`` with ``V = theta G``,

@@ -10,8 +10,10 @@ Gaussian rows come from one row-block pass, :func:`gaussian_rows`, which
 krigs each block as it is drawn: an unconditional block moved by a
 per-law gain, so no law factors a covariance of its own.  Given a per-row
 function, the pass hands each finished block to it and keeps only the values
-it returns, so an estimator's draw holds O(``ROW_BLOCK`` d) scratch instead
-of its whole sample.
+it returns, so an estimator's draw holds two buffers of ``block_rows(d)`` rows
+(``ROW_BLOCK`` rows, or ``BLOCK_ELEMENTS`` values where that is more rows)
+instead of its whole sample.  The truncated normals draw one threshold, and
+rounds whose thresholds share a sign, without per-element masks.
 """
 
 from __future__ import annotations
@@ -35,21 +37,32 @@ __all__ = [
     "laplace_conditional_exceedance",
 ]
 
-# Rows per block of a Gaussian draw.  A block's normals and matrix products
-# live in block-sized buffers, so a draw holds its output plus O(ROW_BLOCK)
-# scratch instead of three whole-size temporaries; with a per-row function
-# the output is one value per row.
+# Rows per block of a Gaussian draw: at least ROW_BLOCK, and BLOCK_ELEMENTS
+# values where that is more rows (d < 16), so that a narrow draw does not pay
+# the fixed cost of its ten or so numpy calls per block on a few thousand
+# values (4,096 rows of 4 are 16k values).  A block's normals and matrix
+# products live in block-sized buffers, so a draw holds its output plus
+# max(ROW_BLOCK d, BLOCK_ELEMENTS) values of scratch per buffer (2 MB at
+# d = 64, 512 kB up to d = 16) instead of three whole-size temporaries; with
+# a per-row function the output is one value per row.
 ROW_BLOCK = 4096
+BLOCK_ELEMENTS = 1 << 16
 
 
-def row_blocks(n: int):
-    """``(start, stop)`` of near-equal blocks of at most ``ROW_BLOCK`` rows covering n rows.
+def block_rows(d: int) -> int:
+    """The most rows a block of a d-column Gaussian draw holds."""
+    return max(ROW_BLOCK, BLOCK_ELEMENTS // d)
+
+
+def row_blocks(n: int, d: int):
+    """``(start, stop)`` of near-equal blocks of at most ``block_rows(d)``
+    rows covering n rows.
 
     The blocks are near-equal so none is tiny: BLAS takes a different code
     path for a handful of rows, with different last bits, while blocks of
     thousands of rows give exactly the bits of one whole-array product.
     """
-    count = max(1, -(-n // ROW_BLOCK))
+    count = max(1, -(-n // block_rows(d)))
     size, extra = divmod(n, count)
     start = 0
     for b in range(count):
@@ -71,50 +84,106 @@ def shifted_exponential_rate(gamma):
     (gamma above about 1.34e154) the rate is gamma itself, its limit.
     """
     gamma = np.asarray(gamma, dtype=float)
+    rate = np.empty(gamma.shape)
     with np.errstate(over="ignore"):
-        rate = 0.5 * (gamma + np.sqrt(gamma * gamma + 4.0))
+        np.multiply(gamma, gamma, out=rate)
+    rate += 4.0
+    np.sqrt(rate, out=rate)
+    rate += gamma
+    rate *= 0.5
     return np.where(gamma > _SQRT_MAX, gamma, rate)[()]
 
 
-def _trunc_std_normal_batch(gammas: np.ndarray, rng) -> np.ndarray:
-    """N(0,1) conditioned on exceeding per-element thresholds.
-
-    Shifted-exponential proposals where the threshold is non-negative,
-    plain rejection from the untruncated normal elsewhere (acceptance at
-    least one half in both regimes).
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    out = np.empty(gammas.shape)
-    pending = np.arange(gammas.size)
-    flat = gammas.ravel()
-    res = out.ravel()
+def _rejection_fill(n: int, attempt) -> np.ndarray:
+    """n values of a rejection sampler that proposes one candidate per open
+    slot each round.  ``attempt(pending)`` returns the round's candidates
+    and which of them it accepts, for the open slots ``pending`` (``None``
+    in the first round: all n, in order); a slot keeps the candidate of the
+    round that accepts it.  Rejected candidates are written too and then
+    overwritten, which saves compressing the candidates of every round."""
+    if not n:
+        return np.empty(0)
+    out, accept = attempt(None)
+    pending = np.flatnonzero(~accept)
     while pending.size:
-        g = flat[pending]
-        pos = g >= 0.0
-        n = pending.size
-        cand = np.empty(n)
-        accept = np.zeros(n, dtype=bool)
-        if pos.any():
-            gp = g[pos]
-            lam = shifted_exponential_rate(gp)
-            c = gp + rng.exponential(1.0, gp.size) / lam
-            logu = np.log(rng.random(gp.size))
-            cand[pos] = c
-            accept[pos] = logu < -0.5 * (c - lam) ** 2
-        if (~pos).any():
-            m = int((~pos).sum())
-            c = rng.standard_normal(m)
-            cand[~pos] = c
-            accept[~pos] = c > g[~pos]
-        res[pending[accept]] = cand[accept]
+        cand, accept = attempt(pending)
+        out[pending] = cand
         pending = pending[~accept]
     return out
 
 
+def _exponential_round(g, lam, rng, m: int):
+    """Shifted-exponential candidates beyond thresholds ``g >= 0`` (one or m)
+    at the rates ``lam``, and their acceptance test."""
+    cand = g + rng.exponential(1.0, m) / lam
+    log_u = np.log(rng.random(m))
+    return cand, log_u < -0.5 * (cand - lam) ** 2
+
+
+def _normal_round(g, rng, m: int):
+    """Plain normal candidates above thresholds ``g < 0`` and their test."""
+    cand = rng.standard_normal(m)
+    return cand, cand > g
+
+
+def _trunc_std_normal(t: float, rng, n: int) -> np.ndarray:
+    """n draws of N(0,1) conditioned on exceeding the one threshold t: the
+    draws of :func:`_trunc_std_normal_batch` on n copies of t, bit for bit."""
+    if t >= 0.0:
+        lam = shifted_exponential_rate(t)
+        step = lambda m: _exponential_round(t, lam, rng, m)
+    else:
+        step = lambda m: _normal_round(t, rng, m)
+    return _rejection_fill(n, lambda pending: step(n if pending is None else pending.size))
+
+
+def _trunc_std_normal_batch(gammas: np.ndarray, rng) -> np.ndarray:
+    """N(0,1) conditioned on exceeding each of a 1-D array of thresholds.
+
+    Shifted-exponential proposals where the threshold is non-negative,
+    plain rejection from the untruncated normal elsewhere (acceptance at
+    least one half in both regimes).  A round draws the exponentials and
+    uniforms of its non-negative thresholds, then the normals of the rest;
+    a round with one sign only draws the same numbers without masks.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    rates = shifted_exponential_rate(gammas)  # elementwise, so each round gathers its own
+
+    def attempt(pending):
+        g, lam = (gammas, rates) if pending is None else (gammas[pending], rates[pending])
+        pos = g >= 0.0
+        npos = np.count_nonzero(pos)
+        if npos == g.size:
+            return _exponential_round(g, lam, rng, npos)
+        if not npos:
+            return _normal_round(g, rng, g.size)
+        cand, accept = np.empty(g.size), np.empty(g.size, dtype=bool)
+        neg = ~pos
+        cand[pos], accept[pos] = _exponential_round(g[pos], lam[pos], rng, npos)
+        cand[neg], accept[neg] = _normal_round(g[neg], rng, g.size - npos)
+        return cand, accept
+
+    return _rejection_fill(gammas.size, attempt)
+
+
 def sample_truncated_std_normal(gamma: float, rng, size):
     """``size`` draws from N(0,1) conditioned on being greater than ``gamma``."""
-    gamma = _real(gamma, "the truncation point")
-    return _trunc_std_normal_batch(np.full(_dimension(size, "size", least=0), gamma), rng)
+    return _trunc_std_normal(_real(gamma, "the truncation point"), rng, _dimension(size, "size", least=0))
+
+
+_RUN = 64  # values per run of rows in _add_to_rows
+
+
+def _add_to_rows(block, row, run):
+    """``block += row`` on a C-ordered ``(rows, d)`` block, given ``run``,
+    ``row`` tiled over g rows: the block is added g rows at a time as runs
+    of at least ``_RUN`` values, not one d-value inner loop per row, which
+    at d = 4 is 2-4x slower.  Each element gets the same sum."""
+    g = run.size // row.size
+    whole = block.shape[0] // g * g
+    runs = block[:whole].reshape(-1, run.size)
+    np.add(runs, run, out=runs)
+    block[whole:] += row
 
 
 def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None, _per_row=None) -> np.ndarray:
@@ -134,21 +203,27 @@ def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None, _per_row
     block-sized scratch only, so the draw never holds all n of them.  With
     no function the ``(n, d)`` rows are returned.
     """
-    rows = _per_row is None
-    out = np.empty((n, model.d) if rows else n)
-    scratch = np.empty((1 if rows else 2, min(n, ROW_BLOCK), model.d))
-    chol_t, cols = model.chol.T, list(given)
-    for start, stop in row_blocks(n):
+    rows, d = _per_row is None, model.d
+    out = np.empty((n, d) if rows else n)
+    size = min(n, block_rows(d))
+    scratch = np.empty((1 if rows else 2, size, d))
+    diff = np.empty((size, len(given)))
+    chol_t, mu = model.chol.T, model.mu
+    mu_run = np.tile(mu, -(-_RUN // d))
+    for start, stop in row_blocks(n, d):
         z = scratch[-1, :stop - start]
         block = out[start:stop] if rows else scratch[0, :stop - start]
         rng.standard_normal(out=z)
         np.matmul(z, chol_t, out=block)
-        block += model.mu
+        _add_to_rows(block, mu, mu_run)
         if gain is not None:
-            v = values[start:stop]
-            np.matmul(v - block[:, cols], gain.T, out=z)
+            v, dv = values[start:stop], diff[:stop - start]
+            for j, c in enumerate(given):  # column by column: a gathered block[:, given] is F-ordered
+                np.subtract(v[:, j], block[:, c], dv[:, j])
+            np.matmul(dv, gain.T, out=z)
             block += z
-            block[:, cols] = v
+            for j, c in enumerate(given):
+                block[:, c] = v[:, j]
         if not rows:
             out[start:stop] = _per_row(block)
     return out
@@ -185,7 +260,10 @@ class GaussianConditional:
             z = (sample_truncated_std_normal(self._t[0], rng, n),)
         else:
             z = sample_truncated_std_normal_pair(*self._t, self._rho, rng, size=n)
-        values = self._mu + self._sd * np.column_stack(z)
+        values = np.empty((n, len(z)))
+        for j, zj in enumerate(z):  # mu + sd z, column by column
+            np.multiply(zj, self._sd[j], out=values[:, j])
+            values[:, j] += self._mu[j]
         return gaussian_rows(self.model, rng, n, self.given, values, self.gain, _per_row)
 
 
@@ -259,12 +337,19 @@ class _PairLaw:
     def decide(self, x, log_u):
         """``(accept, unsure)``: ``accept`` is the exact test's decision
         except at the indices ``unsure``, which the squeeze leaves open."""
-        t = (x - self.lo) / self.step
-        tc = np.clip(t, 0.0, self.KNOTS - 1)
+        t = x - self.lo
+        t /= self.step
+        tc = np.maximum(t, 0.0)
+        np.minimum(tc, self.KNOTS - 1, out=tc)
         k = tc.astype(np.intp)
-        d = log_u - (self.ratio[k] + (tc - k) * self.slope[k])
+        d = tc - k  # the chord at tc: ratio[k] + (tc - k) slope[k]
+        d *= self.slope.take(k)
+        d += self.ratio.take(k)
+        np.subtract(log_u, d, out=d)
         accept = d < -self.margin
-        unsure = ((d < self.width) & ~accept) | (tc != t)
+        unsure = d < self.width  # holds wherever accept does
+        unsure ^= accept
+        unsure |= tc != t
         return accept, unsure.nonzero()[0]
 
 
@@ -298,17 +383,18 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
     law = _pair_law(ti, tj, rho)
     mu, s = law.mu, law.s
     n = _dimension(size, "size", least=0)
-    zi = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        m = pending.size
-        x = mu + _trunc_std_normal_batch(np.full(m, ti - mu), rng)
+
+    def attempt(pending):
+        m = n if pending is None else pending.size
+        x = _trunc_std_normal(ti - mu, rng, m)
+        x += mu
         log_u = np.log(rng.random(m))
         accept, unsure = law.decide(x, log_u)
         if unsure.size:
             accept[unsure] = log_u[unsure] < law.exact(x[unsure])
-        zi[pending[accept]] = x[accept]
-        pending = pending[~accept]
+        return x, accept
+
+    zi = _rejection_fill(n, attempt)
     zj = rho * zi + s * _trunc_std_normal_batch((tj - rho * zi) / s, rng)
     if swap:
         zi, zj = zj, zi
@@ -340,8 +426,8 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
     s = math.sqrt(max(1.0 - rho * rho, 0.0))
     if s == 0.0:
         raise ModelSpecError("degenerate pair correlation; the chain cannot move")
-    zi = _trunc_std_normal_batch(np.full(n, ti), rng)
-    zj = _trunc_std_normal_batch(np.full(n, tj), rng)
+    zi = _trunc_std_normal(ti, rng, n)
+    zj = _trunc_std_normal(tj, rng, n)
     for _ in range(burnin):
         zj = rho * zi + s * _trunc_std_normal_batch((tj - rho * zi) / s, rng)
         zi = rho * zj + s * _trunc_std_normal_batch((ti - rho * zj) / s, rng)
@@ -366,14 +452,26 @@ def sample_inverse_gaussian(mu, lam, rng, size):
         raise ModelSpecError("inverse Gaussian parameters must be finite and strictly positive")
     mu = np.broadcast_to(mu, shape)
     lam = np.broadcast_to(lam, shape)
-    nu = rng.standard_normal(shape)
-    y = nu * nu
-    w = mu * y / lam
-    # smaller root of the quadratic, written without cancellation
-    denom = 1.0 + 0.5 * w + 0.5 * np.sqrt(w * (4.0 + w))
-    x = mu / denom
-    take_root = rng.random(shape) <= mu / (mu + x)
-    return np.where(take_root, x, mu * denom)
+    w = rng.standard_normal(shape)
+    w *= w  # chi-square with one degree of freedom
+    np.multiply(mu, w, out=w)
+    w /= lam
+    # smaller root of the quadratic, written without cancellation:
+    # denom = 1 + w / 2 + sqrt(w (4 + w)) / 2, and the root is mu / denom
+    root = np.add(w, 4.0)
+    root *= w
+    np.sqrt(root, out=root)
+    root *= 0.5
+    denom = np.multiply(w, 0.5, out=w)
+    denom += 1.0
+    denom += root
+    x = np.divide(mu, denom)
+    u = rng.random(shape)
+    np.add(mu, x, out=root)
+    take_root = u <= np.divide(mu, root, out=root)
+    np.multiply(mu, denom, out=denom)  # the other root, mu denom
+    np.copyto(denom, x, where=take_root)
+    return denom
 
 
 def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size):
@@ -391,12 +489,15 @@ def laplace_conditional_exceedance(d: int, i: int, gamma: float, rng, size):
     if i >= d:
         raise ModelSpecError(f"index {i} out of range for dimension {d}")
     n = _dimension(size, "size", least=0)
-    x_i = gamma + rng.exponential(1.0 / SQRT2, n)
-    y_i = np.sqrt(sample_inverse_gaussian(SQRT2 * x_i, 2.0 * x_i * x_i, rng, n))
+    x_i = rng.exponential(1.0 / SQRT2, n)
+    x_i += gamma
+    y_i = sample_inverse_gaussian(SQRT2 * x_i, 2.0 * x_i * x_i, rng, n)
+    np.sqrt(y_i, out=y_i)
     out = np.empty((n, d))
     out[:, i] = x_i
-    rest = [k for k in range(d) if k != i]
-    if rest:
+    if d > 1:
         y_rest = rng.standard_normal((n, d - 1))
-        out[:, rest] = (x_i / y_i)[:, None] * y_rest
+        scale = np.divide(x_i, y_i, out=y_i)
+        for j, k in enumerate(k for k in range(d) if k != i):  # a column at a time, not a scatter
+            np.multiply(scale, y_rest[:, j], out=out[:, k])
     return out

@@ -533,8 +533,8 @@ class TestRowBlockValues:
             seen.append(x.shape[0])
             return x[:, 0] ** 2 + p.sum(axis=1)
 
-        r = estimate_beta_n(NormalModel.equicorrelated(4, 0.5), 1.0, 1, Payoff.custom(payoff), 40_000, 11)
-        # each cell draws 10,000 rows, in three blocks
-        assert max(seen) <= samplers.ROW_BLOCK and sum(seen) == 40_000 and len(seen) == 12
-        # the bits of the same estimate made on whole 10,000-row draws
-        assert (r.estimate.hex(), r.sample_std.hex()) == ("0x1.1e6716568cbe6p+0", "0x1.b5a0871f9a29fp-2")
+        r = estimate_beta_n(NormalModel.equicorrelated(4, 0.5), 1.0, 1, Payoff.custom(payoff), 160_000, 11)
+        # each cell draws 40,000 rows, in three blocks of at most block_rows(4) = 16,384
+        assert max(seen) <= samplers.block_rows(4) and sum(seen) == 160_000 and len(seen) == 12
+        # the bits of the same estimate made on blocks of at most 4,096 rows
+        assert (r.estimate.hex(), r.sample_std.hex()) == ("0x1.1e03e71e1be34p+0", "0x1.b7b21e0e9cbf2p-2")

@@ -50,6 +50,28 @@ class TestCountAndBinomial:
             assert subsets == ev.binomial_term(e, i)
 
 
+class TestExceedanceCount:
+    """The count every count-based value reads equals the boolean row sum
+    exactly, including past 255 columns, where a byte accumulator wraps."""
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 64, 65, 255, 256, 300])
+    def test_equals_the_row_sum(self, d):
+        rng = np.random.default_rng(d)
+        patterns = rng.random((600, d)) < rng.random((600, 1))
+        patterns[:5] = True
+        patterns[5] = False
+        # the array, a column slice, every other column and every third row
+        for p in (patterns, patterns[:, d // 2:], patterns[:, ::2], patterns[::3]):
+            got = ev.exceedance_count(p)
+            assert got.dtype.kind == "u" and np.array_equal(got, p.sum(axis=1))
+        assert (ev.exceedance_count(patterns[:5]) == d).all()
+
+    def test_rows_of_a_finite_model(self):
+        model = FinitePatternModel(np.full(1 << 6, 1.0 / (1 << 6)))
+        p = model.patterns[model._given((1, 4))]
+        assert p.shape == (16, 6) and np.array_equal(ev.exceedance_count(p), p.sum(axis=1))
+
+
 class TestResidualTerm:
     @pytest.mark.parametrize("count,order,expected", [(3, 1, -2), (3, 2, 1), (1, 1, 0)])
     def test_examples(self, count, order, expected):

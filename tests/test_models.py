@@ -493,6 +493,16 @@ class TestArchimedeanPairTail:
             assert math.isfinite(got) and 0.0 < got <= v, (v, got)
             assert float(abs(got - want) / want) <= bound, (v, got, float(want))
 
+    @pytest.mark.parametrize("theta", [-0.999, -0.99, -0.9])
+    def test_clayton_corner_near_theta_minus_one_keeps_every_digit(self, theta):
+        # where a = u^-theta - 1 < -1/4 (u up to (3/4)^(1/|theta|)) the corner was
+        # 2v + expm1(-log1p(2a) / theta), which loses the factor 1 / (1 + theta):
+        # 5.3e-13 relative at theta = -0.999, u = 0.62
+        m = ArchimedeanModel("clayton", theta, 2)
+        for u in np.linspace(0.5, 0.99, 50):
+            got, want = m.pair_survival(0, 1, float(u)), _mp_pair_survival("clayton", theta, float(u))
+            assert float(abs(got - want) / want) <= 2e-15, (u, got, float(want))
+
     def test_large_theta_corner_does_not_overflow(self):
         # u^-theta overflows once theta |log u| passes 709; the layer once read 1 - 2u < 0 there
         m = ArchimedeanModel("clayton", 2000.0, 2)

@@ -9,6 +9,9 @@ from rareunion import ModelSpecError, NormalModel, estimators, models
 from rareunion.samplers import (
     ROW_BLOCK,
     GaussianConditional,
+    _trunc_std_normal,
+    _trunc_std_normal_batch,
+    block_rows,
     _pair_law,
     _PairLaw,
     gaussian_rows,
@@ -146,6 +149,56 @@ def test_per_row_draw_returns_one_value_per_row(name, size):
     got = estimators._sampler(*RUNNER_LAWS[name])(rng_for(name), size, _per_row=_row_values)
     assert got.shape == (size,)
     assert list(map(float.hex, got)) == list(map(float.hex, _row_values(DRAW_CALLS[name](rng_for(name), size))))
+
+
+def _masked_truncated_normal(gammas, rng):
+    """The per-element rejection loop with sign masks in every round: the
+    reference that the one-threshold and one-sign rounds must reproduce."""
+    gammas = np.asarray(gammas, dtype=float)
+    out, pending = np.empty(gammas.size), np.arange(gammas.size)
+    while pending.size:
+        g = gammas[pending]
+        pos, n = g >= 0.0, pending.size
+        cand, accept = np.empty(n), np.zeros(n, dtype=bool)
+        if pos.any():
+            gp = g[pos]
+            lam = shifted_exponential_rate(gp)
+            c = gp + rng.exponential(1.0, gp.size) / lam
+            logu = np.log(rng.random(gp.size))
+            cand[pos], accept[pos] = c, logu < -0.5 * (c - lam) ** 2
+        if (~pos).any():
+            c = rng.standard_normal(int((~pos).sum()))
+            cand[~pos], accept[~pos] = c, c > g[~pos]
+        out[pending[accept]] = cand[accept]
+        pending = pending[~accept]
+    return out
+
+
+class TestTruncatedNormalPaths:
+    """The one-threshold path and the rounds of one sign draw the same
+    numbers as the masked per-element loop and leave the generator in the
+    same state, bit for bit."""
+
+    SIZES = [0, 1, 7, 10_000]
+
+    @staticmethod
+    def same(got, rng, want, ref_rng):
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("t", [0.0, 4.0, 1e200, -1.0])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_one_threshold(self, t, n):
+        want = _masked_truncated_normal(np.full(n, t), ref := derive_generator(9, n))
+        for draw in (lambda rng: _trunc_std_normal(t, rng, n), lambda rng: sample_truncated_std_normal(t, rng, n)):
+            self.same(draw(rng := derive_generator(9, n)), rng, want, ref)
+        self.same(_trunc_std_normal_batch(np.full(n, t), rng := derive_generator(9, n)), rng, want, ref)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_mixed_signs(self, n):
+        gammas = derive_generator(10, n).permutation(np.linspace(-2.0, 3.0, n))
+        want = _masked_truncated_normal(gammas, ref := derive_generator(11, n))
+        self.same(_trunc_std_normal_batch(gammas, rng := derive_generator(11, n)), rng, want, ref)
 
 
 class TestTruncatedNormal:
@@ -347,6 +400,43 @@ class TestRowBlockedDraws:
         want[:, cols] = values
         got = gaussian_rows(model, derive_generator(5, n), n, given, values, gain, _per_row=per_row)
         self.check(got, want, per_row)
+
+
+class TestNarrowRowBlockedDraws:
+    """Below d = 16 a block holds ``BLOCK_ELEMENTS`` values, more than
+    ``ROW_BLOCK`` rows; the draws keep the bits of the whole-array
+    expressions just past one such block and at 2^16 rows."""
+
+    CASES = [pytest.param(d, n, id=f"d{d}-{n}") for d in (4, 8) for n in (block_rows(d) + 1, 1 << 16)]
+    PER_ROW = pytest.mark.parametrize("per_row", [None, _row_values], ids=["rows", "per_row"])
+
+    @staticmethod
+    def model(d):
+        lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        return NormalModel(0.6**lags, mu=np.linspace(-1.0, 1.0, d))
+
+    def test_block_rule(self):
+        assert [block_rows(d) for d in (1, 4, 8, 16, 17, 64)] == [1 << 16, 1 << 14, 1 << 13, 4096, 4096, 4096]
+
+    @PER_ROW
+    @pytest.mark.parametrize("d, n", CASES)
+    def test_sample_matches_plain_expression(self, d, n, per_row):
+        m = self.model(d)
+        want = m.mu + derive_generator(6, n).standard_normal((n, d)) @ m.chol.T
+        TestRowBlockedDraws.check(m.sample(derive_generator(6, n), n, _per_row=per_row), want, per_row)
+
+    @PER_ROW
+    @pytest.mark.parametrize("given", [(1,), (3, 0)])
+    @pytest.mark.parametrize("d, n", CASES)
+    def test_conditional_draw_matches_plain_expression(self, d, n, given, per_row):
+        m, cols = self.model(d), list(given)
+        gain = np.linalg.solve(m.sigma[np.ix_(cols, cols)], m.sigma[cols]).T
+        values = 2.0 + derive_generator(7, n).random((n, len(given)))
+        x = m.mu + derive_generator(8, n).standard_normal((n, d)) @ m.chol.T
+        want = x + (values - x[:, cols]) @ gain.T
+        want[:, cols] = values
+        got = gaussian_rows(m, derive_generator(8, n), n, given, values, gain, _per_row=per_row)
+        TestRowBlockedDraws.check(got, want, per_row)
 
 
 @pytest.mark.parametrize("events", [(2,), (0, 2)])
