@@ -330,35 +330,25 @@ class _LaplaceTail:
 
 
 class _ArchGenerator:
-    """One Archimedean generator: psi, its inverse, and a frailty law.
+    """One Archimedean family at one theta.
 
-    The frailty law V has Laplace transform equal to the generator inverse,
-    so ``U_i = psi_inv(E_i / V)`` with i.i.d. unit exponentials is an exact
-    d-dimensional draw, and the diagonal is ``psi_inv(2 psi(u))``.  Families
-    keep their textbook parameter ranges for construction (``valid``);
-    sampling is limited to the range where the frailty law exists
-    (``sampleable``).  ``upper_pair(v)`` is the corner
-    ``P(U_1 > 1 - v, U_2 > 1 - v)`` for v up to 1/2, written per family in
-    ``v`` itself, so that no small value is rounded against 1.  Where the
-    textbook forms overflow or round to a constant at large theta, a family
-    writes its ``diagonal`` and its ``sample`` in forms that do not; Clayton,
-    Gumbel and Frank write both, and Gumbel and Frank need no ``psi``.
+    Each family keeps its textbook parameter range for construction
+    (``valid``) and the range where its frailty law exists for sampling
+    (``sampleable``), and writes three forms of its own: ``diagonal(u)``,
+    the copula diagonal ``C(u, u)``; ``upper_pair(v)``, the corner
+    ``P(U_1 > 1 - v, U_2 > 1 - v)`` for v up to 1/2, written in ``v``
+    itself so that no small value is rounded against 1; and
+    ``sample(rng, n, d)``, n rows of the frailty construction
+    ``U_i = psi_inv(E_i / V)`` (Marshall & Olkin 1988), with i.i.d. unit
+    exponentials E_i and a frailty V whose Laplace transform is the
+    generator inverse psi_inv.  Each is written in a form that neither
+    overflows nor rounds to a constant over the family's range of theta.
     """
 
     name = ""
 
     def __init__(self, theta: float):
         self.theta = float(theta)
-
-    def diagonal(self, u):
-        """``C(u, u) = psi_inv(2 psi(u))``."""
-        return self.psi_inv(2.0 * self.psi(u))
-
-    def sample(self, rng, n: int, d: int) -> np.ndarray:
-        """n rows of ``U_i = psi_inv(E_i / V)``: the frailties, then d unit
-        exponentials per row."""
-        v = self.frailty(rng, n)
-        return self.psi_inv(rng.exponential(1.0, (n, d)) / v[:, None])
 
 
 @functools.cache
@@ -374,30 +364,19 @@ class _Clayton(_ArchGenerator):
     valid = Interval(-1.0, math.inf)
     sampleable = Interval(0.0, math.inf)
 
-    def psi(self, t):
-        th = self.theta
-        if th == 0.0:
-            return -np.log(t)
-        return (np.power(t, -th) - 1.0) / th
-
-    def psi_inv(self, s):
-        th = self.theta
-        if th == 0.0:
-            return np.exp(-s)
-        base = 1.0 + th * np.asarray(s, dtype=float)
-        if th < 0.0:
-            base = np.maximum(base, 0.0)
-        return np.power(base, -1.0 / th)
-
     def _log_diagonal(self, lu):
-        """For theta > 0, ``log C(u, u) = log u - log(2 - u^theta) / theta``
-        from ``lu = log u``, which cannot overflow."""
-        return lu - np.log1p(-np.expm1(self.theta * lu)) / self.theta
+        """For theta != 0, ``log C(u, u) = log u - log(2 - u^theta) / theta``
+        from ``lu = log u``, which cannot overflow; -inf at the generator's
+        zero, where theta < 0 and ``u^theta >= 2``."""
+        one_less = -np.expm1(self.theta * lu)  # 1 - u^theta
+        if one_less <= -1.0:
+            return -math.inf
+        return lu - np.log1p(one_less) / self.theta
 
     def diagonal(self, u):
-        if self.theta > 0.0:
-            return np.exp(self._log_diagonal(np.log(u)))
-        return super().diagonal(u)
+        if self.theta == 0.0:
+            return u * u
+        return np.exp(self._log_diagonal(np.log(u)))
 
     def upper_pair(self, v):
         """With ``f(x) = (1 + x)^(-1/theta)`` and ``a = u^-theta - 1``,
@@ -534,22 +513,21 @@ class _AliMikhailHaq(_ArchGenerator):
     valid = Interval(-1.0, 1.0)
     sampleable = Interval(0.0, 1.0)
 
-    def psi(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.log((1.0 - self.theta * (1.0 - t)) / t)
-
-    def psi_inv(self, s):
-        return (1.0 - self.theta) / (np.exp(np.asarray(s, dtype=float)) - self.theta)
+    def diagonal(self, u):
+        return u * u / (1.0 - self.theta * (1.0 - u) ** 2)
 
     def upper_pair(self, v):
         # C(u, u) = u^2 / (1 - theta v^2), so the corner is rational in v
         th = self.theta
         return v * v * (1.0 + th - 2.0 * th * v) / (1.0 - th * v * v)
 
-    def frailty(self, rng, n):
-        if self.theta == 0.0:
-            return np.ones(n)
-        return rng.geometric(1.0 - self.theta, n).astype(float)
+    def sample(self, rng, n, d):
+        """``psi_inv(E / V) = (1 - theta) / (exp(E / V) - theta)`` with the
+        geometric frailty ``P(V = k) = (1 - theta) theta^(k - 1)``; V = 1 at
+        theta = 0."""
+        th = self.theta
+        v = np.ones(n) if th == 0.0 else rng.geometric(1.0 - th, n).astype(float)
+        return (1.0 - th) / (np.exp(rng.exponential(1.0, (n, d)) / v[:, None]) - th)
 
 
 _ARCH_FAMILIES = {

@@ -171,21 +171,6 @@ def sample_truncated_std_normal(gamma: float, rng, size):
     return _trunc_std_normal(_real(gamma, "the truncation point"), rng, _dimension(size, "size", least=0))
 
 
-_RUN = 64  # values per run of rows in _add_to_rows
-
-
-def _add_to_rows(block, row, run):
-    """``block += row`` on a C-ordered ``(rows, d)`` block, given ``run``,
-    ``row`` tiled over g rows: the block is added g rows at a time as runs
-    of at least ``_RUN`` values, not one d-value inner loop per row, which
-    at d = 4 is 2-4x slower.  Each element gets the same sum."""
-    g = run.size // row.size
-    whole = block.shape[0] // g * g
-    runs = block[:whole].reshape(-1, run.size)
-    np.add(runs, run, out=runs)
-    block[whole:] += row
-
-
 def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None, _per_row=None) -> np.ndarray:
     """n rows of a Gaussian model, block by block, with the bits of
     ``mu + z @ chol.T`` on one ``(n, d)`` normal draw.
@@ -208,14 +193,16 @@ def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None, _per_row
     size = min(n, block_rows(d))
     scratch = np.empty((1 if rows else 2, size, d))
     diff = np.empty((size, len(given)))
-    chol_t, mu = model.chol.T, model.mu
-    mu_run = np.tile(mu, -(-_RUN // d))
+    chol_t = model.chol.T
+    # a zero mean adds nothing; on 4-wide rows its add would cost about a sixth of the normals
+    mu = model.mu if model.mu.any() else None
     for start, stop in row_blocks(n, d):
         z = scratch[-1, :stop - start]
         block = out[start:stop] if rows else scratch[0, :stop - start]
         rng.standard_normal(out=z)
         np.matmul(z, chol_t, out=block)
-        _add_to_rows(block, mu, mu_run)
+        if mu is not None:
+            block += mu
         if gain is not None:
             v, dv = values[start:stop], diff[:stop - start]
             for j, c in enumerate(given):  # column by column: a gathered block[:, given] is F-ordered

@@ -100,3 +100,33 @@ def test_every_module_level_import_is_used():
     # would stay; __init__.py imports only to re-export
     unused = [hit for path in SOURCES if path.name != "__init__.py" for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(path):
+    """``(name, line)`` of each module-level private function, class or
+    assignment (``_name``, not ``__dunder__``) in one source file."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_helper_is_read():
+    # no linter runs on the package, so a helper a refactor leaves behind
+    # would stay; a name counts as read wherever src/ loads it, as a name or
+    # as a module attribute
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    dead = [f"{path.name}:{line} {name}" for path in SOURCES for name, line in _private_definitions(path)
+            if name not in read]
+    assert dead == []

@@ -7,6 +7,7 @@ import pytest
 from rareunion import (
     ArchimedeanModel,
     CapabilityError,
+    DependenceModel,
     FinitePatternModel,
     LaplaceModel,
     ModelSpecError,
@@ -371,6 +372,17 @@ def test_near_degenerate_pair_takes_the_closed_form(rho):
         assert m.pair_survivals(gamma).tolist() == [want]
 
 
+def test_bare_model_has_no_pair_layer():
+    class Bare(DependenceModel):
+        d = 2
+
+        def sample(self, rng, size):
+            return np.zeros((size, 2))
+
+    with pytest.raises(CapabilityError, match="cannot compute pairwise probabilities"):
+        Bare().pair_survival(0, 1, 1.0)
+
+
 class TestArchimedeanModel:
     def test_uniform_threshold_marginal(self):
         m = ArchimedeanModel("clayton", 2.0, 3)
@@ -422,6 +434,43 @@ class TestArchimedeanModel:
         u = ArchimedeanModel(family, theta, 3).sample(rng_for(f"indep-{family}"), 1000)
         e = rng_for(f"indep-{family}").exponential(1.0, (1000, 3))
         np.testing.assert_allclose(u, np.exp(-e), rtol=1e-15, atol=0.0)
+
+    def test_amh_draw_is_the_geometric_frailty_construction(self):
+        # (1 - theta) / (exp(E / V) - theta), V geometric, from the same stream
+        th = 0.6
+        rng = rng_for("amh-draw")
+        v = rng.geometric(1.0 - th, 1000).astype(float)
+        want = (1.0 - th) / (np.exp(rng.exponential(1.0, (1000, 3)) / v[:, None]) - th)
+        got = ArchimedeanModel("amh", th, 3).sample(rng_for("amh-draw"), 1000)
+        assert list(map(float.hex, got.ravel())) == list(map(float.hex, want.ravel()))
+
+    @pytest.mark.parametrize("family,theta", [("clayton", t) for t in (-1e-6, -1e-3, -0.1, -0.5, -0.9)]
+                             + [("amh", t) for t in (-1.0, -0.5, 0.0, 0.5, 0.99)])
+    def test_diagonal_matches_closed_form(self, family, theta):
+        # psi_inv(2 psi(u)) once lost digits: 1.5e-10 relative at Clayton theta = -1e-6,
+        # 3.9e-14 at AMH theta = 0.99
+        import mpmath as mp
+
+        m = ArchimedeanModel(family, theta, 2)
+        th = mp.mpf(theta)
+        closed = {
+            "clayton": lambda u: max(2 * u**-th - 1, 0) ** (-1 / th),
+            "amh": lambda u: u * u / (1 - th * (1 - u) ** 2),
+        }[family]
+        for u in np.concatenate([np.linspace(0.01, 0.99, 99), 1.0 - np.logspace(-1, -12, 23)]):
+            got = m.diagonal(float(u))
+            with mp.workdps(60):
+                want = closed(mp.mpf(float(u)))
+                if want == 0:  # below Clayton's generator zero, u <= 2^(1/theta)
+                    assert got == 0.0, (u, got)
+                else:
+                    assert float(abs(got - want) / want) <= 5e-15, (u, got, float(want))
+
+    def test_clayton_generator_zero(self):
+        # at theta = -1, C(u, u) = max(2u - 1, 0): 0 at u = 1/2 and below
+        m = ArchimedeanModel("clayton", -1.0, 2)
+        assert m.pair_survival(0, 1, 0.5) == 0.0
+        assert m.pair_survival(0, 1, 0.3) == 0.4
 
     def test_negative_theta_constructs_but_cannot_sample(self):
         m = ArchimedeanModel("clayton", -0.5, 2)
@@ -481,17 +530,15 @@ class TestArchimedeanPairTail:
             want = _mp_pair_survival(family, theta, u)
             assert float(abs(m.pair_survival(0, 1, u) - want) / want) <= 1e-14, u
 
-    @pytest.mark.parametrize("theta", [0.05, 0.5, 2.0, 20.0, 200.0, -0.5, -0.1, -1e-3, -0.99, -0.9])
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 2.0, 20.0, 200.0, -0.5, -0.1, -1e-3, -0.9, -0.99, -0.999])
     def test_clayton_corner_keeps_every_digit(self, theta):
         # 2v + expm1(log C(u, u)) once cancelled like 1/v: 1e-6 relative at theta = 2, 1 - u = 1e-10,
-        # and for theta < 0 up to 1.1e-4 at theta = -0.99; near theta = -1, 1 - u = 0.3 has
-        # a < -1/4 and keeps the old form, which loses the factor 1 / (1 + theta)
-        bound = 5e-14 if theta <= -0.9 else 2e-15
+        # and for theta < 0 up to 1.1e-4 at theta = -0.99
         m = ArchimedeanModel("clayton", theta, 2)
         for v in (c * 10.0**-k for k in range(1, 11) for c in (1.0, 3.0)):
             got, want = m.pair_survival(0, 1, 1.0 - v), _mp_pair_survival("clayton", theta, 1.0 - v)
             assert math.isfinite(got) and 0.0 < got <= v, (v, got)
-            assert float(abs(got - want) / want) <= bound, (v, got, float(want))
+            assert float(abs(got - want) / want) <= 2e-15, (v, got, float(want))
 
     @pytest.mark.parametrize("theta", [-0.999, -0.99, -0.9])
     def test_clayton_corner_near_theta_minus_one_keeps_every_digit(self, theta):

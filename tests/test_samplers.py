@@ -367,10 +367,11 @@ class TestRowBlockedDraws:
         pytest.param(n, _row_values, id=f"{n}-per_row") for n in (1, 2, ROW_BLOCK + 1, 1 << 16)
     ]
 
-    @pytest.fixture(scope="class")
-    def model(self):
+    # a zero mean is not added at all, and must leave the same bits as adding it
+    @pytest.fixture(scope="class", params=[np.linspace(-1.0, 1.0, D), None], ids=["mean", "zero_mean"])
+    def model(self, request):
         lags = np.abs(np.subtract.outer(np.arange(self.D), np.arange(self.D)))
-        return NormalModel(0.5**lags, mu=np.linspace(-1.0, 1.0, self.D))
+        return NormalModel(0.5**lags, mu=request.param)
 
     @staticmethod
     def check(got, want, per_row):
@@ -409,27 +410,30 @@ class TestNarrowRowBlockedDraws:
 
     CASES = [pytest.param(d, n, id=f"d{d}-{n}") for d in (4, 8) for n in (block_rows(d) + 1, 1 << 16)]
     PER_ROW = pytest.mark.parametrize("per_row", [None, _row_values], ids=["rows", "per_row"])
+    MEAN = pytest.mark.parametrize("mean", [True, False], ids=["mean", "zero_mean"])
 
     @staticmethod
-    def model(d):
+    def model(d, mean):
         lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        return NormalModel(0.6**lags, mu=np.linspace(-1.0, 1.0, d))
+        return NormalModel(0.6**lags, mu=np.linspace(-1.0, 1.0, d) if mean else None)
 
     def test_block_rule(self):
         assert [block_rows(d) for d in (1, 4, 8, 16, 17, 64)] == [1 << 16, 1 << 14, 1 << 13, 4096, 4096, 4096]
 
+    @MEAN
     @PER_ROW
     @pytest.mark.parametrize("d, n", CASES)
-    def test_sample_matches_plain_expression(self, d, n, per_row):
-        m = self.model(d)
+    def test_sample_matches_plain_expression(self, d, n, per_row, mean):
+        m = self.model(d, mean)
         want = m.mu + derive_generator(6, n).standard_normal((n, d)) @ m.chol.T
         TestRowBlockedDraws.check(m.sample(derive_generator(6, n), n, _per_row=per_row), want, per_row)
 
+    @MEAN
     @PER_ROW
     @pytest.mark.parametrize("given", [(1,), (3, 0)])
     @pytest.mark.parametrize("d, n", CASES)
-    def test_conditional_draw_matches_plain_expression(self, d, n, given, per_row):
-        m, cols = self.model(d), list(given)
+    def test_conditional_draw_matches_plain_expression(self, d, n, given, per_row, mean):
+        m, cols = self.model(d, mean), list(given)
         gain = np.linalg.solve(m.sigma[np.ix_(cols, cols)], m.sigma[cols]).T
         values = 2.0 + derive_generator(7, n).random((n, len(given)))
         x = m.mu + derive_generator(8, n).standard_normal((n, d)) @ m.chol.T

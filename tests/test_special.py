@@ -161,6 +161,13 @@ def test_kernels_keep_shapes_and_scalars():
         assert kernel(x, out=out) is out
 
 
+def test_kernels_reject_an_out_they_cannot_fill():
+    with pytest.raises(ValueError, match="shape"):
+        erfc(np.zeros(3), out=np.empty(4))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        erfc(np.zeros((3, 2)), out=np.empty((3, 2), order="F"))
+
+
 def _mp_conditional(t_out, t_in, rho):
     """``int_{t_out}^inf phi(z) P(Z > (t_in - rho z) / s) dz``, ``s = sqrt(1 - rho^2)``."""
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
