@@ -51,6 +51,11 @@ merges chunk statistics in chunk order, so results are bit-identical for a
 given (model, gamma, replicates, seed) and any thread count.  Called from a
 pool thread, as in a table cell, the runner works inline.
 
+A unit draws every law's row count with one multinomial on its substream,
+the counts of a pick per row, then each law's rows in turn; a one-law
+stratum draws no count.  The replicates' mean, std and min/max ignore that
+law order while at most one stratum of a record mixes laws (``_Estimator``).
+
 A draw returns its rows, and the runner turns them into the stratum's
 replicate values.  The two Gaussian draws, ``NormalModel.sample`` and
 ``GaussianConditional.draw``, instead take the value function as
@@ -253,6 +258,10 @@ def bonferroni_bounds(model: DependenceModel, gamma: float) -> BonferroniBounds:
 
 
 class _Estimator(NamedTuple):
+    """At most one stratum has more than one law: a mixture's values come in
+    law order, and two mixtures summed row by row would pair law j of one
+    with law j of the other, which biases the sample variance."""
+
     head: float
     strata: list  # (weight, [(weight, events) per law]) per stratum
     value: Callable  # value(k, x, patterns) for draws x from stratum k
@@ -377,7 +386,7 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
     est = build(_shared_layers(model, gamma))
     if not est.strata:  # nothing to sample: the head is exact
         return _result(est.head, 0.0, 0, True, seed, t0)
-    picks = {}  # per stratum of positive weight: its law weights as pick probabilities
+    picks = {}  # per stratum of positive weight: its law weights as multinomial probabilities
     for k, (weight, laws) in enumerate(est.strata):
         if weight > 0.0:
             weights = np.array([w for w, _ in laws])
@@ -402,20 +411,10 @@ def _run(build, model: DependenceModel, gamma: float, replicates: int, seed: int
         def value(x):  # a draw hands its rows over block by block and keeps only these values
             return est.value(k, x, model.exceedance_patterns(x, gamma))
 
-        if len(draws[k]) == 1:  # one law: no pick
-            z = draws[k][0](rng, count, _per_row=value)
-        else:
-            z = np.empty(count)
-            picked = rng.choice(len(draws[k]), size=count, p=picks[k])
-            # each law's rows in ascending order, from one stable sort instead of a
-            # scan per law; law indices of the smallest unsigned type sort by radix
-            picked = picked.astype(np.min_scalar_type(len(draws[k]) - 1))
-            order = np.argsort(picked, kind="stable")
-            bounds = np.searchsorted(picked[order], np.arange(len(draws[k]) + 1))
-            for j, draw in enumerate(draws[k]):
-                sel = order[bounds[j]:bounds[j + 1]]
-                if sel.size:
-                    z[sel] = draw(rng, sel.size, _per_row=value)
+        # each law's row count, as a pick per row gives it, then its rows in law order
+        counts = rng.multinomial(count, picks[k]).tolist()
+        parts = [draw(rng, n, _per_row=value) for draw, n in zip(draws[k], counts) if n]
+        z = parts[0] if len(parts) == 1 else np.concatenate(parts)
         z *= est.strata[k][0]  # every draw returns a new float array of values
         return z
 

@@ -319,6 +319,11 @@ class TestBerman:
         with pytest.raises(ValueError):
             berman_univariate_asymptotic(NORMAL_RADIAL, 0.0, 1.0, -1.0)
 
+    def test_scaling_function_underflow_raises(self):
+        # w(v) = r delta v^(delta - 1) underflows to 0 at r = 1e-300, v = 1e300
+        with pytest.raises(ModelSpecError, match="scaling function must be positive"):
+            berman_univariate_asymptotic(KotzRadial(r=1e-300, delta=0.5), 0.0, 1.0, 1e300)
+
 
 class TestBivariateRate:
     def test_branch_selection(self):

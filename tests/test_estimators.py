@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,8 @@ from rareunion import (
     oracle_union_normal_equicorr,
     run_estimator,
 )
-from rareunion import samplers
+from rareunion import estimators, samplers
+from rareunion._rng import derive_generator
 from rareunion.special import norm_sf
 
 
@@ -444,6 +446,66 @@ class TestLayersAndLaws:
         assert r.estimate == m.marginal_survival(0, 1.0)
         r = estimate_beta_n(m, 1.0, 2, Payoff.constant_one(), 100, 1)
         assert r.estimate == 0.0 and r.replicates == 0
+
+
+class TestMixtureCounts:
+    """A mixture stratum draws its law counts from one multinomial on its
+    substream, then asks each law of non-zero count for all its rows, in law
+    order; a stratum of one law asks for every row at once."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        seen = []
+        sampler = estimators._sampler
+
+        def recording(model, gamma, events):
+            draw = sampler(model, gamma, events)
+
+            def sized(rng, size, _per_row):
+                seen.append((events, size))
+                return draw(rng, size, _per_row=_per_row)
+
+            return sized
+
+        monkeypatch.setattr(estimators, "_sampler", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("model, gamma", [
+        (NormalModel.equicorrelated(4, 0.5), 1.5),
+        (random_finite(13, 4), 0.0),
+    ], ids=["normal", "finite"])
+    def test_each_law_draws_its_multinomial_count(self, sizes, model, gamma, n):
+        replicates, seed = 5_000, 7
+        if n == 1:
+            layer = np.array([model.marginal_survival(i, gamma) for i in range(model.d)])
+        else:
+            layer = model.pair_survivals(gamma)
+        counts = derive_generator(seed, 0).multinomial(replicates, layer / layer.sum())
+        run_estimator(f"alpha{n}_is", model, gamma, replicates, seed)
+        laws = itertools.combinations(range(model.d), n)
+        assert sizes == [(events, c) for events, c in zip(laws, counts) if c]
+
+    def test_one_law_draws_every_row_at_once(self, sizes, monkeypatch):
+        monkeypatch.setenv("RARE_UNION_THREADS", "1")  # the units run in stratum order
+        m = NormalModel.equicorrelated(4, 0.5)
+        run_estimator("cmc", m, 1.5, 5_000, 7)
+        assert sizes == [((), 5_000)]
+        sizes.clear()
+        run_estimator("beta2_alpha", m, 1.5, 600, 7)
+        assert sizes == [(cell, 100) for cell in itertools.combinations(range(4), 2)]
+
+
+@pytest.mark.parametrize("build", [
+    *estimators._ESTIMATORS.values(),
+    *(estimators._beta_n(n, Payoff.residual_alternating(n - 1)) for n in (1, 2)),
+], ids=[*estimators._ESTIMATORS, "beta_1", "beta_2"])
+def test_at_most_one_stratum_mixes_laws(build):
+    # a mixture's values come back in law order, which only strata of iid rows
+    # may be summed with row by row
+    est = build(estimators._Layers(random_finite(14, 4), 0.0))
+    assert est.strata
+    assert sum(len(laws) > 1 for _, laws in est.strata) <= 1
 
 
 class TestLeadingColumns:

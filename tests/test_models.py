@@ -472,6 +472,14 @@ class TestArchimedeanModel:
         assert m.pair_survival(0, 1, 0.5) == 0.0
         assert m.pair_survival(0, 1, 0.3) == 0.4
 
+    def test_clayton_theta_zero_is_independence(self):
+        # theta = 0 is the independence copula: C(u, u) = u^2, on both sides of
+        # the u = 1/2 switch from the diagonal to the upper corner
+        m = ArchimedeanModel("clayton", 0.0, 3)
+        assert m.diagonal(0.3) == 0.09
+        for u in (0.3, 0.9):
+            assert m.pair_survival(0, 1, u) == pytest.approx((1.0 - u) ** 2, rel=1e-15, abs=0.0)
+
     def test_negative_theta_constructs_but_cannot_sample(self):
         m = ArchimedeanModel("clayton", -0.5, 2)
         assert m.pair_survival(0, 1, 0.9) >= 0.0

@@ -52,6 +52,13 @@ def test_draw_must_be_an_aligned_power_of_two(before, n):
         engine.random(n)
 
 
+def test_draw_beyond_the_engine_length_raises_before_allocating():
+    # 2**31 points of 2 dimensions would be 16 GiB of uint32 codes
+    engine = _qmc.Sobol(2, seed=np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"at most 2\*\*30 points"):
+        engine.random(1 << 31)
+
+
 @pytest.mark.parametrize("dim", [0, _qmc.MAXDIM + 1])
 def test_dimension_range(dim):
     with pytest.raises(ValueError, match="dimension"):

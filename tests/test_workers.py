@@ -136,3 +136,9 @@ class TestWorkerCount:
         monkeypatch.setattr(_workers.os, "cpu_count", lambda: 64)
         assert worker_count() == 1
 
+    @pytest.mark.parametrize("cpus, want", [(6, 6), (None, 1)])
+    def test_default_without_cpu_affinity_counts_cpus(self, cpus, want, monkeypatch):
+        monkeypatch.delenv("RARE_UNION_THREADS", raising=False)
+        monkeypatch.delattr(_workers.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(_workers.os, "cpu_count", lambda: cpus)
+        assert worker_count() == want
