@@ -51,10 +51,12 @@ class Sobol:
     Generator ``seed``.
 
     ``random(n)`` continues the sequence with the next ``n`` points, as an
-    ``(n, dim)`` float array.  Each draw must be an aligned power-of-two
-    block (``n`` a power of two that divides the points drawn before it),
-    which keeps every prefix a balanced net and makes the block the first
-    ``n`` points XOR one constant.  No point table is kept between draws.
+    ``(n, dim)`` float array; ``random(n, out=a)`` writes them into ``a``, a
+    C-contiguous ``(n, dim)`` float64 array, and returns it.  Each draw must
+    be an aligned power-of-two block (``n`` a power of two that divides the
+    points drawn before it), which keeps every prefix a balanced net and
+    makes the block the first ``n`` points XOR one constant.  No point table
+    is kept between draws.
     """
 
     def __init__(self, dim: int, *, seed: np.random.Generator):
@@ -72,12 +74,21 @@ class Sobol:
         self._dim = dim
         self._drawn = 0
 
-    def random(self, n: int) -> np.ndarray:
+    def random(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         start = self._drawn
         if n < 1 or n & (n - 1) or start % n:
             raise ValueError(f"a Sobol draw must be an aligned power of two: {n} points after {start}")
         if start + n > 1 << BITS:
             raise ValueError(f"a Sobol engine yields at most 2**{BITS} points")
+        if out is None:
+            out = np.empty((n, self._dim))
+        elif not (
+            isinstance(out, np.ndarray)
+            and out.shape == (n, self._dim)
+            and out.dtype == np.float64
+            and out.flags.c_contiguous
+        ):
+            raise ValueError(f"out must be a C-contiguous ({n}, {self._dim}) float64 array")
         # Gray-code order: the codes of [2^j, 2^(j+1)) are those of [0, 2^j)
         # reversed, XOR the direction number of bit j.  One row per dimension
         # keeps each XOR contiguous.
@@ -95,6 +106,5 @@ class Sobol:
                 offset ^= self._v[:, j]
         np.bitwise_xor(q, offset[:, None], out=q)
         self._drawn = start + n
-        out = np.empty((n, self._dim))
         np.multiply(q.T, 1.0 / (1 << BITS), out=out)
         return out

@@ -60,11 +60,11 @@ A draw returns its rows, and the runner turns them into the stratum's
 replicate values.  The two Gaussian draws, ``NormalModel.sample`` and
 ``GaussianConditional.draw``, instead take the value function as
 ``_per_row`` and evaluate each row block of at most
-``samplers.block_rows(d)`` rows (4,096, or 2^16 values where that is more
-rows) as soon as it is drawn, so their unit holds the values plus two
-block buffers of scratch, never the whole sample; every other draw is
-evaluated whole.  Each value reads only its own row, so the values are
-those of the whole draw, bit for bit.  The count-based values read the
+``samplers.block_rows(d)`` rows (2^16 values, 16,384 rows at d = 4 and
+1,024 at d = 64) as soon as it is drawn, so their unit holds the values
+plus two block buffers of scratch, never the whole sample; every other
+draw is evaluated whole.  Each value reads only its own row, so the values
+are those of the whole draw, bit for bit.  The count-based values read the
 exceedance count from ``events.exceedance_count``.
 """
 
@@ -123,7 +123,7 @@ class Payoff:
     exceedance count, the payoff that turns a partition estimator into a
     union-probability estimator.  ``custom`` wraps any such function.  The
     runner calls it on blocks of rows as they are drawn, at most
-    ``samplers.block_rows(d)`` = max(4,096, 2^16 / d) rows of a Gaussian
+    ``samplers.block_rows(d)`` = max(1, 2^16 / d) rows of a Gaussian
     model at a time, so it must return one value per row and read only that
     row.
     ``constant_one`` alone reads no column of x or of the patterns, so a

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _QMC_ENTROPY = 0x5EEDED  # fixed: the oracle is deterministic by design
-_SOBOL_BLOCK = 1 << 16  # rows per Sobol draw, so no whole-array copy is made
+_SOBOL_BLOCK = 1 << 16  # rows per Sobol draw, which bounds the engine's uint32 codes
 _QMC_FIRST_POINTS = 1 << 12  # first level of the doubling under a relative target
 _QMC_SCRAMBLES = 8  # independent scrambles; their spread is the error estimate
 
@@ -140,10 +140,10 @@ def _genz_cell(m, chol, gamma, engines, points) -> np.ndarray:
     product then has bounded relative error.  Each of ``engines`` draws
     the ``k - 1`` uniforms of its own ``points`` points.
 
-    The kernel works in place: one ``(len(engines) * points, k - 1)``
-    array receives the engines' Sobol draws one after the other, in
-    blocks of ``_SOBOL_BLOCK`` rows, and its column ``i`` is overwritten
-    by ``z_i`` once ``u_i`` is used.  Every elementwise step writes into
+    The kernel works in place: the engines write their Sobol draws one
+    after the other straight into one ``(len(engines) * points, k - 1)``
+    array, in blocks of ``_SOBOL_BLOCK`` rows, and its column ``i`` is
+    overwritten by ``z_i`` once ``u_i`` is used.  Every elementwise step writes into
     one scratch array, in the same order of operations as the plain
     expression ``1 - 0.5 * erfc((gamma - m_i - z @ chol_i) / chol_ii / sqrt 2)``,
     so a point's value does not depend on the engines beside it.
@@ -158,7 +158,7 @@ def _genz_cell(m, chol, gamma, engines, points) -> np.ndarray:
         stop = (j + 1) * points
         for start in range(j * points, stop, _SOBOL_BLOCK):
             rows = min(_SOBOL_BLOCK, stop - start)
-            w[start:start + rows] = engine.random(rows)
+            engine.random(rows, out=w[start:start + rows])
     prob = np.full(n, tail_prob)
     tmp = np.empty(n)
     np.multiply(w[:, 0], tail_prob, out=tmp)

@@ -11,9 +11,9 @@ krigs each block as it is drawn: an unconditional block moved by a
 per-law gain, so no law factors a covariance of its own.  Given a per-row
 function, the pass hands each finished block to it and keeps only the values
 it returns, so an estimator's draw holds two buffers of ``block_rows(d)`` rows
-(``ROW_BLOCK`` rows, or ``BLOCK_ELEMENTS`` values where that is more rows)
-instead of its whole sample.  The truncated normals draw one threshold, and
-rounds whose thresholds share a sign, without per-element masks.
+(``BLOCK_ELEMENTS`` values, 512 kB at any d) instead of its whole sample.
+The truncated normals draw one threshold, and rounds whose thresholds share
+a sign, without per-element masks.
 """
 
 from __future__ import annotations
@@ -37,30 +37,32 @@ __all__ = [
     "laplace_conditional_exceedance",
 ]
 
-# Rows per block of a Gaussian draw: at least ROW_BLOCK, and BLOCK_ELEMENTS
-# values where that is more rows (d < 16), so that a narrow draw does not pay
+# Values per block of a Gaussian draw: enough that a narrow draw does not pay
 # the fixed cost of its ten or so numpy calls per block on a few thousand
-# values (4,096 rows of 4 are 16k values).  A block's normals and matrix
-# products live in block-sized buffers, so a draw holds its output plus
-# max(ROW_BLOCK d, BLOCK_ELEMENTS) values of scratch per buffer (2 MB at
-# d = 64, 512 kB up to d = 16) instead of three whole-size temporaries; with
-# a per-row function the output is one value per row.
-ROW_BLOCK = 4096
+# values.  A block's normals and matrix products live in block-sized buffers,
+# so a draw holds its output plus BLOCK_ELEMENTS values of scratch per buffer
+# (512 kB at any d) instead of three whole-size temporaries; with a per-row
+# function the output is one value per row.
 BLOCK_ELEMENTS = 1 << 16
 
 
 def block_rows(d: int) -> int:
     """The most rows a block of a d-column Gaussian draw holds."""
-    return max(ROW_BLOCK, BLOCK_ELEMENTS // d)
+    return max(1, BLOCK_ELEMENTS // d)
 
 
 def row_blocks(n: int, d: int):
     """``(start, stop)`` of near-equal blocks of at most ``block_rows(d)``
     rows covering n rows.
 
-    The blocks are near-equal so none is tiny: BLAS takes a different code
-    path for a handful of rows, with different last bits, while blocks of
-    thousands of rows give exactly the bits of one whole-array product.
+    The blocks are near-equal, so each block of a draw of several blocks
+    holds at least about ``BLOCK_ELEMENTS / 2`` values.  BLAS takes a
+    different code path for small products, with different last bits: on
+    OpenBLAS 0.3.31 (SkylakeX kernels) ``z @ chol.T`` differed from one
+    whole-array product only on calls of at most 1,024 values (16 rows at
+    d = 64, 1 row at d = 1,024), and the kriging product ``dv @ gain.T`` of
+    k <= 2 columns only on 1 row, so blocks of 2^15 values keep the bits of
+    the whole-array products.
     """
     count = max(1, -(-n // block_rows(d)))
     size, extra = divmod(n, count)

@@ -254,8 +254,8 @@ class TestQmcRelativeTarget:
                 engine = real.Sobol(dim, **kwargs)
                 draw = engine.random
 
-                def random(n):
-                    out = draw(n)
+                def random(n, **kwargs):
+                    out = draw(n, **kwargs)
                     rows.append(len(out))
                     return out
 

@@ -59,6 +59,39 @@ def test_draw_beyond_the_engine_length_raises_before_allocating():
         engine.random(1 << 31)
 
 
+def test_draw_into_out_keeps_the_points():
+    # a first block and a continued aligned block, written into the rows of
+    # one array as ``_genz_cell`` does, equal the plain draws of a twin engine
+    ours, twin = (_qmc.Sobol(5, seed=scramble_rng((2, 5))) for _ in range(2))
+    w = np.full((1 << 10, 5), np.nan)
+    for start, n in [(0, 1 << 9), (1 << 9, 1 << 9)]:
+        block = w[start:start + n]
+        assert ours.random(n, out=block) is block
+        assert np.array_equal(block.view(np.uint64), twin.random(n).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((8, 2)),
+        np.empty((4, 3)),
+        np.empty((8, 3), dtype=np.float32),
+        np.empty((8, 6))[:, ::2],
+        np.empty((3, 8)).T,
+        [[0.0] * 3] * 8,
+    ],
+    ids=["dim", "rows", "float32", "strided", "fortran", "list"],
+)
+def test_draw_into_a_wrong_out_raises_before_advancing(out):
+    engine, twin = (_qmc.Sobol(3, seed=scramble_rng((1, 3))) for _ in range(2))
+    engine.random(8)
+    with pytest.raises(ValueError, match="out must be"):
+        engine.random(8, out=out)
+    # the engine did not move: its next draw is the twin's second block
+    twin.random(8)
+    assert np.array_equal(engine.random(8), twin.random(8))
+
+
 @pytest.mark.parametrize("dim", [0, _qmc.MAXDIM + 1])
 def test_dimension_range(dim):
     with pytest.raises(ValueError, match="dimension"):

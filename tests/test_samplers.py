@@ -7,7 +7,6 @@ from scipy.stats import invgauss, kstest
 
 from rareunion import ModelSpecError, NormalModel, estimators, models
 from rareunion.samplers import (
-    ROW_BLOCK,
     GaussianConditional,
     _trunc_std_normal,
     _trunc_std_normal_batch,
@@ -351,27 +350,45 @@ class TestConditionalMvn:
     @pytest.mark.parametrize("given", [(0,), (3, 1), (0, 1, 2, 3)])
     def test_conditioned_columns_equal_values(self, given):
         m = NormalModel(0.5 ** abs(np.subtract.outer(np.arange(4), np.arange(4))), mu=[1.0, -2.0, 0.5, 3.0])
-        values = 2.0 + rng_for("krig-values").random((ROW_BLOCK + 7, len(given)))
+        n = block_rows(4) + 7
+        values = 2.0 + rng_for("krig-values").random((n, len(given)))
         out = krig(m, given, values, rng_for("krig-cols"))
-        assert out.shape == (ROW_BLOCK + 7, 4)
+        assert out.shape == (n, 4)
         assert np.array_equal(out[:, list(given)], values)
+
+
+def _toeplitz(d, mean):
+    """A Toeplitz normal of correlation 0.5^|i - j|, with a mean ramp or none."""
+    lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    return NormalModel(0.5**lags, mu=np.linspace(-1.0, 1.0, d) if mean else None)
+
+
+# (d, n) of the whole-array comparisons, each without and with a per-row
+# function, and the conditioned columns of each d
+_WIDE_CASES = [(64, n) for n in (1, 2, block_rows(64) + 1, 1 << 16)] + [(256, 2 * block_rows(256) + 1)]
+_WIDE_SIZES = [
+    pytest.param(d, n, per_row, id=f"d{d}-{n}" + ("-per_row" if per_row else ""))
+    for per_row in (None, _row_values)
+    for d, n in _WIDE_CASES
+]
+_WIDE_GIVEN = {64: [(5,), (40, 7)], 256: [(5,), (200, 7)]}
+_WIDE_CONDITIONAL = [
+    pytest.param(*p.values, given, id=f"{p.id}-{'_'.join(map(str, given))}")
+    for p in _WIDE_SIZES
+    for given in _WIDE_GIVEN[p.values[0]]
+]
 
 
 class TestRowBlockedDraws:
     """Block-by-block draws keep the bits of the plain whole-array expressions
-    on the same stream, also for a 1-row draw and just past one block."""
-
-    D = 64
-    # each size without and with a per-row function
-    SIZES = [pytest.param(n, None, id=str(n)) for n in (1, 2, ROW_BLOCK + 1, 1 << 16)] + [
-        pytest.param(n, _row_values, id=f"{n}-per_row") for n in (1, 2, ROW_BLOCK + 1, 1 << 16)
-    ]
+    on the same stream: at d = 64 for 1- and 2-row draws, just past one
+    block of 1,024 rows and at 2^16 rows, and at d = 256 just past two
+    blocks of 256 rows, where the near-equal blocks hold 171 rows each."""
 
     # a zero mean is not added at all, and must leave the same bits as adding it
-    @pytest.fixture(scope="class", params=[np.linspace(-1.0, 1.0, D), None], ids=["mean", "zero_mean"])
-    def model(self, request):
-        lags = np.abs(np.subtract.outer(np.arange(self.D), np.arange(self.D)))
-        return NormalModel(0.5**lags, mu=request.param)
+    @pytest.fixture(params=[True, False], ids=["mean", "zero_mean"])
+    def mean(self, request):
+        return request.param
 
     @staticmethod
     def check(got, want, per_row):
@@ -382,21 +399,21 @@ class TestRowBlockedDraws:
         else:
             assert list(map(float.hex, got)) == list(map(float.hex, per_row(want)))
 
-    @pytest.mark.parametrize("n, per_row", SIZES)
-    def test_sample_matches_plain_expression(self, model, n, per_row):
-        z = derive_generator(3, n).standard_normal((n, self.D))
+    @pytest.mark.parametrize("d, n, per_row", _WIDE_SIZES)
+    def test_sample_matches_plain_expression(self, mean, d, n, per_row):
+        model = _toeplitz(d, mean)
+        z = derive_generator(3, n).standard_normal((n, d))
         want = model.mu + z @ model.chol.T
         self.check(model.sample(derive_generator(3, n), n, _per_row=per_row), want, per_row)
 
-    @pytest.mark.parametrize("given", [(5,), (40, 7)])
-    @pytest.mark.parametrize("n, per_row", SIZES)
-    def test_conditional_draw_matches_plain_expression(self, model, n, given, per_row):
+    @pytest.mark.parametrize("d, n, per_row, given", _WIDE_CONDITIONAL)
+    def test_conditional_draw_matches_plain_expression(self, mean, d, n, per_row, given):
         # the whole-array kriging step: one model draw X moved by
         # (values - X_S) K^T, with K = sigma[:, S] sigma[S, S]^-1
-        cols = list(given)
+        model, cols = _toeplitz(d, mean), list(given)
         gain = np.linalg.solve(model.sigma[np.ix_(cols, cols)], model.sigma[cols]).T
         values = 2.0 + derive_generator(4, n).random((n, len(given)))
-        x = model.mu + derive_generator(5, n).standard_normal((n, self.D)) @ model.chol.T
+        x = model.mu + derive_generator(5, n).standard_normal((n, d)) @ model.chol.T
         want = x + (values - x[:, cols]) @ gain.T
         want[:, cols] = values
         got = gaussian_rows(model, derive_generator(5, n), n, given, values, gain, _per_row=per_row)
@@ -404,9 +421,9 @@ class TestRowBlockedDraws:
 
 
 class TestNarrowRowBlockedDraws:
-    """Below d = 16 a block holds ``BLOCK_ELEMENTS`` values, more than
-    ``ROW_BLOCK`` rows; the draws keep the bits of the whole-array
-    expressions just past one such block and at 2^16 rows."""
+    """At d = 4 and 8 a block holds ``BLOCK_ELEMENTS`` values in 16,384 and
+    8,192 rows; the draws keep the bits of the whole-array expressions just
+    past one such block and at 2^16 rows."""
 
     CASES = [pytest.param(d, n, id=f"d{d}-{n}") for d in (4, 8) for n in (block_rows(d) + 1, 1 << 16)]
     PER_ROW = pytest.mark.parametrize("per_row", [None, _row_values], ids=["rows", "per_row"])
@@ -418,7 +435,9 @@ class TestNarrowRowBlockedDraws:
         return NormalModel(0.6**lags, mu=np.linspace(-1.0, 1.0, d) if mean else None)
 
     def test_block_rule(self):
-        assert [block_rows(d) for d in (1, 4, 8, 16, 17, 64)] == [1 << 16, 1 << 14, 1 << 13, 4096, 4096, 4096]
+        # one budget of 2^16 values at every d, down to one row past d = 2^16
+        assert [block_rows(d) for d in (1, 4, 8, 16, 17, 64, 256)] == [65536, 16384, 8192, 4096, 3855, 1024, 256]
+        assert block_rows(1 << 17) == 1
 
     @MEAN
     @PER_ROW
@@ -460,8 +479,9 @@ def test_conditional_draw_is_one_pass_without_the_model_draw(monkeypatch, events
     else:
         law = _PAPER.conditional_given_pair_exceedance(*events, 2.0)
     assert isinstance(law, GaussianConditional)
-    x = law.draw(rng_for(f"one-pass-{events}"), ROW_BLOCK + 1)
-    assert x.shape == (ROW_BLOCK + 1, 3) and (x[:, list(events)] > 2.0).all()
+    n = block_rows(3) + 1
+    x = law.draw(rng_for(f"one-pass-{events}"), n)
+    assert x.shape == (n, 3) and (x[:, list(events)] > 2.0).all()
     assert calls == []
 
 
