@@ -12,8 +12,9 @@ per-law gain, so no law factors a covariance of its own.  Given a per-row
 function, the pass hands each finished block to it and keeps only the values
 it returns, so an estimator's draw holds two buffers of ``block_rows(d)`` rows
 (``BLOCK_ELEMENTS`` values, 512 kB at any d) instead of its whole sample.
-The truncated normals draw one threshold, and rounds whose thresholds share
-a sign, without per-element masks.
+One truncated-normal sampler takes one threshold for all its draws or one
+per row; one threshold, and a round whose thresholds share a sign, draw
+without per-element masks.
 """
 
 from __future__ import annotations
@@ -128,49 +129,52 @@ def _normal_round(g, rng, m: int):
     return cand, cand > g
 
 
-def _trunc_std_normal(t: float, rng, n: int) -> np.ndarray:
-    """n draws of N(0,1) conditioned on exceeding the one threshold t: the
-    draws of :func:`_trunc_std_normal_batch` on n copies of t, bit for bit."""
-    if t >= 0.0:
-        lam = shifted_exponential_rate(t)
-        step = lambda m: _exponential_round(t, lam, rng, m)
-    else:
-        step = lambda m: _normal_round(t, rng, m)
-    return _rejection_fill(n, lambda pending: step(n if pending is None else pending.size))
-
-
-def _trunc_std_normal_batch(gammas: np.ndarray, rng) -> np.ndarray:
-    """N(0,1) conditioned on exceeding each of a 1-D array of thresholds.
+def _trunc_std_normal(t, rng, n: int) -> np.ndarray:
+    """n draws of N(0,1) conditioned on exceeding t: one threshold for all n
+    draws, or an ``(n,)`` array of one threshold per row.
 
     Shifted-exponential proposals where the threshold is non-negative,
     plain rejection from the untruncated normal elsewhere (acceptance at
     least one half in both regimes).  A round draws the exponentials and
     uniforms of its non-negative thresholds, then the normals of the rest;
-    a round with one sign only draws the same numbers without masks.
+    a round with one sign only draws the same numbers without masks, and
+    one threshold is read as it is, with no per-row copy of it or its rate.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    rates = shifted_exponential_rate(gammas)  # elementwise, so each round gathers its own
+    t = np.asarray(t, dtype=float)
+    rate = shifted_exponential_rate(t) if t.ndim or t >= 0.0 else None  # one t < 0 needs none
 
     def attempt(pending):
-        g, lam = (gammas, rates) if pending is None else (gammas[pending], rates[pending])
+        m = n if pending is None else pending.size
+        if not t.ndim:  # one threshold: every round has its one sign
+            return _exponential_round(t, rate, rng, m) if t >= 0.0 else _normal_round(t, rng, m)
+        g, lam = (t, rate) if pending is None else (t[pending], rate[pending])
         pos = g >= 0.0
         npos = np.count_nonzero(pos)
-        if npos == g.size:
-            return _exponential_round(g, lam, rng, npos)
+        if npos == m:
+            return _exponential_round(g, lam, rng, m)
         if not npos:
-            return _normal_round(g, rng, g.size)
-        cand, accept = np.empty(g.size), np.empty(g.size, dtype=bool)
+            return _normal_round(g, rng, m)
+        cand, accept = np.empty(m), np.empty(m, dtype=bool)
         neg = ~pos
         cand[pos], accept[pos] = _exponential_round(g[pos], lam[pos], rng, npos)
-        cand[neg], accept[neg] = _normal_round(g[neg], rng, g.size - npos)
+        cand[neg], accept[neg] = _normal_round(g[neg], rng, m - npos)
         return cand, accept
 
-    return _rejection_fill(gammas.size, attempt)
+    return _rejection_fill(n, attempt)
 
 
 def sample_truncated_std_normal(gamma: float, rng, size):
     """``size`` draws from N(0,1) conditioned on being greater than ``gamma``."""
     return _trunc_std_normal(_real(gamma, "the truncation point"), rng, _dimension(size, "size", least=0))
+
+
+def _normal_model(model):
+    """``model`` itself when it is a ``NormalModel``, the one Gaussian law."""
+    from .models import NormalModel  # not at module level: models imports samplers
+
+    if not isinstance(model, NormalModel):
+        raise ModelSpecError(f"a Gaussian draw needs a NormalModel, got {type(model).__name__}")
+    return model
 
 
 def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None, _per_row=None) -> np.ndarray:
@@ -190,6 +194,7 @@ def gaussian_rows(model, rng, n: int, given=(), values=None, gain=None, _per_row
     block-sized scratch only, so the draw never holds all n of them.  With
     no function the ``(n, d)`` rows are returned.
     """
+    _normal_model(model)
     rows, d = _per_row is None, model.d
     out = np.empty((n, d) if rows else n)
     size = min(n, block_rows(d))
@@ -229,6 +234,7 @@ class GaussianConditional:
     """
 
     def __init__(self, model, given, gamma):
+        model = _normal_model(model)
         given = tuple(model._check_index(i) for i in given)
         if len(given) not in (1, 2) or len(set(given)) != len(given):
             raise ModelSpecError(f"a Gaussian conditional needs one index or a distinct pair, got {given}")
@@ -384,7 +390,7 @@ def sample_truncated_std_normal_pair(ti: float, tj: float, rho: float, rng, size
         return x, accept
 
     zi = _rejection_fill(n, attempt)
-    zj = rho * zi + s * _trunc_std_normal_batch((tj - rho * zi) / s, rng)
+    zj = rho * zi + s * _trunc_std_normal((tj - rho * zi) / s, rng, n)
     if swap:
         zi, zj = zj, zi
     return zi, zj
@@ -397,32 +403,24 @@ def gibbs_bivariate_truncated(model, i: int, j: int, gamma: float, burnin: int, 
     independent chain per requested draw, each burned in from an
     independent-truncation start, so draws carry no serial correlation;
     the only approximation is the finite burn-in.  Every returned pair
-    satisfies the constraint by construction.  Kept as a cross-check of
-    the exact :func:`sample_truncated_std_normal_pair`, which the
-    estimators use.
+    satisfies the constraint by construction.  The pair is standardised by
+    its :class:`GaussianConditional`.  No estimator runs the chain; it is
+    kept because it is exported and the benchmark's tracer looks it up,
+    until ROADMAP item 10 deletes it.
     """
     burnin = _dimension(burnin, "burnin")
-    i, j = model._check_pair(i, j)
-    gamma = _real(gamma, "gamma")
+    law = GaussianConditional(model, (i, j), gamma)
     n = _dimension(size, "size", least=0)
-    mu = np.asarray(model.mu, dtype=float)
-    sigma = np.asarray(model.sigma, dtype=float)
-    si = math.sqrt(sigma[i, i])
-    sj = math.sqrt(sigma[j, j])
-    rho = sigma[i, j] / (si * sj)
-    ti = (gamma - mu[i]) / si
-    tj = (gamma - mu[j]) / sj
+    (ti, tj), rho = law._t, law._rho
     s = math.sqrt(max(1.0 - rho * rho, 0.0))
     if s == 0.0:
         raise ModelSpecError("degenerate pair correlation; the chain cannot move")
     zi = _trunc_std_normal(ti, rng, n)
     zj = _trunc_std_normal(tj, rng, n)
     for _ in range(burnin):
-        zj = rho * zi + s * _trunc_std_normal_batch((tj - rho * zi) / s, rng)
-        zi = rho * zj + s * _trunc_std_normal_batch((ti - rho * zj) / s, rng)
-    xi = mu[i] + si * zi
-    xj = mu[j] + sj * zj
-    return xi, xj
+        zj = rho * zi + s * _trunc_std_normal((tj - rho * zi) / s, rng, n)
+        zi = rho * zj + s * _trunc_std_normal((ti - rho * zj) / s, rng, n)
+    return law._mu[0] + law._sd[0] * zi, law._mu[1] + law._sd[1] * zj
 
 
 def sample_inverse_gaussian(mu, lam, rng, size):

@@ -2,18 +2,15 @@
 
 Each criterion prints an explicit pass/fail line (visible with ``pytest -s``
 or ``-rA``).  The paper-scale Monte Carlo criterion runs a million
-replicates per cell; set ``RAREUNION_SKIP_PAPER_SCALE=1`` to skip it during
-quick iterations.
+replicates per cell.
 """
 
 import itertools
 import math
-import os
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 import rareunion as ru
 from rareunion import events as ev
@@ -123,10 +120,6 @@ def test_criterion_04_monte_carlo_consistency_desk_scale():
         _run_consistency(100_000, check_std=False, budget_s=60.0, label="desk-scale")
 
 
-@pytest.mark.skipif(
-    os.environ.get("RAREUNION_SKIP_PAPER_SCALE") == "1",
-    reason="paper-scale run skipped via RAREUNION_SKIP_PAPER_SCALE",
-)
 def test_criterion_04_monte_carlo_consistency_paper_scale():
     with criterion(
         4, "paper-scale consistency: 4 s.e. agreement and per-replicate spreads within x1.25"

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from rareunion import (
+    ArchimedeanModel,
     FinitePatternModel,
+    LaplaceModel,
     ModelSpecError,
     NormalModel,
     Payoff,
@@ -87,6 +89,14 @@ CASES = {
     "gaussian_conditional_three_indices": lambda: samplers.GaussianConditional(_NORMAL3, (0, 1, 2), 2.0),
     "gaussian_conditional_no_index": lambda: samplers.GaussianConditional(_NORMAL3, (), 2.0),
     "gaussian_conditional_nan_threshold": lambda: samplers.GaussianConditional(_NORMAL3, (0,), math.nan),
+    # a model with no mean or covariance once failed on a bare AttributeError
+    "gaussian_conditional_laplace_model": lambda: samplers.GaussianConditional(LaplaceModel(3), (0,), 0.5),
+    "gaussian_conditional_archimedean_model":
+        lambda: samplers.GaussianConditional(ArchimedeanModel("clayton", 2.0, 3), (0, 1), 0.5),
+    "gibbs_laplace_model": lambda: samplers.gibbs_bivariate_truncated(LaplaceModel(3), 0, 1, 0.5, 3, _rng(), 10),
+    "gibbs_finite_model": lambda: samplers.gibbs_bivariate_truncated(_FINITE, 0, 1, 0.5, 3, _rng(), 10),
+    "gaussian_rows_laplace_model": lambda: samplers.gaussian_rows(LaplaceModel(3), _rng(), 5),
+    "gaussian_rows_finite_model": lambda: samplers.gaussian_rows(_FINITE, _rng(), 5),
     "custom_payoff_two_columns": lambda: estimate_beta_n(
         NormalModel.equicorrelated(3, 0.5), 1.0, 1, Payoff.custom(lambda x, p: np.ones((len(p), 2))), 1000, 1
     ),

@@ -9,7 +9,6 @@ from rareunion import ModelSpecError, NormalModel, estimators, models
 from rareunion.samplers import (
     GaussianConditional,
     _trunc_std_normal,
-    _trunc_std_normal_batch,
     block_rows,
     _pair_law,
     _PairLaw,
@@ -174,9 +173,9 @@ def _masked_truncated_normal(gammas, rng):
 
 
 class TestTruncatedNormalPaths:
-    """The one-threshold path and the rounds of one sign draw the same
-    numbers as the masked per-element loop and leave the generator in the
-    same state, bit for bit."""
+    """One threshold, one threshold per row and the rounds of one sign draw
+    the same numbers as the masked per-element loop and leave the generator
+    in the same state, bit for bit."""
 
     SIZES = [0, 1, 7, 10_000]
 
@@ -191,13 +190,13 @@ class TestTruncatedNormalPaths:
         want = _masked_truncated_normal(np.full(n, t), ref := derive_generator(9, n))
         for draw in (lambda rng: _trunc_std_normal(t, rng, n), lambda rng: sample_truncated_std_normal(t, rng, n)):
             self.same(draw(rng := derive_generator(9, n)), rng, want, ref)
-        self.same(_trunc_std_normal_batch(np.full(n, t), rng := derive_generator(9, n)), rng, want, ref)
+        self.same(_trunc_std_normal(np.full(n, t), rng := derive_generator(9, n), n), rng, want, ref)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_mixed_signs(self, n):
         gammas = derive_generator(10, n).permutation(np.linspace(-2.0, 3.0, n))
         want = _masked_truncated_normal(gammas, ref := derive_generator(11, n))
-        self.same(_trunc_std_normal_batch(gammas, rng := derive_generator(11, n)), rng, want, ref)
+        self.same(_trunc_std_normal(gammas, rng := derive_generator(11, n), n), rng, want, ref)
 
 
 class TestTruncatedNormal:
@@ -506,6 +505,27 @@ class TestGibbs:
         assert ri.size > 2_000
         se = math.sqrt(xi.var(ddof=1) / xi.size + ri.var(ddof=1) / ri.size)
         assert abs(xi.mean() - ri.mean()) < 4 * se
+
+    def test_bits_equal_the_plain_chain(self):
+        # the chain written out from the model's mean and covariance: its
+        # standardisation, independent-truncation start and half-steps, with
+        # the masked reference loop for every truncated-normal draw
+        m, gamma, burnin, n = scaled_pair_model(0.75), 2.0, 3, 5_000
+        mu, sigma = m.mu, m.sigma
+        si, sj = math.sqrt(sigma[0, 0]), math.sqrt(sigma[1, 1])
+        rho = sigma[0, 1] / (si * sj)
+        ti, tj = (gamma - mu[0]) / si, (gamma - mu[1]) / sj
+        s = math.sqrt(1.0 - rho * rho)
+        ref = rng_for("gibbs-bits")
+        zi = _masked_truncated_normal(np.full(n, ti), ref)
+        zj = _masked_truncated_normal(np.full(n, tj), ref)
+        for _ in range(burnin):
+            zj = rho * zi + s * _masked_truncated_normal((tj - rho * zi) / s, ref)
+            zi = rho * zj + s * _masked_truncated_normal((ti - rho * zj) / s, ref)
+        got = gibbs_bivariate_truncated(m, 0, 1, gamma, burnin, rng := rng_for("gibbs-bits"), n)
+        for x, want in zip(got, (mu[0] + si * zi, mu[1] + sj * zj)):
+            assert list(map(float.hex, x)) == list(map(float.hex, want))
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
     def test_burnin_validation(self):
         m = NormalModel.equicorrelated(2, 0.5)
